@@ -42,11 +42,11 @@ from .grid import (
     Trajectory,
     inner_product,
     inner_product_spacetime,
-    laplacian_neumann,
     laplacian_values,
     norm_l2,
     norm_l2_spacetime,
     norm_lp_spacetime,
+    solve_step_system,
     time_h1_norm,
 )
 from .nonlocal_op import A3Report, Kernel, NonlocalOperator, check_a3
@@ -117,11 +117,11 @@ __all__ = [
     "Trajectory",
     "inner_product",
     "inner_product_spacetime",
-    "laplacian_neumann",
     "laplacian_values",
     "norm_l2",
     "norm_l2_spacetime",
     "norm_lp_spacetime",
+    "solve_step_system",
     "time_h1_norm",
     "A3Report",
     "Kernel",

@@ -33,13 +33,13 @@ from .grid import (
     Trajectory,
     h1_seminorm_sq,
     inner_product_spacetime,
-    laplacian_values,
     norm_l2,
     norm_l2_spacetime,
+    solve_step_system,
 )
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel, log_potential_second
-from .state import SolverOptions, StateSolution, conjugate_gradient, mu_zeroth_coefficient
+from .state import SolverOptions, StateSolution, mu_zeroth_coefficient
 
 __all__ = [
     "AdjointDiagnostics",
@@ -118,11 +118,7 @@ def solve_adjoint(
             + gp_m * q[m + 1]
             + b2 * (mu[m] - mu_tgt[m])
         )
-
-        def apply_a(x, a=a_m):
-            return a * x - laplacian_values(grid, x)
-
-        p[m], _ = conjugate_gradient(apply_a, rhs, p[m + 1], opts.cg_rtol, opts.cg_max_iter)
+        p[m] = solve_step_system(grid, a_m, rhs)
 
         source = (
             b1 * (rho[m] - rho_tgt[m])

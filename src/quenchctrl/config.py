@@ -63,7 +63,6 @@ TOLERANCES = {
     "projection_residual_factor": 10.0,    # times the stationarity tolerance
     "concentration_slope_range": (0.9, 1.1),    # reaction mass vs quench scale
     "stationarity_tol": 1e-7,       # projected-gradient stopping threshold
-    "cg_rtol_contract": 1e-10,      # linear solves must be at least this tight
 }
 
 
@@ -114,8 +113,6 @@ class ProblemConfig:
     # sweeps
     sweep_alphas: str = "1e-1,1e-2,1e-3,1e-4,1e-5"
     # inner solvers
-    cg_rtol: float = 1e-12
-    cg_max_iter: int = 5000
     coefficient_floor: float = 1e-8
     resolvent_tol: float = 1e-13
     # bookkeeping
@@ -135,10 +132,6 @@ class ProblemConfig:
             raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
         if self.tol <= 0.0 or self.max_iters < 0 or self.vi_samples < 1:
             raise ConfigError("optimizer options out of range")
-        if self.cg_rtol > TOLERANCES["cg_rtol_contract"]:
-            raise ConfigError(
-                f"cg_rtol must be <= {TOLERANCES['cg_rtol_contract']:g}"
-            )
 
     def schedule_values(self) -> list[float]:
         return _float_list("schedule", self.schedule)
@@ -371,8 +364,6 @@ def build_problem(cfg: ProblemConfig) -> Problem:
     )
 
     solver_opts = SolverOptions(
-        cg_rtol=cfg.cg_rtol,
-        cg_max_iter=cfg.cg_max_iter,
         coefficient_floor=cfg.coefficient_floor,
         resolvent_tol=cfg.resolvent_tol,
     )

@@ -22,7 +22,7 @@ __all__ = [
     "Field",
     "Trajectory",
     "laplacian_values",
-    "laplacian_neumann",
+    "solve_step_system",
     "inner_product",
     "norm_l2",
     "trapezoid_weights",
@@ -207,13 +207,6 @@ class Trajectory:
         return cls(tgrid, grid, np.zeros((tgrid.n_nodes,) + grid.shape))
 
     @classmethod
-    def from_snapshots(cls, tgrid: TimeGrid, fields: list[Field]) -> "Trajectory":
-        if len(fields) != tgrid.n_nodes:
-            raise ShapeMismatchError("snapshot count does not match the time grid")
-        grid = fields[0].grid
-        return cls(tgrid, grid, np.stack([f.values for f in fields]))
-
-    @classmethod
     def constant_profile(cls, tgrid: TimeGrid, grid: Grid, profile: np.ndarray) -> "Trajectory":
         """Hold one spatial snapshot fixed over every time node."""
         vals = np.broadcast_to(np.asarray(profile, dtype=float), (tgrid.n_nodes,) + grid.shape)
@@ -263,16 +256,65 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """
     out = np.zeros_like(values)
     for axis, h in enumerate(grid.spacing):
-        d = np.diff(values, axis=axis) / h
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 1)
-        flux = np.pad(d, pad)
-        out += np.diff(flux, axis=axis) / h
+        flux = np.diff(values, axis=axis) / h
+        lo = [slice(None)] * values.ndim
+        hi = [slice(None)] * values.ndim
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        div = np.zeros_like(values)
+        div[tuple(lo)] = flux
+        div[tuple(hi)] -= flux
+        div /= h
+        out += div
     return out
 
 
-def laplacian_neumann(f: Field) -> Field:
-    return Field(f.grid, laplacian_values(f.grid, f.values))
+def _neighbour_counts(n: int) -> np.ndarray:
+    """Interior faces per cell along an axis of n cells (Neumann ends)."""
+    deg = np.full(n, 2.0)
+    deg[0] -= 1.0
+    deg[-1] -= 1.0
+    return deg
+
+
+def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (diag(a) − Δ_h) x = rhs, Δ_h being `laplacian_values`.
+
+    Block Thomas elimination along the first axis with dense blocks
+    along the last one; in 1D that is a single dense solve.  Every
+    entry of a must be positive: the matrix is then SPD, and so is each
+    Schur complement, so the elimination needs no pivoting across
+    blocks.  The operator is symmetric, so the same call solves the
+    transposed system.
+    """
+    ny = grid.cells[-1]
+    nx = grid.n_cells // ny
+    inv_hy2 = grid.spacing[-1] ** -2
+    block = inv_hy2 * (
+        np.diag(_neighbour_counts(ny)) - np.eye(ny, k=1) - np.eye(ny, k=-1)
+    )
+    diag = np.array(a, dtype=float).reshape(nx, ny)
+    inv_hx2 = 0.0
+    if grid.dim == 2:
+        inv_hx2 = grid.spacing[0] ** -2
+        diag += inv_hx2 * _neighbour_counts(nx)[:, None]
+    y = np.array(rhs, dtype=float).reshape(nx, ny)
+    on_diag = np.arange(ny)
+
+    schur = block.copy()
+    schur[on_diag, on_diag] += diag[0]
+    inverses = []
+    for i in range(1, nx):
+        w = np.linalg.inv(schur)
+        inverses.append(w)
+        y[i] += inv_hx2 * (w @ y[i - 1])
+        schur = block - (inv_hx2 * inv_hx2) * w
+        schur[on_diag, on_diag] += diag[i]
+    x = np.empty_like(y)
+    x[-1] = np.linalg.solve(schur, y[-1])
+    for i in range(nx - 2, -1, -1):
+        x[i] = inverses[i] @ (y[i] + inv_hx2 * x[i + 1])
+    return x.reshape(grid.shape)
 
 
 def inner_product(f: Field, g: Field) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 
 __all__ = [
     "log_potential",
@@ -193,24 +193,30 @@ def _solve_quench_logit(b: np.ndarray, s: float, tol_factor: float, max_iter: in
     Working in y keeps the iteration well posed even when the root sits
     within one ulp of 0 or 1 in the rho variable.  Safeguarded Newton:
     the bracket [(b-1)/s, b/s] always encloses the root and any Newton
-    step leaving it falls back to bisection.
+    step leaving it falls back to bisection.  Newton starts at the root
+    of the s = 0 equation, logit(b), clipped into the bracket; that is
+    the bracket end whenever b lies outside (0, 1).
     """
     lo = (b - 1.0) / s
     hi = b / s
-    y = 0.5 * (lo + hi)
+    y = np.clip(log_potential_prime(np.clip(b, RHO_MIN, RHO_MAX)), lo, hi)
     tol = tol_factor * np.maximum(1.0, np.abs(b))
     for _ in range(max_iter):
         sig = _sigmoid(y)
         res = sig + s * y - b
         done = np.abs(res) <= tol
         if done.all():
-            break
+            return y
         lo = np.where(res < 0.0, y, lo)
         hi = np.where(res > 0.0, y, hi)
         newton = y - res / (sig * (1.0 - sig) + s)
         inside = (newton > lo) & (newton < hi)
         y = np.where(done, y, np.where(inside, newton, 0.5 * (lo + hi)))
-    return y
+    worst = float(np.max(np.abs(res) / tol))
+    raise SolverError(
+        f"quench resolvent did not converge in {max_iter} iterations "
+        f"(worst residual {worst:.3e} times its tolerance)"
+    )
 
 
 def quench_resolvent_detail(b, s: float, tol_factor: float = 1e-13, max_iter: int = 200):

@@ -4,9 +4,9 @@ Per step, the order-parameter update is pointwise: everything smooth and
 the nonlocal term are frozen at the old node, only the monotone
 constraint term (obstacle or quench logarithm) is implicit, so the
 update is a resolvent evaluation.  The chemical-potential update then
-solves one symmetric positive definite linear system by conjugate
-gradients.  The constraint term must be the implicit one, otherwise the
-iterates leave [0, 1].
+solves one symmetric positive definite linear system directly.  The
+constraint term must be the implicit one, otherwise the iterates leave
+[0, 1].
 """
 
 from __future__ import annotations
@@ -15,17 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .grid import (
     Field,
     Grid,
     TimeGrid,
     Trajectory,
-    h1_seminorm_sq,
-    inner_product,
-    laplacian_values,
     norm_l2_spacetime,
     norm_lp_spacetime,
+    solve_step_system,
     trapezoid_weights,
 )
 from .nonlocal_op import NonlocalOperator
@@ -50,7 +48,6 @@ __all__ = [
     "energy_residual",
     "apriori_report",
     "check_obstacle_signs",
-    "conjugate_gradient",
 ]
 
 
@@ -81,8 +78,6 @@ class InitialData:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    cg_rtol: float = 1e-12  # contract is 1e-10; default is tighter
-    cg_max_iter: int = 5000
     coefficient_floor: float = 1e-8
     resolvent_tol: float = 1e-13
 
@@ -96,7 +91,6 @@ class StateDiagnostics:
     xi_l6: float
     energy_residual_max: float
     clamp_events: int
-    cg_iterations_max: int
     mu_nonneg_ok: bool | None
 
     def as_dict(self) -> dict:
@@ -108,7 +102,6 @@ class StateDiagnostics:
             "xi_l6": self.xi_l6,
             "energy_residual_max": self.energy_residual_max,
             "clamp_events": self.clamp_events,
-            "cg_iterations_max": self.cg_iterations_max,
             "mu_nonneg_ok": self.mu_nonneg_ok,
         }
 
@@ -126,38 +119,6 @@ class StateSolution:
     xi: Trajectory
     alpha: float
     diagnostics: StateDiagnostics
-
-
-def conjugate_gradient(apply_a, b: np.ndarray, x0: np.ndarray, rtol: float, max_iter: int):
-    """Plain CG for an SPD operator given matrix-free; returns (x, iters).
-
-    Convergence is relative to ||b||; a zero right-hand side short
-    circuits to the exact solution 0.
-    """
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    if b_norm == 0.0:
-        return np.zeros_like(b), 0
-    tol = rtol * b_norm
-    x = x0.copy()
-    r = b - apply_a(x)
-    rs = float(np.sum(r * r))
-    if np.sqrt(rs) <= tol:
-        return x, 0
-    p = r.copy()
-    for k in range(1, max_iter + 1):
-        ap = apply_a(p)
-        alpha = rs / float(np.sum(p * ap))
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= tol:
-            return x, k
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(
-        f"conjugate gradient did not reach rtol={rtol:g} in {max_iter} iterations "
-        f"(relative residual {np.sqrt(rs) / b_norm:.3e})"
-    )
 
 
 def mu_zeroth_coefficient(
@@ -216,21 +177,15 @@ def step_mu(
     opts: SolverOptions = SolverOptions(),
     stats: dict | None = None,
 ) -> Field:
-    """One chemical-potential update: CG on the SPD step system."""
+    """One chemical-potential update: a direct solve of the SPD step system."""
     grid = mu_n.grid
     a, clamps = mu_zeroth_coefficient(
         rho_np1.values, rho_n.values, tau, model, opts.coefficient_floor
     )
     rhs = (1.0 + 2.0 * model.g(rho_np1.values)) * mu_n.values / tau + u_np1.values
-
-    def apply_a(x):
-        return a * x - laplacian_values(grid, x)
-
-    mu, iters = conjugate_gradient(apply_a, rhs, mu_n.values, opts.cg_rtol, opts.cg_max_iter)
     if stats is not None:
         stats["clamp_events"] = stats.get("clamp_events", 0) + clamps
-        stats["cg_iterations_max"] = max(stats.get("cg_iterations_max", 0), iters)
-    return Field(grid, mu)
+    return Field(grid, solve_step_system(grid, a, rhs))
 
 
 def solve_state(
@@ -294,7 +249,6 @@ def solve_state(
         xi_l6=norm_lp_spacetime(xi_t, 6.0),
         energy_residual_max=0.0,
         clamp_events=stats.get("clamp_events", 0),
-        cg_iterations_max=stats.get("cg_iterations_max", 0),
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,
     )
     sol = StateSolution(mu=mu_t, rho=rho_t, xi=xi_t, alpha=alpha, diagnostics=diag)
@@ -310,33 +264,25 @@ def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialC
     evaluated on the discrete solution with trapezoidal time quadrature.
     The scheme satisfies it to first order in the step size.
     """
-    tgrid = sol.mu.tgrid
+    tau = sol.mu.tgrid.tau
     grid = sol.mu.grid
-    nodes = tgrid.n_nodes
-    tau = tgrid.tau
+    mu = sol.mu.values
+    space = tuple(range(1, mu.ndim))
 
-    stored = np.empty(nodes)
-    dissip = np.empty(nodes)
-    source = np.empty(nodes)
-    for n in range(nodes):
-        mu_n = sol.mu.values[n]
-        g_n = model.g(sol.rho.values[n])
-        stored[n] = float(np.sum((0.5 + g_n) * mu_n * mu_n)) * grid.cell_volume
-        dissip[n] = h1_seminorm_sq(sol.mu.snapshot(n))
-        source[n] = inner_product(u.snapshot(n), sol.mu.snapshot(n))
+    stored = np.sum((0.5 + model.g(sol.rho.values)) * mu * mu, axis=space) * grid.cell_volume
+    dissip = np.zeros(len(mu))
+    for axis, h in enumerate(grid.spacing):
+        d = np.diff(mu, axis=axis + 1) / h
+        dissip += np.sum(d * d, axis=space) * grid.cell_volume
+    source = np.sum(u.values * mu, axis=space) * grid.cell_volume
 
-    res = np.zeros(nodes)
-    cum_d = 0.0
-    cum_s = 0.0
-    for n in range(1, nodes):
-        cum_d += 0.5 * tau * (dissip[n - 1] + dissip[n])
-        cum_s += 0.5 * tau * (source[n - 1] + source[n])
-        lhs = stored[n] + cum_d
-        rhs = stored[0] + cum_s
-        scale = max(abs(stored[n]), abs(stored[0]), abs(cum_d), abs(cum_s))
-        gap = abs(lhs - rhs)
-        res[n] = 0.0 if gap == 0.0 else gap / max(scale, 1e-300)
-    return res
+    cum_d = np.concatenate(([0.0], np.cumsum(0.5 * tau * (dissip[:-1] + dissip[1:]))))
+    cum_s = np.concatenate(([0.0], np.cumsum(0.5 * tau * (source[:-1] + source[1:]))))
+    gap = np.abs((stored + cum_d) - (stored[0] + cum_s))
+    scale = np.maximum(
+        np.maximum(np.abs(stored), abs(stored[0])), np.maximum(np.abs(cum_d), np.abs(cum_s))
+    )
+    return gap / np.maximum(scale, 1e-300)
 
 
 def energy_residual(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> float:

@@ -448,7 +448,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     )
     direct = dense_mu_step(mu_a, rho_a, rho_b, u_a, tau, model, g20)
     rel = float(np.linalg.norm(stepped.values - direct) / np.linalg.norm(direct))
-    checks.append(_bounded("mu_step_dense_solve", rel, 1e-9, "cg vs direct solve"))
+    checks.append(_bounded("mu_step_dense_solve", rel, 1e-9, "step solve vs dense assembly"))
 
     coeff_ref = (1.0 + 2.0 * model.g(rho_b) + model.g_prime(rho_b) * (rho_b - rho_a)) / tau
     coeff_pkg, _ = mu_zeroth_coefficient(rho_b, rho_a, tau, model, 1e-8)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from quenchctrl.adjoint import concentration_metric, solve_adjoint, time_ramp_probe
-from quenchctrl.costs import CostWeights
+from quenchctrl.config import build_problem, preset_config
+from quenchctrl.costs import CostWeights, tracking_cost
 from quenchctrl.grid import Field, Grid, TimeGrid, Trajectory
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
+from quenchctrl.optimize import reduced_gradient
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import InitialData, solve_state
+from quenchctrl.verify import taylor_remainder_slope
 
 
 def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
@@ -124,3 +127,24 @@ def test_adjoint_diagnostics_finite():
     }
     assert all(np.isfinite(v) for v in d.values())
     assert d["mu_dual_time_h1"] > 0.0
+
+
+def test_gradient_taylor_slope_2d():
+    # the adjoint must be the exact gradient of the discrete cost in 2D
+    # too: the first-order Taylor remainder decays with slope two
+    prob = build_problem(preset_config("twod"))
+    level = prob.model.level(prob.config.alpha)
+    u = prob.control
+    v = Trajectory(
+        u.tgrid, u.grid, np.random.default_rng(6).uniform(-1.0, 1.0, u.values.shape)
+    )
+
+    def cost_at(w):
+        sol = solve_state(w, level, prob.init, prob.model, prob.op, prob.solver_opts)
+        return tracking_cost(sol, w, prob.weights)
+
+    grad = reduced_gradient(
+        u, level, prob.weights, None, prob.init, prob.model, prob.op, prob.solver_opts
+    )
+    _, slope = taylor_remainder_slope(cost_at, u, grad, v, [1e-1, 1e-2, 1e-3, 1e-4])
+    assert 1.8 <= slope <= 2.2

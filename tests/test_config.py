@@ -92,8 +92,6 @@ def test_validation_rejections():
     with pytest.raises(ConfigError, match=r"\(A1\)"):
         ProblemConfig(alpha=-0.5)
     with pytest.raises(ConfigError):
-        ProblemConfig(cg_rtol=1e-6)  # looser than the contract
-    with pytest.raises(ConfigError):
         ProblemConfig(horizon=0.0)
 
 

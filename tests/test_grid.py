@@ -12,7 +12,6 @@ from quenchctrl.grid import (
     h1_seminorm_sq,
     inner_product,
     inner_product_spacetime,
-    laplacian_neumann,
     laplacian_values,
     norm_l2,
     norm_l2_spacetime,
@@ -94,12 +93,6 @@ def test_laplacian_conserves_mass_and_is_symmetric():
         lhs = inner_product(Field(g, lf), Field(g, h))
         rhs = inner_product(Field(g, f), Field(g, lh))
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_laplacian_neumann_wrapper():
-    g = Grid.line(5, 5.0)
-    f = Field(g, np.arange(5.0))
-    assert np.array_equal(laplacian_neumann(f).values, laplacian_values(g, f.values))
 
 
 def test_norms_frozen_values():
