@@ -18,7 +18,6 @@ from .adjoint import (
 )
 from .config import (
     PRESETS,
-    TOLERANCES,
     Problem,
     ProblemConfig,
     build_problem,
@@ -95,7 +94,6 @@ __all__ = [
     "solve_adjoint",
     "time_ramp_probe",
     "PRESETS",
-    "TOLERANCES",
     "Problem",
     "ProblemConfig",
     "build_problem",

@@ -33,7 +33,6 @@ from .state import InitialData, SolverOptions
 __all__ = [
     "ProblemConfig",
     "Problem",
-    "TOLERANCES",
     "PRESETS",
     "parse_config_text",
     "load_config",
@@ -41,29 +40,6 @@ __all__ = [
     "profile_values",
     "build_problem",
 ]
-
-
-# Every tolerance the package promises, in one place.
-TOLERANCES = {
-    "fixed_point_abs": 1e-14,       # trivial rest state deviation
-    "mu_floor": -1e-10,             # chemical potential under nonnegative data
-    "energy_residual_max": 0.05,    # balance defect at the reference step count
-    "energy_ratio_range": (1.6, 2.6),   # defect drop when the step is halved
-    "operator_adjoint_rel": 1e-12,  # adjoint identity, relative to norms
-    "quadrature_abs": 1e-12,        # weight table vs double-loop quadrature
-    "resolvent_residual": 1e-12,    # quench resolvent defect
-    "resolvent_bisection": 1e-10,   # agreement with the bisection oracle
-    "quench_gap_small_scale": 1e-3,    # obstacle gap at scale 1e-6
-    "lipschitz_slack": 1e-12,       # nonexpansiveness slack for resolvents
-    "taylor_slope_range": (1.8, 2.2),   # gradient remainder decay
-    "trivial_control_norm": 1e-8,   # pure-energy cost drives u to zero
-    "sweep_final_distance": 1e-2,   # state distance to the obstacle run
-    "xi_decade_factor": 10.0,       # constraint-reaction spread over a sweep
-    "vi_floor": -1e-6,              # sampled first-order optimality values
-    "projection_residual_factor": 10.0,    # times the stationarity tolerance
-    "concentration_slope_range": (0.9, 1.1),    # reaction mass vs quench scale
-    "stationarity_tol": 1e-7,       # projected-gradient stopping threshold
-}
 
 
 @dataclass

@@ -104,7 +104,7 @@ class Grid:
         """All cell centers as an (n_cells, dim) array in C order.
 
         The row order matches values.reshape(-1) of any Field on this
-        grid, which is what the nonlocal weight table relies on.
+        grid, which is what the brute-force quadrature oracle relies on.
         """
         axes = self.centers()
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -1,21 +1,25 @@
-"""Nonlocal coupling operator: kernel catalog and dense convolution table.
+"""Nonlocal coupling operator: kernel catalog and offset-lattice convolution.
 
 The spatial coupling B[f](x) = ∫ k(|y - x|) f(y) dy is discretized by
-midpoint quadrature on the cell centers and stored as a dense weight
-table w[i, j] = k(|y_j - x_i|) · vol_j.  The operator is linear, so its
-directional derivative is itself and the adjoint is the transpose of
-the table.
+midpoint quadrature on the cell centers.  On a uniform grid the weight
+between cells i and j depends only on their index offset d = j - i, so
+the operator stores the kernel once per offset, w[d] = k(|d·h|) · vol
+for d in -(n-1)..(n-1) on each axis, and applies the (block-)Toeplitz
+table as a convolution: directly in 1D, and in 2D by zero-padded FFT
+on the circulant embedding (Golub & Van Loan, Matrix Computations,
+§4.7).  The operator is linear, so its directional derivative is
+itself; the kernel is radial, so the table is symmetric and the adjoint
+is the operator itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, Trajectory, norm_l2_spacetime
+from .grid import Grid, Trajectory, norm_l2_spacetime
 
 __all__ = ["Kernel", "NonlocalOperator", "A3Report", "check_a3"]
 
@@ -83,47 +87,54 @@ class Kernel:
 
 
 class NonlocalOperator:
-    """Precomputed quadrature weights for B on a fixed grid."""
+    """B on a fixed grid, stored as kernel weights on the offset lattice.
+
+    A weight is evaluated at r = |d·h| for the index offset d, so every
+    pair of cells at one offset gets the same weight, top-hat ties
+    (r == radius) included; a difference of cell centres can round
+    either side of such a tie.
+    """
 
     def __init__(self, kernel: Kernel, grid: Grid):
         self.kernel = kernel
         self.grid = grid
-        pts = grid.center_points()
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        offsets = [np.arange(1 - n, n) * h for n, h in zip(grid.cells, grid.spacing)]
+        mesh = np.meshgrid(*offsets, indexing="ij")
+        dist = np.sqrt(sum(m * m for m in mesh))
         self.weights = kernel.evaluate(dist) * grid.cell_volume
+        if grid.dim == 2:
+            # circulant embedding: offset d sits at index d mod 2n, and the
+            # one offset no pair of cells reaches (±n) holds a zero
+            ring = np.fft.ifftshift(np.pad(self.weights, ((1, 0), (1, 0))))
+            # the embedding is even on each axis, so its spectrum is real
+            self.spectrum = np.fft.rfft2(ring).real
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
-        return (self.weights @ values.reshape(-1)).reshape(self.grid.shape)
+        """B[values]; the table is symmetric, so this is also the adjoint."""
+        if self.grid.dim == 1:
+            return np.convolve(values, self.weights, "valid")
+        n1, n2 = self.grid.cells
+        pad = (2 * n1, 2 * n2)
+        out = np.fft.irfft2(self.spectrum * np.fft.rfft2(values, pad), pad)
+        return out[:n1, :n2]
 
-    def apply_adjoint_values(self, values: np.ndarray) -> np.ndarray:
-        return (self.weights.T @ values.reshape(-1)).reshape(self.grid.shape)
+    apply_adjoint_values = apply_values
 
-    def apply(self, f: Field) -> Field:
-        """B[f], the discrete convolution."""
-        if f.grid != self.grid:
-            raise ConfigError("field grid does not match the operator grid")
-        return Field(self.grid, self.apply_values(f.values))
-
-    def apply_derivative(self, anchor: Field, direction: Field) -> Field:
-        """Directional derivative DB(anchor)[direction]; B is linear, so
-        it does not depend on the anchor point."""
-        return self.apply(direction)
-
-    def apply_derivative_adjoint(self, anchor: Field, dual: Field) -> Field:
-        """Adjoint of the directional derivative: the transposed table."""
-        if dual.grid != self.grid:
-            raise ConfigError("field grid does not match the operator grid")
-        return Field(self.grid, self.apply_adjoint_values(dual.values))
+    def matrix(self) -> np.ndarray:
+        """The dense n_cells × n_cells table, assembled by applying the
+        operator to unit vectors; meant for the small grids of checks."""
+        eye = np.eye(self.grid.n_cells)
+        cols = [self.apply_values(e.reshape(self.grid.shape)).reshape(-1) for e in eye]
+        return np.stack(cols, axis=1)
 
     @property
     def row_sum_bound(self) -> float:
         """Max absolute row sum: an induced-norm upper bound for the table."""
-        return float(np.max(np.sum(np.abs(self.weights), axis=1)))
+        return float(np.max(np.sum(np.abs(self.matrix()), axis=1)))
 
     def induced_norm(self) -> float:
-        """Exact operator 2-norm of the weight table."""
-        return float(np.linalg.norm(self.weights, 2))
+        """Exact operator 2-norm of the table."""
+        return float(np.linalg.norm(self.matrix(), 2))
 
 
 @dataclass
