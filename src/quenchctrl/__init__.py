@@ -17,12 +17,10 @@ from .adjoint import (
     time_ramp_probe,
 )
 from .config import (
-    PRESETS,
     Problem,
     ProblemConfig,
     build_problem,
     load_config,
-    preset_config,
     profile_values,
 )
 from .costs import (
@@ -66,14 +64,12 @@ from .potentials import (
     log_potential_prime,
     log_potential_second,
     obstacle_resolvent,
-    quench_resolvent,
     quench_resolvent_detail,
     quench_scale,
 )
 from .state import (
     AprioriReport,
     InitialData,
-    SolverOptions,
     StateDiagnostics,
     StateSolution,
     apriori_report,
@@ -93,12 +89,10 @@ __all__ = [
     "concentration_metric",
     "solve_adjoint",
     "time_ramp_probe",
-    "PRESETS",
     "Problem",
     "ProblemConfig",
     "build_problem",
     "load_config",
-    "preset_config",
     "profile_values",
     "AdmissibleSet",
     "CostWeights",
@@ -139,12 +133,10 @@ __all__ = [
     "log_potential_prime",
     "log_potential_second",
     "obstacle_resolvent",
-    "quench_resolvent",
     "quench_resolvent_detail",
     "quench_scale",
     "AprioriReport",
     "InitialData",
-    "SolverOptions",
     "StateDiagnostics",
     "StateSolution",
     "apriori_report",

@@ -39,7 +39,7 @@ from .grid import (
 )
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel, log_potential_second
-from .state import SolverOptions, StateSolution, mu_zeroth_coefficient
+from .state import StateSolution, mu_zeroth_coefficient
 
 __all__ = [
     "AdjointDiagnostics",
@@ -82,7 +82,6 @@ def solve_adjoint(
     weights: CostWeights,
     model: PotentialConfig,
     op: NonlocalOperator,
-    opts: SolverOptions = SolverOptions(),
 ) -> AdjointSolution:
     """Backward march over the stored state trajectories.
 
@@ -111,7 +110,7 @@ def solve_adjoint(
     mu_tgt = weights.mu_target.values
 
     for m in range(nt - 1, 0, -1):
-        a_m, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model, opts.coefficient_floor)
+        a_m, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
         gp_m = model.g_prime(rho[m])
         rhs = (
             (1.0 + 2.0 * model.g(rho[m + 1])) * p[m + 1] / tau

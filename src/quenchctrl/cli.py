@@ -137,9 +137,7 @@ def _cmd_simulate(args) -> int:
     if alpha < 0.0:
         raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
     level = None if alpha == 0.0 else problem.model.level(alpha)
-    sol = solve_state(
-        problem.control, level, problem.init, problem.model, problem.op, problem.solver_opts
-    )
+    sol = solve_state(problem.control, level, problem.init, problem.model, problem.op)
 
     out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,7 +209,6 @@ def _cmd_optimize(args) -> int:
         init=problem.init,
         model=problem.model,
         op=problem.op,
-        solver_opts=problem.solver_opts,
         seed=cfg.seed,
     )
 
@@ -256,9 +253,7 @@ def _cmd_sweep(args) -> int:
     if any(a <= 0.0 for a in alphas):
         raise ConfigError("(A1) sweep quench parameters must be positive")
 
-    base = solve_state(
-        problem.control, None, problem.init, problem.model, problem.op, problem.solver_opts
-    )
+    base = solve_state(problem.control, None, problem.init, problem.model, problem.op)
     rows = []
     solutions = [base]
     for alpha in alphas:
@@ -268,7 +263,6 @@ def _cmd_sweep(args) -> int:
             problem.init,
             problem.model,
             problem.op,
-            problem.solver_opts,
         )
         solutions.append(sol)
         rows.append(

@@ -1,4 +1,4 @@
-"""Flat key=value configuration, named presets, and problem assembly.
+"""Flat key=value configuration and problem assembly.
 
 A configuration file is plain text: one `key = value` per line, `#`
 comments, nothing nested.  Spatial profiles (initial data, targets,
@@ -10,8 +10,9 @@ control, ceiling) are small strings of the form
     csv:path/to/values.csv                  (one value per cell, C order)
 
 `build_problem` turns a validated record into the concrete grid,
-operators, initial data, cost, and solver options that the rest of the
-package consumes.
+operators, initial data, cost, and optimizer options that the rest of
+the package consumes.  The shipped setups live in `configs/*.cfg`;
+vary a loaded config with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ from .grid import Field, Grid, TimeGrid, Trajectory
 from .nonlocal_op import Kernel, NonlocalOperator
 from .optimize import PGDOptions
 from .potentials import PotentialConfig
-from .state import InitialData, SolverOptions
+from .state import InitialData
 
 __all__ = [
     "ProblemConfig",
     "Problem",
-    "PRESETS",
     "parse_config_text",
     "load_config",
-    "apply_overrides",
     "profile_values",
     "build_problem",
 ]
@@ -88,9 +87,6 @@ class ProblemConfig:
     vi_samples: int = 100
     # sweeps
     sweep_alphas: str = "1e-1,1e-2,1e-3,1e-4,1e-5"
-    # inner solvers
-    coefficient_floor: float = 1e-8
-    resolvent_tol: float = 1e-13
     # bookkeeping
     out_dir: str = "out"
     seed: int = 42
@@ -159,81 +155,19 @@ def _coerce(key: str, value: str):
     return value
 
 
-def apply_overrides(cfg_map: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Merge key=value override strings (CLI style) over a parsed map."""
-    merged = dict(cfg_map)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = value
-    return merged
-
-
 def config_from_map(cfg_map: dict[str, str]) -> ProblemConfig:
     kwargs = {key: _coerce(key, value) for key, value in cfg_map.items()}
     return ProblemConfig(**kwargs)
 
 
-def load_config(path: str | Path | None, overrides: list[str] | None = None) -> ProblemConfig:
-    """Read a config file (or start from the defaults) plus overrides."""
+def load_config(path: str | Path | None) -> ProblemConfig:
+    """Read a config file, or start from the defaults when path is None."""
     cfg_map: dict[str, str] = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
         cfg_map = parse_config_text(p.read_text())
-    if overrides:
-        cfg_map = apply_overrides(cfg_map, overrides)
-    return config_from_map(cfg_map)
-
-
-# Named presets, applied on top of the dataclass defaults.
-PRESETS: dict[str, dict[str, str]] = {
-    # contact-driven tracking run: the constant source pushes the order
-    # parameter onto the upper obstacle, so the constraint reaction is
-    # active in the quench limit.
-    "default": {},
-    # stays strictly inside the unit interval for the whole horizon
-    "smooth": {
-        "kernel_amplitude": "0.5",
-        "kernel_width": "0.25",
-        "mu0": "constant:0.5",
-        "control": "constant:0.25",
-        "horizon": "0.5",
-        "steps": "100",
-        "alpha": "0.5",
-    },
-    # balanced rest state: exact fixed point of the march
-    "trivial": {
-        "kernel": "zero",
-        "f_strength": "0.0",
-        "mu0": "constant:0.0",
-        "control": "constant:0.0",
-        "rho_weight": "0.0",
-        "mu_weight": "0.0",
-        "alpha": "1.0",
-    },
-    # small two-dimensional smoke setup
-    "twod": {
-        "dim": "2",
-        "cells_x": "12",
-        "cells_y": "10",
-        "length_y": "0.8",
-        "steps": "40",
-        "horizon": "0.25",
-    },
-}
-
-
-def preset_config(name: str, overrides: list[str] | None = None) -> ProblemConfig:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
-    cfg_map = dict(PRESETS[name])
-    if overrides:
-        cfg_map = apply_overrides(cfg_map, overrides)
     return config_from_map(cfg_map)
 
 
@@ -291,7 +225,6 @@ class Problem:
     control: Trajectory
     weights: CostWeights
     box: AdmissibleSet
-    solver_opts: SolverOptions
     pgd_opts: PGDOptions
 
 
@@ -307,16 +240,13 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         g_family=cfg.g_family,
         quench_exponent=cfg.quench_exponent,
     )
-    if cfg.kernel == "gaussian":
-        kernel = Kernel.gaussian(cfg.kernel_amplitude, cfg.kernel_width)
-    elif cfg.kernel == "newtonian":
-        kernel = Kernel.newtonian(cfg.kernel_amplitude, cfg.kernel_core_radius)
-    elif cfg.kernel == "tophat":
-        kernel = Kernel.tophat(cfg.kernel_amplitude, cfg.kernel_radius)
-    elif cfg.kernel == "zero":
-        kernel = Kernel.zero()
-    else:
-        raise ConfigError(f"(A3) unknown kernel variant {cfg.kernel!r}")
+    kernel = Kernel(
+        cfg.kernel,
+        amplitude=cfg.kernel_amplitude,
+        width=cfg.kernel_width,
+        core_radius=cfg.kernel_core_radius,
+        radius=cfg.kernel_radius,
+    )
     op = NonlocalOperator(kernel, grid)
 
     init = InitialData(
@@ -339,10 +269,6 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         mu_target=Trajectory.constant_profile(tgrid, grid, profile_values(cfg.mu_target, grid)),
     )
 
-    solver_opts = SolverOptions(
-        coefficient_floor=cfg.coefficient_floor,
-        resolvent_tol=cfg.resolvent_tol,
-    )
     pgd_opts = PGDOptions(tol=cfg.tol, max_iters=cfg.max_iters, vi_samples=cfg.vi_samples)
 
     return Problem(
@@ -355,6 +281,5 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         control=control,
         weights=weights,
         box=box,
-        solver_opts=solver_opts,
         pgd_opts=pgd_opts,
     )

@@ -27,13 +27,7 @@ from .costs import (
 from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel
-from .state import (
-    InitialData,
-    SolverOptions,
-    StateSolution,
-    check_obstacle_signs,
-    solve_state,
-)
+from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
 
 __all__ = [
     "PGDOptions",
@@ -48,14 +42,17 @@ __all__ = [
 ]
 
 
+# Armijo line search: accept at a cost drop of ARMIJO_SIGMA·‖u - u_trial‖²/s,
+# else shrink s by STEP_SHRINK, at most MAX_BACKTRACKS times
+ARMIJO_SIGMA = 1e-4
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 40
+
+
 @dataclass(frozen=True)
 class PGDOptions:
     tol: float = 1e-7          # stationarity residual target
     max_iters: int = 200
-    sigma: float = 1e-4        # Armijo fraction
-    step0: float | None = None  # None: 1/control_weight, or 1 if that weight is 0
-    shrink: float = 0.5
-    max_backtracks: int = 40
     vi_samples: int = 100
 
 
@@ -64,7 +61,6 @@ class HistoryRow:
     iteration: int
     cost: float
     stationarity: float
-    step: float
 
 
 @dataclass
@@ -98,15 +94,14 @@ def reduced_gradient(
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
-    opts: SolverOptions = SolverOptions(),
 ) -> Trajectory:
     """Gradient of the (optionally anchored) reduced cost at u.
 
     One forward and one backward solve; the result is the exact gradient
     of the discrete cost up to the inner solver tolerances.
     """
-    state = solve_state(u, level, init, model, op, opts)
-    adj = solve_adjoint(level, state, weights, model, op, opts)
+    state = solve_state(u, level, init, model, op)
+    adj = solve_adjoint(level, state, weights, model, op)
     return _gradient_trajectory(u, adj, weights, anchor)
 
 
@@ -118,9 +113,8 @@ def _cost_of(
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
-    opts: SolverOptions,
 ) -> tuple[float, StateSolution]:
-    state = solve_state(u, level, init, model, op, opts)
+    state = solve_state(u, level, init, model, op)
     if anchor is None:
         return tracking_cost(state, u, weights), state
     return anchored_tracking_cost(state, u, weights, anchor), state
@@ -137,23 +131,21 @@ def projected_gradient_descent(
     model: PotentialConfig,
     op: NonlocalOperator,
     anchor: Trajectory | None = None,
-    solver_opts: SolverOptions = SolverOptions(),
 ) -> PGDResult:
     """Armijo projected gradient on the reduced cost at one quench level.
 
     The stationarity residual is ‖u - P(u - s0·g)‖ with the fixed
-    reference step s0; a trial step is accepted when the cost drop
-    reaches sigma·‖u - u_trial‖²/s.  Cost history is nonincreasing by
-    construction; if no acceptable step exists the run stops flagged as
-    stalled.
+    reference step s0 = 1/control_weight (1 if that weight is 0), which
+    is also the first trial step; a trial step is accepted when the cost
+    drop reaches ARMIJO_SIGMA·‖u - u_trial‖²/s.  Cost history is
+    nonincreasing by construction; if no acceptable step exists the run
+    stops flagged as stalled.
     """
-    step0 = opts.step0
-    if step0 is None:
-        step0 = 1.0 / weights.control_weight if weights.control_weight > 0.0 else 1.0
+    step0 = 1.0 / weights.control_weight if weights.control_weight > 0.0 else 1.0
 
     u = project_admissible(u0, box)
-    cost, state = _cost_of(u, level, weights, anchor, init, model, op, solver_opts)
-    adj = solve_adjoint(level, state, weights, model, op, solver_opts)
+    cost, state = _cost_of(u, level, weights, anchor, init, model, op)
+    adj = solve_adjoint(level, state, weights, model, op)
     grad = _gradient_trajectory(u, adj, weights, anchor)
 
     history: list[HistoryRow] = []
@@ -167,7 +159,7 @@ def projected_gradient_descent(
             Trajectory(u.tgrid, u.grid, u.values - step0 * grad.values), box
         )
         stationarity = norm_l2_spacetime(u - reference)
-        history.append(HistoryRow(iteration=it, cost=cost, stationarity=stationarity, step=step0))
+        history.append(HistoryRow(iteration=it, cost=cost, stationarity=stationarity))
         if stationarity <= opts.tol:
             converged = True
             break
@@ -176,26 +168,24 @@ def projected_gradient_descent(
 
         s = step0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = project_admissible(
                 Trajectory(u.tgrid, u.grid, u.values - s * grad.values), box
             )
             move_sq = norm_l2_spacetime(u - trial) ** 2
             if move_sq == 0.0:
                 break  # projection pinned every coordinate; stationary
-            trial_cost, trial_state = _cost_of(
-                trial, level, weights, anchor, init, model, op, solver_opts
-            )
-            if cost - trial_cost >= opts.sigma * move_sq / s:
+            trial_cost, trial_state = _cost_of(trial, level, weights, anchor, init, model, op)
+            if cost - trial_cost >= ARMIJO_SIGMA * move_sq / s:
                 accepted = True
                 break
-            s *= opts.shrink
+            s *= STEP_SHRINK
         if not accepted:
             stalled = True
             break
 
         u, cost, state = trial, trial_cost, trial_state
-        adj = solve_adjoint(level, state, weights, model, op, solver_opts)
+        adj = solve_adjoint(level, state, weights, model, op)
         grad = _gradient_trajectory(u, adj, weights, anchor)
         iterations = it + 1
 
@@ -293,7 +283,6 @@ def deep_quench_continuation(
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
-    solver_opts: SolverOptions = SolverOptions(),
     probe: Trajectory | None = None,
     seed: int = 0,
 ) -> ContinuationRun:
@@ -327,7 +316,6 @@ def deep_quench_continuation(
             model=model,
             op=op,
             anchor=anchor,
-            solver_opts=solver_opts,
         )
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
@@ -359,7 +347,7 @@ def deep_quench_continuation(
         u = u_star
 
     final_control = levels[-1].control
-    obstacle_state = solve_state(final_control, None, init, model, op, solver_opts)
+    obstacle_state = solve_state(final_control, None, init, model, op)
     last_state = result.state
     distance = norm_l2_spacetime(last_state.rho - obstacle_state.rho)
 

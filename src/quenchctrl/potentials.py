@@ -23,7 +23,6 @@ __all__ = [
     "quench_scale",
     "QuenchLevel",
     "PotentialConfig",
-    "quench_resolvent",
     "quench_resolvent_detail",
     "obstacle_resolvent",
 ]
@@ -32,6 +31,11 @@ __all__ = [
 # clipped here so that log_potential_second stays finite
 RHO_MIN = np.nextafter(0.0, 1.0)
 RHO_MAX = np.nextafter(1.0, 0.0)
+
+# the quench resolvent stops once |residual| <= RESOLVENT_TOL·max(1, |b|)
+# and raises after RESOLVENT_MAX_ITER iterations
+RESOLVENT_TOL = 1e-13
+RESOLVENT_MAX_ITER = 200
 
 
 def _domain_check(rho: np.ndarray, closed: bool, what: str) -> None:
@@ -186,7 +190,7 @@ def _sigmoid(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_quench_logit(b: np.ndarray, s: float, tol_factor: float, max_iter: int):
+def _solve_quench_logit(b: np.ndarray, s: float):
     """Root of sigmoid(y) + s·y = b, the resolvent equation in the
     variable y = log_potential_prime(rho).
 
@@ -200,8 +204,8 @@ def _solve_quench_logit(b: np.ndarray, s: float, tol_factor: float, max_iter: in
     lo = (b - 1.0) / s
     hi = b / s
     y = np.clip(log_potential_prime(np.clip(b, RHO_MIN, RHO_MAX)), lo, hi)
-    tol = tol_factor * np.maximum(1.0, np.abs(b))
-    for _ in range(max_iter):
+    tol = RESOLVENT_TOL * np.maximum(1.0, np.abs(b))
+    for _ in range(RESOLVENT_MAX_ITER):
         sig = _sigmoid(y)
         res = sig + s * y - b
         done = np.abs(res) <= tol
@@ -214,32 +218,27 @@ def _solve_quench_logit(b: np.ndarray, s: float, tol_factor: float, max_iter: in
         y = np.where(done, y, np.where(inside, newton, 0.5 * (lo + hi)))
     worst = float(np.max(np.abs(res) / tol))
     raise SolverError(
-        f"quench resolvent did not converge in {max_iter} iterations "
+        f"quench resolvent did not converge in {RESOLVENT_MAX_ITER} iterations "
         f"(worst residual {worst:.3e} times its tolerance)"
     )
 
 
-def quench_resolvent_detail(b, s: float, tol_factor: float = 1e-13, max_iter: int = 200):
+def quench_resolvent_detail(b, s: float):
     """Solve rho + s·log_potential_prime(rho) = b.
 
     Returns (rho, slope) where slope is log_potential_prime at the root,
     computed from the logit iterate directly so it stays accurate when
-    rho saturates to within rounding of 0 or 1.
+    rho saturates to within rounding of 0 or 1.  rho is monotone and
+    1-Lipschitz in b.
     """
     if s <= 0.0:
         raise ValueError("quench resolvent needs s > 0")
     arr = np.asarray(b, dtype=float)
-    y = _solve_quench_logit(np.atleast_1d(arr).astype(float), float(s), tol_factor, max_iter)
+    y = _solve_quench_logit(np.atleast_1d(arr).astype(float), float(s))
     rho = np.clip(_sigmoid(y), RHO_MIN, RHO_MAX)
     if arr.ndim == 0:
         return float(rho[0]), float(y[0])
     return rho.reshape(arr.shape), y.reshape(arr.shape)
-
-
-def quench_resolvent(b, s: float):
-    """rho component of the deep-quench resolvent (monotone, 1-Lipschitz)."""
-    rho, _ = quench_resolvent_detail(b, s)
-    return rho
 
 
 def obstacle_resolvent(b, tau: float):

@@ -38,7 +38,6 @@ from .potentials import (
 
 __all__ = [
     "InitialData",
-    "SolverOptions",
     "StateDiagnostics",
     "StateSolution",
     "step_rho",
@@ -49,6 +48,10 @@ __all__ = [
     "apriori_report",
     "check_obstacle_signs",
 ]
+
+# lower clamp on the zeroth-order coefficient of the mu step system,
+# shared by the forward and the backward march
+COEFFICIENT_FLOOR = 1e-8
 
 
 @dataclass
@@ -74,12 +77,6 @@ class InitialData:
     @property
     def grid(self) -> Grid:
         return self.rho0.grid
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    coefficient_floor: float = 1e-8
-    resolvent_tol: float = 1e-13
 
 
 @dataclass
@@ -126,20 +123,20 @@ def mu_zeroth_coefficient(
     rho_old: np.ndarray,
     tau: float,
     model: PotentialConfig,
-    floor: float,
 ) -> tuple[np.ndarray, int]:
     """Zeroth-order coefficient of the chemical-potential solve.
 
     (1 + 2 g(rho_new) + g'(rho_new)(rho_new - rho_old)) / tau, clamped
-    below at `floor` so the system stays positive definite; the clamp
-    count is reported.  The backward solve reuses this function verbatim
-    so that its operator is the exact transpose of the forward one.
+    below at COEFFICIENT_FLOOR so the system stays positive definite;
+    the clamp count is reported.  The backward solve reuses this
+    function verbatim so that its operator is the exact transpose of
+    the forward one.
     """
     c = (1.0 + 2.0 * model.g(rho_new) + model.g_prime(rho_new) * (rho_new - rho_old)) / tau
-    clamped = c < floor
+    clamped = c < COEFFICIENT_FLOOR
     n = int(np.count_nonzero(clamped))
     if n:
-        c = np.where(clamped, floor, c)
+        c = np.where(clamped, COEFFICIENT_FLOOR, c)
     return c, n
 
 
@@ -150,7 +147,6 @@ def step_rho(
     tau: float,
     model: PotentialConfig,
     op: NonlocalOperator,
-    resolvent_tol: float = 1e-13,
 ) -> tuple[Field, Field]:
     """One order-parameter update; level None means the obstacle problem."""
     drive = (
@@ -162,7 +158,7 @@ def step_rho(
     if level is None:
         rho, xi = obstacle_resolvent(b, tau)
     else:
-        rho, slope = quench_resolvent_detail(b, tau * level.scale, tol_factor=resolvent_tol)
+        rho, slope = quench_resolvent_detail(b, tau * level.scale)
         xi = level.scale * slope
     return Field(rho_n.grid, rho), Field(rho_n.grid, xi)
 
@@ -174,14 +170,11 @@ def step_mu(
     u_np1: Field,
     tau: float,
     model: PotentialConfig,
-    opts: SolverOptions = SolverOptions(),
     stats: dict | None = None,
 ) -> Field:
     """One chemical-potential update: a direct solve of the SPD step system."""
     grid = mu_n.grid
-    a, clamps = mu_zeroth_coefficient(
-        rho_np1.values, rho_n.values, tau, model, opts.coefficient_floor
-    )
+    a, clamps = mu_zeroth_coefficient(rho_np1.values, rho_n.values, tau, model)
     rhs = (1.0 + 2.0 * model.g(rho_np1.values)) * mu_n.values / tau + u_np1.values
     if stats is not None:
         stats["clamp_events"] = stats.get("clamp_events", 0) + clamps
@@ -194,7 +187,6 @@ def solve_state(
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
-    opts: SolverOptions = SolverOptions(),
 ) -> StateSolution:
     """March the coupled system over the whole time grid.
 
@@ -224,12 +216,8 @@ def solve_state(
     rho_f = Field(grid, rho[0])
     mu_f = Field(grid, mu[0])
     for n in range(tgrid.steps):
-        rho_next, xi_next = step_rho(
-            rho_f, mu_f, level, tau, model, op, resolvent_tol=opts.resolvent_tol
-        )
-        mu_next = step_mu(
-            mu_f, rho_f, rho_next, u.snapshot(n + 1), tau, model, opts, stats
-        )
+        rho_next, xi_next = step_rho(rho_f, mu_f, level, tau, model, op)
+        mu_next = step_mu(mu_f, rho_f, rho_next, u.snapshot(n + 1), tau, model, stats)
         rho[n + 1] = rho_next.values
         xi[n + 1] = xi_next.values
         mu[n + 1] = mu_next.values

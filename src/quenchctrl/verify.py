@@ -38,12 +38,12 @@ from .potentials import (
     log_potential_prime,
     log_potential_second,
     obstacle_resolvent,
-    quench_resolvent,
+    quench_resolvent_detail,
     quench_scale,
 )
 from .state import (
+    COEFFICIENT_FLOOR,
     InitialData,
-    SolverOptions,
     check_obstacle_signs,
     mu_zeroth_coefficient,
     solve_state,
@@ -162,7 +162,6 @@ def dense_mu_step(
     tau: float,
     model: PotentialConfig,
     grid: Grid,
-    floor: float = 1e-8,
 ) -> np.ndarray:
     """Chemical-potential step by dense assembly and direct solve.
 
@@ -171,7 +170,7 @@ def dense_mu_step(
     """
     g_new = model.g(rho_np1)
     coeff = (1.0 + 2.0 * g_new + model.g_prime(rho_np1) * (rho_np1 - rho_n)) / tau
-    coeff = np.maximum(coeff, floor)
+    coeff = np.maximum(coeff, COEFFICIENT_FLOOR)
     a = np.diag(coeff.reshape(-1)) - dense_laplacian(grid)
     rhs = (1.0 + 2.0 * g_new) * mu_n / tau + u_np1
     return np.linalg.solve(a, rhs.reshape(-1)).reshape(grid.shape)
@@ -386,7 +385,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     worst_res = 0.0
     worst_bis = 0.0
     for s in ss:
-        roots = quench_resolvent(bs, float(s))
+        roots = quench_resolvent_detail(bs, float(s))[0]
         for b, r in zip(bs, roots):
             worst_res = max(
                 worst_res, abs(float(r) + s * (math.log(r) - math.log1p(-r)) - float(b))
@@ -395,7 +394,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     checks.append(_bounded("quench_resolvent_residual", worst_res, 1e-12, "41x13 input grid"))
     checks.append(_bounded("quench_resolvent_vs_bisection", worst_bis, 1e-12, "60-step bisection"))
 
-    mono = quench_resolvent(np.linspace(-2.0, 3.0, 201), 0.3)
+    mono = quench_resolvent_detail(np.linspace(-2.0, 3.0, 201), 0.3)[0]
     checks.append(
         _bounded(
             "quench_resolvent_monotone",
@@ -417,7 +416,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     gaps = []
     for alpha in (1e-2, 1e-4, 1e-6):
         s = tau_gap * quench_scale(alpha)
-        gaps.append(float(np.max(np.abs(quench_resolvent(b_gap, s) - np.clip(b_gap, 0.0, 1.0)))))
+        gaps.append(float(np.max(np.abs(quench_resolvent_detail(b_gap, s)[0] - np.clip(b_gap, 0.0, 1.0)))))
     decreasing = gaps[0] > gaps[1] > gaps[2]
     checks.append(
         CheckResult(
@@ -454,11 +453,11 @@ def run_suite(seed: int = 0) -> VerificationReport:
     checks.append(_bounded("mu_step_dense_solve", rel, 1e-9, "step solve vs dense assembly"))
 
     coeff_ref = (1.0 + 2.0 * model.g(rho_b) + model.g_prime(rho_b) * (rho_b - rho_a)) / tau
-    coeff_pkg, _ = mu_zeroth_coefficient(rho_b, rho_a, tau, model, 1e-8)
+    coeff_pkg, _ = mu_zeroth_coefficient(rho_b, rho_a, tau, model)
     checks.append(
         _bounded(
             "mu_coefficient_formula",
-            float(np.max(np.abs(coeff_pkg - np.maximum(coeff_ref, 1e-8)))),
+            float(np.max(np.abs(coeff_pkg - np.maximum(coeff_ref, COEFFICIENT_FLOOR)))),
             0.0,
             "clamped zeroth-order term",
         )

@@ -6,12 +6,15 @@ expensive continuation run and the quench sweep are shared module-scoped
 fixtures; everything else is computed in place at the stated sizes.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quenchctrl.adjoint import solve_adjoint, time_ramp_probe
 from quenchctrl.cli import main, read_fields_csv
-from quenchctrl.config import ProblemConfig, build_problem, preset_config
+from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, project_admissible, tracking_cost
 from quenchctrl.grid import (
     Field,
@@ -30,10 +33,12 @@ from quenchctrl.optimize import (
 from quenchctrl.potentials import (
     log_potential_prime,
     obstacle_resolvent,
-    quench_resolvent,
+    quench_resolvent_detail,
 )
 from quenchctrl.state import check_obstacle_signs, energy_residual, solve_state
 from quenchctrl.verify import bisection_quench_root, convolution_quadrature_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -44,7 +49,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def solve_cfg(cfg: ProblemConfig, alpha: float):
     prob = build_problem(cfg)
     level = None if alpha == 0.0 else prob.model.level(alpha)
-    sol = solve_state(prob.control, level, prob.init, prob.model, prob.op, prob.solver_opts)
+    sol = solve_state(prob.control, level, prob.init, prob.model, prob.op)
     return prob, sol
 
 
@@ -60,12 +65,10 @@ def default_problem():
 def sweep_solutions(default_problem):
     """Obstacle base plus quench solves at the five sweep levels, default config."""
     p = default_problem
-    base = solve_state(p.control, None, p.init, p.model, p.op, p.solver_opts)
+    base = solve_state(p.control, None, p.init, p.model, p.op)
     quench = {}
     for alpha in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        quench[alpha] = solve_state(
-            p.control, p.model.level(alpha), p.init, p.model, p.op, p.solver_opts
-        )
+        quench[alpha] = solve_state(p.control, p.model.level(alpha), p.init, p.model, p.op)
     return base, quench
 
 
@@ -82,7 +85,6 @@ def default_run(default_problem):
         init=p.init,
         model=p.model,
         op=p.op,
-        solver_opts=p.solver_opts,
         seed=p.config.seed,
     )
 
@@ -91,7 +93,7 @@ def default_run(default_problem):
 
 
 def test_criterion_01_fixed_point_exactness():
-    cfg = preset_config("trivial")
+    cfg = load_config(CONFIGS / "trivial.cfg")
     worst = 0.0
     for alpha in (1.0, 1e-3, 0.0):
         _, sol = solve_cfg(cfg, alpha)
@@ -108,23 +110,21 @@ def test_criterion_02_bounds_everywhere(sweep_solutions):
     tested = [("default obstacle", base)] + [
         (f"default alpha={a:g}", s) for a, s in quench.items()
     ]
-    trivial = preset_config("trivial")
+    trivial = load_config(CONFIGS / "trivial.cfg")
     for alpha in (1.0, 1e-3, 0.0):
         tested.append((f"trivial alpha={alpha:g}", solve_cfg(trivial, alpha)[1]))
-    smooth = preset_config("smooth")
+    smooth = load_config(CONFIGS / "smooth.cfg")
     tested.append(("smooth alpha=0.5", solve_cfg(smooth, 0.5)[1]))
-    twod = preset_config("twod")
+    twod = load_config(CONFIGS / "twod.cfg")
     tested.append(("twod alpha=1e-3", solve_cfg(twod, 1e-3)[1]))
-    varied = preset_config(
-        "default",
-        overrides=[
-            "cells_x=16",
-            "steps=50",
-            "kernel=tophat",
-            "kernel_radius=0.3",
-            "rho0=step:0.3,0.7,0.5",
-            "g_family=saturating",
-        ],
+    varied = dataclasses.replace(
+        load_config(CONFIGS / "default.cfg"),
+        cells_x=16,
+        steps=50,
+        kernel="tophat",
+        kernel_radius=0.3,
+        rho0="step:0.3,0.7,0.5",
+        g_family="saturating",
     )
     tested.append(("step/tophat alpha=1e-2", solve_cfg(varied, 1e-2)[1]))
     tested.append(("step/tophat obstacle", solve_cfg(varied, 0.0)[1]))
@@ -194,19 +194,19 @@ def test_criterion_05_resolvent_correctness():
     for _ in range(50):
         b = float(rng.uniform(-0.5, 1.5))
         s = float(10.0 ** rng.uniform(np.log10(0.05), 0.0))
-        rho = quench_resolvent(b, s)
+        rho = quench_resolvent_detail(b, s)[0]
         residual_worst = max(residual_worst, abs(rho + s * log_potential_prime(rho) - b))
         bisect_worst = max(bisect_worst, abs(rho - bisection_quench_root(b, s)))
         b2 = float(rng.uniform(-0.5, 1.5))
         if b2 != b:
-            lip_q = max(lip_q, abs(quench_resolvent(b2, s) - rho) / abs(b2 - b))
+            lip_q = max(lip_q, abs(quench_resolvent_detail(b2, s)[0] - rho) / abs(b2 - b))
             r1, _ = obstacle_resolvent(b, 0.1)
             r2, _ = obstacle_resolvent(b2, 0.1)
             lip_o = max(lip_o, abs(r1 - r2) / abs(b2 - b))
     gap_worst = 0.0
     for _ in range(50):
         b = float(rng.uniform(-0.5, 1.5))
-        rho_q = quench_resolvent(b, 1e-6)
+        rho_q = quench_resolvent_detail(b, 1e-6)[0]
         rho_o, _ = obstacle_resolvent(b, 1.0)
         gap_worst = max(gap_worst, abs(rho_q - rho_o))
     ok = (
@@ -232,11 +232,11 @@ def test_criterion_06_gradient_taylor(default_problem):
     v = Trajectory(u.tgrid, u.grid, rng.uniform(-1.0, 1.0, u.values.shape))
 
     def cost_at(w: Trajectory) -> float:
-        sol = solve_state(w, level, p.init, p.model, p.op, p.solver_opts)
+        sol = solve_state(w, level, p.init, p.model, p.op)
         return tracking_cost(sol, w, p.weights)
 
     j0 = cost_at(u)
-    grad = reduced_gradient(u, level, p.weights, None, p.init, p.model, p.op, p.solver_opts)
+    grad = reduced_gradient(u, level, p.weights, None, p.init, p.model, p.op)
     from quenchctrl.grid import inner_product_spacetime
 
     slope_dir = inner_product_spacetime(grad, v)
@@ -255,14 +255,14 @@ def test_criterion_06_gradient_taylor(default_problem):
         rho_target=Trajectory.zeros(u.tgrid, u.grid),
         mu_target=Trajectory.zeros(u.tgrid, u.grid),
     )
-    g0 = reduced_gradient(u, level, w0, None, p.init, p.model, p.op, p.solver_opts)
+    g0 = reduced_gradient(u, level, w0, None, p.init, p.model, p.op)
     exact_grad = np.array_equal(g0.values, 2.0 * u.values)
     e = 1e-2
     sol_e = solve_state(
-        Trajectory(u.tgrid, u.grid, u.values + e * v.values), level, p.init, p.model, p.op, p.solver_opts
+        Trajectory(u.tgrid, u.grid, u.values + e * v.values), level, p.init, p.model, p.op
     )
     j_e = tracking_cost(sol_e, Trajectory(u.tgrid, u.grid, u.values + e * v.values), w0)
-    sol_0 = solve_state(u, level, p.init, p.model, p.op, p.solver_opts)
+    sol_0 = solve_state(u, level, p.init, p.model, p.op)
     j_0 = tracking_cost(sol_0, u, w0)
     remainder = abs(j_e - j_0 - e * inner_product_spacetime(g0, v))
     analytic = 0.5 * 2.0 * e * e * norm_l2_spacetime(v) ** 2
@@ -296,7 +296,6 @@ def test_criterion_07_trivial_optimum(default_problem):
         init=p.init,
         model=p.model,
         op=p.op,
-        solver_opts=p.solver_opts,
     )
     norms = [norm_l2_spacetime(rec.control) for rec in run.levels]
     iters = [rec.iterations for rec in run.levels]
@@ -337,8 +336,8 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     final = default_run.levels[-1]
     u_star = final.control
     level = p.model.level(final.alpha)
-    state = solve_state(u_star, level, p.init, p.model, p.op, p.solver_opts)
-    adj = solve_adjoint(level, state, p.weights, p.model, p.op, p.solver_opts)
+    state = solve_state(u_star, level, p.init, p.model, p.op)
+    adj = solve_adjoint(level, state, p.weights, p.model, p.op)
     plain_grad = Trajectory(
         u_star.tgrid, u_star.grid, p.weights.control_weight * u_star.values + adj.mu_dual.values
     )
@@ -396,8 +395,6 @@ def test_criterion_11_determinism(tmp_path):
     )
 
     fields = read_fields_csv(a / "fields.csv")
-    from quenchctrl.config import load_config
-
     prob = build_problem(load_config(cfg))
     sol = solve_state(
         prob.control,
@@ -405,7 +402,6 @@ def test_criterion_11_determinism(tmp_path):
         prob.init,
         prob.model,
         prob.op,
-        prob.solver_opts,
     )
     round_trip = (
         np.array_equal(fields["rho"], sol.rho.values)

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quenchctrl.adjoint import concentration_metric, solve_adjoint, time_ramp_probe
-from quenchctrl.config import build_problem, preset_config
+from quenchctrl.config import build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
 from quenchctrl.grid import Field, Grid, TimeGrid, Trajectory
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
@@ -10,6 +12,8 @@ from quenchctrl.optimize import reduced_gradient
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import InitialData, solve_state
 from quenchctrl.verify import taylor_remainder_slope
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
@@ -132,7 +136,7 @@ def test_adjoint_diagnostics_finite():
 def test_gradient_taylor_slope_2d():
     # the adjoint must be the exact gradient of the discrete cost in 2D
     # too: the first-order Taylor remainder decays with slope two
-    prob = build_problem(preset_config("twod"))
+    prob = build_problem(load_config(CONFIGS / "twod.cfg"))
     level = prob.model.level(prob.config.alpha)
     u = prob.control
     v = Trajectory(
@@ -140,11 +144,9 @@ def test_gradient_taylor_slope_2d():
     )
 
     def cost_at(w):
-        sol = solve_state(w, level, prob.init, prob.model, prob.op, prob.solver_opts)
+        sol = solve_state(w, level, prob.init, prob.model, prob.op)
         return tracking_cost(sol, w, prob.weights)
 
-    grad = reduced_gradient(
-        u, level, prob.weights, None, prob.init, prob.model, prob.op, prob.solver_opts
-    )
+    grad = reduced_gradient(u, level, prob.weights, None, prob.init, prob.model, prob.op)
     _, slope = taylor_remainder_slope(cost_at, u, grad, v, [1e-1, 1e-2, 1e-3, 1e-4])
     assert 1.8 <= slope <= 2.2

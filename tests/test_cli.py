@@ -52,9 +52,7 @@ def test_fields_csv_round_trip_bit_exact(tmp_path):
 
     c = load_config(cfg)
     prob = build_problem(c)
-    sol = solve_state(
-        prob.control, prob.model.level(c.alpha), prob.init, prob.model, prob.op, prob.solver_opts
-    )
+    sol = solve_state(prob.control, prob.model.level(c.alpha), prob.init, prob.model, prob.op)
     assert np.array_equal(fields["rho"], sol.rho.values)
     assert np.array_equal(fields["mu"], sol.mu.values)
     assert np.array_equal(fields["xi"], sol.xi.values)
@@ -95,10 +93,18 @@ def test_config_error_exit_2(tmp_path):
     assert main(["simulate", "--config", neg, "--alpha", "-1"]) == 2
 
 
+@pytest.mark.parametrize("line", ["resolvent_tol = 1e-13", "coefficient_floor = 1e-8"])
+def test_removed_solver_key_exit_2(tmp_path, capsys, line):
+    # the inner-solver tolerances are module constants, not config keys
+    cfg = write_cfg(tmp_path, SMALL + line + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_3(tmp_path, capsys):
-    # no double reaches a resolvent residual of 1e-30 on every cell, so
+    # a kernel this strong overflows the resolvent right-hand side, so
     # the iteration cap is hit and must surface as a solver failure
-    cfg = write_cfg(tmp_path, SMALL + "resolvent_tol = 1e-30\n")
+    cfg = write_cfg(tmp_path, SMALL + "kernel_amplitude = 1e308\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "quench resolvent did not converge" in capsys.readouterr().err
 

@@ -1,19 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quenchctrl.config import (
-    PRESETS,
     ProblemConfig,
-    apply_overrides,
     build_problem,
     config_from_map,
     load_config,
     parse_config_text,
-    preset_config,
     profile_values,
 )
 from quenchctrl.errors import ConfigError
 from quenchctrl.grid import Grid
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_defaults_build():
@@ -62,15 +63,6 @@ def test_coercion_errors_are_config_errors():
         config_from_map({"alpha": "tiny"})
 
 
-def test_apply_overrides():
-    merged = apply_overrides({"steps": "10"}, ["steps=20", "alpha=0.5"])
-    assert merged == {"steps": "20", "alpha": "0.5"}
-    with pytest.raises(ConfigError):
-        apply_overrides({}, ["nonsense"])
-    with pytest.raises(ConfigError):
-        apply_overrides({}, ["nosuch=1"])
-
-
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="does not exist"):
         load_config("/nonexistent/path.cfg")
@@ -79,9 +71,10 @@ def test_load_config_missing_file():
 def test_load_config_from_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("cells_x = 16\nsteps = 25\n")
-    cfg = load_config(p, overrides=["steps=30"])
+    cfg = load_config(p)
     assert cfg.cells_x == 16
-    assert cfg.steps == 30  # override wins
+    assert cfg.steps == 25
+    assert cfg.alpha == ProblemConfig().alpha  # unset keys keep their defaults
 
 
 def test_validation_rejections():
@@ -105,18 +98,18 @@ def test_schedule_and_sweep_parsing():
         ProblemConfig(schedule=" , ").schedule_values()
 
 
-def test_presets_all_build():
-    assert set(PRESETS) == {"default", "smooth", "trivial", "twod"}
-    for name in PRESETS:
-        cfg = preset_config(name)
+def test_shipped_configs_all_build():
+    paths = sorted(CONFIGS.glob("*.cfg"))
+    assert [p.stem for p in paths] == ["default", "smooth", "trivial", "twod"]
+    for path in paths:
+        cfg = load_config(path)
         prob = build_problem(cfg)
         assert prob.tgrid.steps == cfg.steps
-    with pytest.raises(ConfigError, match="unknown preset"):
-        preset_config("nosuch")
-    td = preset_config("twod")
+    # default.cfg spells out the built-in defaults
+    assert load_config(CONFIGS / "default.cfg") == ProblemConfig()
+    td = load_config(CONFIGS / "twod.cfg")
     assert td.dim == 2
-    prob2 = build_problem(td)
-    assert prob2.grid.shape == (12, 10)
+    assert build_problem(td).grid.shape == (12, 10)
 
 
 def test_profile_values_kinds(tmp_path):

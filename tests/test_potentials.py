@@ -12,7 +12,6 @@ from quenchctrl.potentials import (
     log_potential_prime,
     log_potential_second,
     obstacle_resolvent,
-    quench_resolvent,
     quench_resolvent_detail,
     quench_scale,
 )
@@ -87,7 +86,7 @@ def test_quench_resolvent_residual_small():
     rng = np.random.default_rng(1)
     b = rng.uniform(-0.5, 1.5, size=50)
     for s in (1.0, 0.3, 0.1, 0.05):
-        rho = quench_resolvent(b, s)
+        rho = quench_resolvent_detail(b, s)[0]
         res = rho + s * log_potential_prime(rho) - b
         assert np.max(np.abs(res)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
@@ -108,7 +107,7 @@ def test_quench_resolvent_matches_bisection():
     for _ in range(50):
         b = float(rng.uniform(-0.5, 1.5))
         s = float(10.0 ** rng.uniform(-4, 0))
-        fast = quench_resolvent(b, s)
+        fast = quench_resolvent_detail(b, s)[0]
         slow = bisection_quench_root(b, s)
         assert abs(fast - slow) <= 1e-10
 
@@ -124,8 +123,8 @@ def test_quench_detail_slope_consistent():
 
 def test_quench_resolvent_saturation_stays_representable():
     # far outside the box the rho iterate saturates but never leaves (0,1)
-    rho_hi = quench_resolvent(50.0, 1e-6)
-    rho_lo = quench_resolvent(-50.0, 1e-6)
+    rho_hi = quench_resolvent_detail(50.0, 1e-6)[0]
+    rho_lo = quench_resolvent_detail(-50.0, 1e-6)[0]
     assert RHO_MIN <= rho_lo < rho_hi <= RHO_MAX
     assert rho_hi < 1.0
     assert rho_lo > 0.0
@@ -148,7 +147,7 @@ def test_resolvents_converge_to_each_other():
     b = np.linspace(-0.5, 1.5, 41)
     prev_gap = None
     for s in (1e-2, 1e-4, 1e-6):
-        rho_q = quench_resolvent(b, s)
+        rho_q = quench_resolvent_detail(b, s)[0]
         rho_o, _ = obstacle_resolvent(b, 1.0)
         gap = float(np.max(np.abs(rho_q - rho_o)))
         if prev_gap is not None:
@@ -164,8 +163,8 @@ def test_resolvents_converge_to_each_other():
     s=st.floats(1e-6, 1.0),
 )
 def test_quench_resolvent_monotone_and_nonexpansive(b1, b2, s):
-    r1 = quench_resolvent(b1, s)
-    r2 = quench_resolvent(b2, s)
+    r1 = quench_resolvent_detail(b1, s)[0]
+    r2 = quench_resolvent_detail(b2, s)[0]
     if b1 < b2:
         assert r1 <= r2
     # resolvent of a monotone graph: 1-Lipschitz, with a hair of

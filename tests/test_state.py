@@ -14,8 +14,8 @@ from quenchctrl.grid import (
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import (
+    COEFFICIENT_FLOOR,
     InitialData,
-    SolverOptions,
     apriori_report,
     check_obstacle_signs,
     energy_residual,
@@ -53,9 +53,8 @@ def test_initial_data_a2_validation():
 )
 def test_solve_step_system_matches_dense_assembly(grid):
     rng = np.random.default_rng(5)
-    floor = SolverOptions().coefficient_floor
     a = rng.uniform(10.0, 400.0, grid.shape)
-    a.reshape(-1)[::3] = floor  # clamped cells, the worst-conditioned case
+    a.reshape(-1)[::3] = COEFFICIENT_FLOOR  # clamped cells, the worst-conditioned case
     rhs = rng.standard_normal(grid.shape)
     x = solve_step_system(grid, a, rhs)
     mat = np.diag(a.reshape(-1)) - dense_laplacian(grid)
@@ -96,14 +95,14 @@ def test_mu_coefficient_floor_counts_clamps():
     model = PotentialConfig(f_strength=0.0, g_family="linear")
     tau = 1.0
     # 1 + 2*0.1 + 1*(0.1-0.9) = 0.4 stays positive: no clamp here
-    a, clamps = mu_zeroth_coefficient(np.full(4, 0.1), np.full(4, 0.9), tau, model, floor=1e-8)
+    a, clamps = mu_zeroth_coefficient(np.full(4, 0.1), np.full(4, 0.9), tau, model)
     assert clamps == 0
     assert np.allclose(a, 0.4)
     # saturating g: 1 + 2*g(0.05) + g'(0.05)*(0.05-0.999) < 0 triggers the floor
     sat = PotentialConfig(f_strength=0.0, g_family="saturating")
-    a2, clamps2 = mu_zeroth_coefficient(np.full(4, 0.05), np.full(4, 0.999), tau, sat, floor=1e-8)
+    a2, clamps2 = mu_zeroth_coefficient(np.full(4, 0.05), np.full(4, 0.999), tau, sat)
     assert clamps2 == 4
-    assert np.all(a2 == 1e-8)
+    assert np.all(a2 == COEFFICIENT_FLOOR)
 
 
 def test_single_cell_against_rk4():
