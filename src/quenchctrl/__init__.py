@@ -68,11 +68,9 @@ from .potentials import (
     quench_scale,
 )
 from .state import (
-    AprioriReport,
     InitialData,
     StateDiagnostics,
     StateSolution,
-    apriori_report,
     check_obstacle_signs,
     energy_residual,
     solve_state,
@@ -135,11 +133,9 @@ __all__ = [
     "obstacle_resolvent",
     "quench_resolvent_detail",
     "quench_scale",
-    "AprioriReport",
     "InitialData",
     "StateDiagnostics",
     "StateSolution",
-    "apriori_report",
     "check_obstacle_signs",
     "energy_residual",
     "solve_state",

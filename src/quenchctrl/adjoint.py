@@ -28,15 +28,7 @@ import numpy as np
 
 from .costs import CostWeights
 from .errors import ConfigError
-from .grid import (
-    Field,
-    Trajectory,
-    h1_seminorm_sq,
-    inner_product_spacetime,
-    norm_l2,
-    norm_l2_spacetime,
-    solve_step_system,
-)
+from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel, log_potential_second
 from .state import StateSolution, mu_zeroth_coefficient
@@ -54,10 +46,6 @@ __all__ = [
 @dataclass
 class AdjointDiagnostics:
     pairing_value: float
-    mu_dual_time_h1: float
-    mu_dual_sup_h1: float
-    rho_dual_sup_l2: float
-    multiplier_l2: float
 
     def as_dict(self) -> dict:
         return self.__dict__.copy()
@@ -142,31 +130,13 @@ def solve_adjoint(
     rho_dual = Trajectory(tgrid, grid, q)
     multiplier = Trajectory(tgrid, grid, lam)
 
-    pairing = inner_product_spacetime(multiplier, rho_dual)
-    dp = np.diff(p, axis=0) / tau
-    p_h1_time = float(
-        np.sqrt(norm_l2_spacetime(mu_dual) ** 2 + np.sum(dp * dp) * tau * grid.cell_volume)
-    )
-    p_sup_h1 = max(
-        np.sqrt(norm_l2(mu_dual.snapshot(m)) ** 2 + h1_seminorm_sq(mu_dual.snapshot(m)))
-        for m in range(nt + 1)
-    )
-    q_sup_l2 = max(norm_l2(rho_dual.snapshot(m)) for m in range(nt + 1))
-
-    diag = AdjointDiagnostics(
-        pairing_value=pairing,
-        mu_dual_time_h1=p_h1_time,
-        mu_dual_sup_h1=float(p_sup_h1),
-        rho_dual_sup_l2=float(q_sup_l2),
-        multiplier_l2=norm_l2_spacetime(multiplier),
-    )
     return AdjointSolution(
         mu_dual=mu_dual,
         rho_dual=rho_dual,
         multiplier=multiplier,
         alpha=level.alpha,
         scale=level.scale,
-        diagnostics=diag,
+        diagnostics=AdjointDiagnostics(inner_product_spacetime(multiplier, rho_dual)),
     )
 
 

@@ -15,7 +15,6 @@ digits so reading a file back reproduces the run bit for bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -32,40 +31,35 @@ from .verify import run_suite
 __all__ = ["main", "write_fields_csv", "read_fields_csv", "write_control_csv"]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+_INDEX_HEADER = ["t_index", "cell_index", "cell_index_y"]
 
 
-def _cell_header(dim: int) -> list[str]:
-    return ["cell_index", "cell_index_y"] if dim == 2 else ["cell_index"]
+def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> None:
+    """Write equally shaped (or broadcastable) columns as one CSV table.
 
-
-def _cell_indices(shape: tuple[int, ...]):
-    if len(shape) == 1:
-        for i in range(shape[0]):
-            yield (i,)
-    else:
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                yield (i, j)
+    Integer columns come first as %d, float columns follow as %.17g, rows
+    end in CRLF.  The table is formatted one slice of the first axis (one
+    time node) at a time, so memory stays at one node's worth of text.
+    A slice is stacked as float64, which holds every index and count
+    here exactly, so %d prints them unchanged.
+    """
+    columns = np.broadcast_arrays(*int_columns, *float_columns)
+    row = ",".join(["%d"] * len(int_columns) + ["%.17g"] * len(float_columns)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for k in range(columns[0].shape[0]):
+            block = np.stack([c[k].ravel() for c in columns], axis=-1)
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
-    dim = sol.mu.grid.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index"] + _cell_header(dim) + ["mu", "rho", "xi", "u"])
-        for n in range(sol.mu.tgrid.n_nodes):
-            for idx in _cell_indices(sol.mu.grid.shape):
-                writer.writerow(
-                    [n, *idx]
-                    + [
-                        _fmt(sol.mu.values[(n,) + idx]),
-                        _fmt(sol.rho.values[(n,) + idx]),
-                        _fmt(sol.xi.values[(n,) + idx]),
-                        _fmt(u.values[(n,) + idx]),
-                    ]
-                )
+    shape = u.values.shape
+    _write_csv(
+        path,
+        _INDEX_HEADER[: len(shape)] + ["mu", "rho", "xi", "u"],
+        np.indices(shape, sparse=True),
+        [sol.mu.values, sol.rho.values, sol.xi.values, u.values],
+    )
 
 
 def read_fields_csv(path: Path) -> dict[str, np.ndarray]:
@@ -74,36 +68,17 @@ def read_fields_csv(path: Path) -> dict[str, np.ndarray]:
     Shapes are inferred from the index columns; parsing the 17-digit
     decimals reproduces the written float64 values exactly.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    twod = "cell_index_y" in header
-    n_idx = 3 if twod else 2
-    names = header[n_idx:]
-    t_idx = np.array([int(r[0]) for r in rows])
-    x_idx = np.array([int(r[1]) for r in rows])
-    shape: tuple[int, ...]
-    if twod:
-        y_idx = np.array([int(r[2]) for r in rows])
-        shape = (int(t_idx.max()) + 1, int(x_idx.max()) + 1, int(y_idx.max()) + 1)
-    else:
-        shape = (int(t_idx.max()) + 1, int(x_idx.max()) + 1)
-    out: dict[str, np.ndarray] = {}
-    for k, name in enumerate(names):
-        vals = np.array([float(r[n_idx + k]) for r in rows])
-        out[name] = vals.reshape(shape)
-    return out
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    n_idx = sum(name in _INDEX_HEADER for name in header)
+    shape = tuple(int(table[:, i].max()) + 1 for i in range(n_idx))
+    return {name: table[:, n_idx + k].reshape(shape) for k, name in enumerate(header[n_idx:])}
 
 
 def write_control_csv(path: Path, u: Trajectory) -> None:
-    dim = u.grid.dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_index"] + _cell_header(dim) + ["u"])
-        for n in range(u.tgrid.n_nodes):
-            for idx in _cell_indices(u.grid.shape):
-                writer.writerow([n, *idx, _fmt(u.values[(n,) + idx])])
+    shape = u.values.shape
+    _write_csv(path, _INDEX_HEADER[: len(shape)] + ["u"], np.indices(shape, sparse=True), [u.values])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -216,12 +191,13 @@ def _cmd_optimize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for lvl, rec in enumerate(run.levels):
         write_control_csv(out / f"control_{lvl}.csv", rec.control)
-    with open(out / "history.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "iteration", "cost", "stationarity"])
-        for lvl, rec in enumerate(run.levels):
-            for row in rec.history:
-                writer.writerow([lvl, row.iteration, _fmt(row.cost), _fmt(row.stationarity)])
+    history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
+    _write_csv(
+        out / "history.csv",
+        ["level", "iteration", "cost", "stationarity"],
+        [[lvl for lvl, _ in history], [row.iteration for _, row in history]],
+        [[row.cost for _, row in history], [row.stationarity for _, row in history]],
+    )
     _write_json(out / "limit_report.json", _continuation_report(run, cfg.tol))
 
     violations: list[str] = []
@@ -280,11 +256,12 @@ def _cmd_sweep(args) -> int:
 
     out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "rho_distance", "mu_distance", "xi_l6", "energy_residual"])
-        for row in rows:
-            writer.writerow([_fmt(row[0])] + [_fmt(v) for v in row[1:]])
+    _write_csv(
+        out / "sweep.csv",
+        ["alpha", "rho_distance", "mu_distance", "xi_l6", "energy_residual"],
+        [],
+        np.array(rows).T,
+    )
 
     violations: list[str] = []
     for sol in solutions:

@@ -162,29 +162,6 @@ class Field:
     def constant(cls, grid: Grid, value: float) -> "Field":
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros(grid.shape))
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-    def __add__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_same_grid(self, other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Field":
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 @dataclass
 class Trajectory:
@@ -231,9 +208,6 @@ class Trajectory:
         return Trajectory(self.tgrid, self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Trajectory":
-        return Trajectory(self.tgrid, self.grid, -self.values)
 
 
 def _check_same_grid(a, b) -> None:

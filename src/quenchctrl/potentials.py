@@ -199,10 +199,17 @@ def _solve_quench_logit(b: np.ndarray, s: float):
     the bracket [(b-1)/s, b/s] always encloses the root and any Newton
     step leaving it falls back to bisection.  Newton starts at the root
     of the s = 0 equation, logit(b), clipped into the bracket; that is
-    the bracket end whenever b lies outside (0, 1).
+    the bracket end whenever b lies outside (0, 1).  A drive too large
+    for the bracket to be finite raises at once.
     """
-    lo = (b - 1.0) / s
-    hi = b / s
+    with np.errstate(over="ignore"):
+        lo = (b - 1.0) / s
+        hi = b / s
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise SolverError(
+            f"quench resolvent bracket [(b-1)/s, b/s] is not finite "
+            f"(max |b| = {float(np.max(np.abs(b))):.3e}, s = {s:.3e})"
+        )
     y = np.clip(log_potential_prime(np.clip(b, RHO_MIN, RHO_MAX)), lo, hi)
     tol = RESOLVENT_TOL * np.maximum(1.0, np.abs(b))
     for _ in range(RESOLVENT_MAX_ITER):

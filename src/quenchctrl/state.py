@@ -19,19 +19,15 @@ from .errors import ConfigError
 from .grid import (
     Field,
     Grid,
-    TimeGrid,
     Trajectory,
-    norm_l2_spacetime,
     norm_lp_spacetime,
     solve_step_system,
-    trapezoid_weights,
 )
 from .nonlocal_op import NonlocalOperator
 from .potentials import (
     PotentialConfig,
     QuenchLevel,
     log_potential_prime,
-    log_potential_second,
     obstacle_resolvent,
     quench_resolvent_detail,
 )
@@ -45,7 +41,6 @@ __all__ = [
     "solve_state",
     "energy_residual_profile",
     "energy_residual",
-    "apriori_report",
     "check_obstacle_signs",
 ]
 
@@ -275,63 +270,6 @@ def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialC
 
 def energy_residual(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> float:
     return float(np.max(energy_residual_profile(sol, u, model)))
-
-
-@dataclass
-class AprioriReport:
-    """Discrete counterparts of the uniform-in-alpha estimates."""
-
-    mu_time_h1: float
-    mu_sup: float
-    rho_time_w16: float
-    xi_l6: float
-    weighted_gradient: float
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-def apriori_report(sol: StateSolution, level: QuenchLevel | None, model: PotentialConfig) -> AprioriReport:
-    tgrid = sol.mu.tgrid
-    grid = sol.mu.grid
-    tau = tgrid.tau
-    w = trapezoid_weights(tgrid.n_nodes)
-
-    mu_l2_sq = norm_l2_spacetime(sol.mu) ** 2
-    dmu = np.diff(sol.mu.values, axis=0) / tau
-    mu_h1 = float(np.sqrt(mu_l2_sq + np.sum(dmu * dmu) * tau * grid.cell_volume))
-    mu_sup = float(np.max(np.abs(sol.mu.values)))
-
-    rho6 = np.sum(np.abs(sol.rho.values) ** 6, axis=tuple(range(1, sol.rho.values.ndim)))
-    drho = np.diff(sol.rho.values, axis=0) / tau
-    drho6 = np.sum(np.abs(drho) ** 6, axis=tuple(range(1, drho.ndim)))
-    rho_w16 = float(
-        (np.sum(w * rho6) * tau * grid.cell_volume + np.sum(drho6) * tau * grid.cell_volume)
-        ** (1.0 / 6.0)
-    )
-
-    weighted = 0.0
-    if level is not None:
-        for n in range(tgrid.n_nodes):
-            r = sol.rho.values[n]
-            acc = 0.0
-            for axis, h in enumerate(grid.spacing):
-                d = np.diff(r, axis=axis) / h
-                lo = [slice(None)] * r.ndim
-                hi = [slice(None)] * r.ndim
-                lo[axis] = slice(0, -1)
-                hi[axis] = slice(1, None)
-                face = 0.5 * (r[tuple(lo)] + r[tuple(hi)])
-                acc += float(np.sum(d * d * log_potential_second(face)) * grid.cell_volume)
-            weighted += w[n] * tau * level.scale * acc
-
-    return AprioriReport(
-        mu_time_h1=mu_h1,
-        mu_sup=mu_sup,
-        rho_time_w16=rho_w16,
-        xi_l6=norm_lp_spacetime(sol.xi, 6.0),
-        weighted_gradient=float(weighted),
-    )
 
 
 def check_obstacle_signs(sol: StateSolution) -> list[str]:

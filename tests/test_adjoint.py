@@ -122,15 +122,8 @@ def test_adjoint_diagnostics_finite():
     _, _, model, op, level, sol, weights, _ = make_problem(g_family="saturating")
     adj = solve_adjoint(level, sol, weights, model, op)
     d = adj.diagnostics.as_dict()
-    assert set(d) == {
-        "pairing_value",
-        "mu_dual_time_h1",
-        "mu_dual_sup_h1",
-        "rho_dual_sup_l2",
-        "multiplier_l2",
-    }
-    assert all(np.isfinite(v) for v in d.values())
-    assert d["mu_dual_time_h1"] > 0.0
+    assert set(d) == {"pairing_value"}
+    assert np.isfinite(d["pairing_value"])
 
 
 def test_gradient_taylor_slope_2d():

@@ -7,6 +7,8 @@ import pytest
 
 from quenchctrl import cli
 from quenchctrl.cli import main, read_fields_csv
+from quenchctrl.grid import Grid, TimeGrid, Trajectory
+from quenchctrl.state import StateSolution
 
 
 SMALL = """
@@ -68,6 +70,36 @@ def test_reruns_byte_identical(tmp_path):
     assert (a / "diagnostics.json").read_bytes() == (b / "diagnostics.json").read_bytes()
 
 
+def test_csv_writers_golden_bytes(tmp_path):
+    # exact bytes: integer index columns, 17 significant digits (so 0.1
+    # and 1/3 show their binary value, -0.0 keeps its sign and 1e-300
+    # its exponent) and CRLF row ends
+    tg = TimeGrid(1.0, 1)
+    vals = np.array([0.1, 1.0 / 3.0, -0.0, 1e-300])
+    u2 = Trajectory(tg, Grid.box((1, 2)), vals.reshape(2, 1, 2))
+    cli.write_control_csv(tmp_path / "control.csv", u2)
+    assert (tmp_path / "control.csv").read_bytes() == (
+        b"t_index,cell_index,cell_index_y,u\r\n"
+        b"0,0,0,0.10000000000000001\r\n"
+        b"0,0,1,0.33333333333333331\r\n"
+        b"1,0,0,-0\r\n"
+        b"1,0,1,1e-300\r\n"
+    )
+    g = Grid.line(2)
+    mu, rho, xi, u = (Trajectory(tg, g, (k * vals).reshape(2, 2)) for k in (1.0, -2.0, 3e5, 1e-7))
+    cli.write_fields_csv(tmp_path / "fields.csv", StateSolution(mu, rho, xi, 0.0, None), u)
+    assert (tmp_path / "fields.csv").read_bytes() == (
+        b"t_index,cell_index,mu,rho,xi,u\r\n"
+        b"0,0,0.10000000000000001,-0.20000000000000001,30000,1e-08\r\n"
+        b"0,1,0.33333333333333331,-0.66666666666666663,100000,3.3333333333333327e-08\r\n"
+        b"1,0,-0,0,-0,-0\r\n"
+        b"1,1,1e-300,-2.0000000000000001e-300,3e-295,9.9999999999999991e-308\r\n"
+    )
+    back = read_fields_csv(tmp_path / "fields.csv")
+    for name, traj in zip(["mu", "rho", "xi", "u"], [mu, rho, xi, u]):
+        assert np.array_equal(back[name], traj.values)
+
+
 def test_two_dimensional_fields_header(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -102,11 +134,11 @@ def test_removed_solver_key_exit_2(tmp_path, capsys, line):
 
 
 def test_solver_failure_exit_3(tmp_path, capsys):
-    # a kernel this strong overflows the resolvent right-hand side, so
-    # the iteration cap is hit and must surface as a solver failure
+    # a kernel this strong makes the resolvent bracket b/s overflow; that
+    # must surface as a solver failure before any iteration runs
     cfg = write_cfg(tmp_path, SMALL + "kernel_amplitude = 1e308\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "quench resolvent did not converge" in capsys.readouterr().err
+    assert "quench resolvent bracket [(b-1)/s, b/s] is not finite" in capsys.readouterr().err
 
 
 def test_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):

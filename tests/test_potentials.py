@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchctrl.potentials import (
+    RESOLVENT_TOL,
     RHO_MAX,
     RHO_MIN,
     PotentialConfig,
@@ -170,6 +171,31 @@ def test_quench_resolvent_monotone_and_nonexpansive(b1, b2, s):
     # resolvent of a monotone graph: 1-Lipschitz, with a hair of
     # rounding slack from the clip at the representable edge
     assert abs(r1 - r2) <= abs(b1 - b2) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edge=st.sampled_from([0.0, 1.0]),
+    width=st.sampled_from([1e-3, 1e-12]),
+    f1=st.floats(-1.0, 1.0),
+    f2=st.floats(-1.0, 1.0),
+    log_s=st.floats(np.log10(5e-15), 0.0),
+)
+def test_quench_resolvent_at_the_extremes(edge, width, f1, f2, log_s):
+    # data within 1e-3 and 1e-12 of an obstacle, s from 1e-12·tau of the
+    # default run (5e-15) up to 1: rho stays strictly inside (0, 1), the
+    # slope stays finite, and monotonicity and the 1-Lipschitz bound hold
+    # up to the stopping tolerance on each side
+    s = 10.0**log_s
+    b1, b2 = edge + width * f1, edge + width * f2
+    r1, y1 = quench_resolvent_detail(b1, s)
+    r2, y2 = quench_resolvent_detail(b2, s)
+    assert 0.0 < r1 < 1.0 and 0.0 < r2 < 1.0
+    assert np.isfinite(y1) and np.isfinite(y2)
+    slack = 2.0 * RESOLVENT_TOL * max(1.0, abs(b1), abs(b2))
+    if b1 < b2:
+        assert r1 <= r2 + slack
+    assert abs(r1 - r2) <= abs(b1 - b2) + slack
 
 
 @settings(max_examples=60, deadline=None)

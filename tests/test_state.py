@@ -16,7 +16,6 @@ from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import (
     COEFFICIENT_FLOOR,
     InitialData,
-    apriori_report,
     check_obstacle_signs,
     energy_residual,
     energy_residual_profile,
@@ -241,20 +240,6 @@ def test_solver_is_deterministic():
     assert np.array_equal(a.rho.values, b.rho.values)
     assert np.array_equal(a.mu.values, b.mu.values)
     assert np.array_equal(a.xi.values, b.xi.values)
-
-
-def test_apriori_report_finite_and_positive():
-    grid, tgrid, model, op = make_setup(n=16, steps=40)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
-    u = Trajectory.constant(tgrid, grid, 1.0)
-    level = model.level(1e-2)
-    sol = solve_state(u, level, init, model, op)
-    rep = apriori_report(sol, level, model)
-    d = rep.as_dict()
-    assert set(d) == {"mu_time_h1", "mu_sup", "rho_time_w16", "xi_l6", "weighted_gradient"}
-    assert all(np.isfinite(v) for v in d.values())
-    assert rep.mu_time_h1 > 0 and rep.mu_sup > 0 and rep.rho_time_w16 > 0
-    assert rep.weighted_gradient >= 0.0
 
 
 def test_grid_mismatch_rejected():
