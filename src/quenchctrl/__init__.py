@@ -40,7 +40,6 @@ from .grid import (
     inner_product,
     inner_product_spacetime,
     laplacian_values,
-    norm_l2,
     norm_l2_spacetime,
     norm_lp_spacetime,
     solve_step_system,
@@ -55,7 +54,7 @@ from .optimize import (
     deep_quench_continuation,
     projected_gradient_descent,
     reduced_gradient,
-    sample_variational_inequality,
+    variational_inequality_min,
 )
 from .potentials import (
     PotentialConfig,
@@ -108,7 +107,6 @@ __all__ = [
     "inner_product",
     "inner_product_spacetime",
     "laplacian_values",
-    "norm_l2",
     "norm_l2_spacetime",
     "norm_lp_spacetime",
     "solve_step_system",
@@ -124,7 +122,7 @@ __all__ = [
     "deep_quench_continuation",
     "projected_gradient_descent",
     "reduced_gradient",
-    "sample_variational_inequality",
+    "variational_inequality_min",
     "PotentialConfig",
     "QuenchLevel",
     "log_potential",

@@ -21,7 +21,7 @@ reached through the continuation instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +48,7 @@ class AdjointDiagnostics:
     pairing_value: float
 
     def as_dict(self) -> dict:
-        return self.__dict__.copy()
+        return asdict(self)
 
 
 @dataclass

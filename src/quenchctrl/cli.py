@@ -160,8 +160,8 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
         ys = np.log([c for _, c in usable])
         slope = float(np.polyfit(xs, ys, 1)[0])
     final = {
-        "vi_min": run.vi_min_final,
-        "projection_residual": run.projection_residual_final,
+        "vi_min": run.levels[-1].vi_min,
+        "projection_residual": run.levels[-1].projection_residual,
         "sign_violations": run.final_sign_violations,
         "state_distance": run.final_state_distance,
         "all_converged": run.all_converged,
@@ -184,7 +184,6 @@ def _cmd_optimize(args) -> int:
         init=problem.init,
         model=problem.model,
         op=problem.op,
-        seed=cfg.seed,
     )
 
     out = Path(args.out if args.out is not None else cfg.out_dir)

@@ -84,12 +84,14 @@ class ProblemConfig:
     schedule: str = "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8"
     tol: float = 1e-7
     max_iters: int = 200
+    # parsed but read by nothing (the variational inequality is exact and
+    # nothing in a run is random); kept so existing config files load
     vi_samples: int = 100
     # sweeps
     sweep_alphas: str = "1e-1,1e-2,1e-3,1e-4,1e-5"
     # bookkeeping
     out_dir: str = "out"
-    seed: int = 42
+    seed: int = 42          # parsed but read by nothing, as noted above
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -102,7 +104,7 @@ class ProblemConfig:
             raise ConfigError("need a positive horizon and at least one step")
         if self.alpha < 0.0:
             raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
-        if self.tol <= 0.0 or self.max_iters < 0 or self.vi_samples < 1:
+        if self.tol <= 0.0 or self.max_iters < 0:
             raise ConfigError("optimizer options out of range")
 
     def schedule_values(self) -> list[float]:
@@ -269,7 +271,7 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         mu_target=Trajectory.constant_profile(tgrid, grid, profile_values(cfg.mu_target, grid)),
     )
 
-    pgd_opts = PGDOptions(tol=cfg.tol, max_iters=cfg.max_iters, vi_samples=cfg.vi_samples)
+    pgd_opts = PGDOptions(tol=cfg.tol, max_iters=cfg.max_iters)
 
     return Problem(
         config=cfg,

@@ -24,12 +24,10 @@ __all__ = [
     "laplacian_values",
     "solve_step_system",
     "inner_product",
-    "norm_l2",
     "trapezoid_weights",
     "inner_product_spacetime",
     "norm_l2_spacetime",
     "norm_lp_spacetime",
-    "h1_seminorm_sq",
     "time_h1_norm",
 ]
 
@@ -85,13 +83,6 @@ class Grid:
         v = 1.0
         for h in self.spacing:
             v *= h
-        return v
-
-    @property
-    def total_volume(self) -> float:
-        v = 1.0
-        for l in self.lengths:
-            v *= l
         return v
 
     def centers(self) -> tuple[np.ndarray, ...]:
@@ -296,10 +287,6 @@ def inner_product(f: Field, g: Field) -> float:
     return float(np.sum(f.values * g.values) * f.grid.cell_volume)
 
 
-def norm_l2(f: Field) -> float:
-    return float(np.sqrt(np.sum(f.values * f.values) * f.grid.cell_volume))
-
-
 def trapezoid_weights(n_nodes: int) -> np.ndarray:
     w = np.ones(n_nodes)
     w[0] = 0.5
@@ -324,15 +311,6 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
     w = trapezoid_weights(a.tgrid.n_nodes)
     per_node = np.sum(np.abs(a.values) ** p, axis=tuple(range(1, a.values.ndim)))
     return float((np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume) ** (1.0 / p))
-
-
-def h1_seminorm_sq(f: Field) -> float:
-    """Discrete ∫|∇f|² from interior face differences (diagnostic)."""
-    total = 0.0
-    for axis, h in enumerate(f.grid.spacing):
-        d = np.diff(f.values, axis=axis) / h
-        total += float(np.sum(d * d) * f.grid.cell_volume)
-    return total
 
 
 def time_h1_norm(a: Trajectory) -> float:

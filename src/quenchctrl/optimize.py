@@ -38,7 +38,7 @@ __all__ = [
     "LevelRecord",
     "ContinuationRun",
     "deep_quench_continuation",
-    "sample_variational_inequality",
+    "variational_inequality_min",
 ]
 
 
@@ -53,7 +53,6 @@ MAX_BACKTRACKS = 40
 class PGDOptions:
     tol: float = 1e-7          # stationarity residual target
     max_iters: int = 200
-    vi_samples: int = 100
 
 
 @dataclass
@@ -203,24 +202,20 @@ def projected_gradient_descent(
     )
 
 
-def sample_variational_inequality(
-    u_star: Trajectory,
-    plain_gradient: Trajectory,
-    box: AdmissibleSet,
-    rng: np.random.Generator,
-    n_samples: int,
+def variational_inequality_min(
+    u_star: Trajectory, plain_gradient: Trajectory, box: AdmissibleSet
 ) -> float:
-    """Min over random admissible v of ∫∫ (mu_dual + w·u)(v - u).
+    """Min over admissible v of ∫∫ (mu_dual + w·u)(v - u), exactly.
 
-    Nonnegative (up to the stationarity tolerance) at a box-constrained
-    minimizer of the plain cost.
+    The pairing is linear in v and the quadrature weights are positive,
+    so the minimum over the box sits at the vertex v = ceiling where the
+    gradient is negative and v = 0 elsewhere.  Nonnegative (up to the
+    stationarity tolerance) at a box-constrained minimizer of the plain
+    cost.
     """
-    worst = float("inf")
-    for _ in range(n_samples):
-        v_vals = rng.uniform(0.0, 1.0, size=u_star.values.shape) * box.ceiling.values
-        v = Trajectory(u_star.tgrid, u_star.grid, v_vals)
-        worst = min(worst, inner_product_spacetime(plain_gradient, v - u_star))
-    return worst
+    g = plain_gradient.values
+    v = Trajectory(u_star.tgrid, u_star.grid, np.where(g < 0.0, box.ceiling.values, 0.0))
+    return inner_product_spacetime(plain_gradient, v - u_star)
 
 
 @dataclass
@@ -253,8 +248,6 @@ class ContinuationRun:
     final_sign_violations: list[str]
     final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
     anchor_distances: list[float]
-    vi_min_final: float
-    projection_residual_final: float | None
 
     @property
     def all_converged(self) -> bool:
@@ -284,7 +277,6 @@ def deep_quench_continuation(
     model: PotentialConfig,
     op: NonlocalOperator,
     probe: Trajectory | None = None,
-    seed: int = 0,
 ) -> ContinuationRun:
     """Drive the quench parameter down the schedule, re-optimizing at
     each level, then report the obstacle-limit diagnostics."""
@@ -295,7 +287,6 @@ def deep_quench_continuation(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("continuation schedule must be strictly decreasing")
 
-    rng = np.random.default_rng(seed)
     if probe is None:
         probe = time_ramp_probe(u0.tgrid, u0.grid)
 
@@ -321,7 +312,6 @@ def deep_quench_continuation(
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state, probe)
         plain_grad = _gradient_trajectory(u_star, result.adjoint, weights, anchor=None)
-        vi_min = sample_variational_inequality(u_star, plain_grad, box, rng, opts.vi_samples)
         rec = LevelRecord(
             alpha=alpha,
             scale=level.scale,
@@ -337,7 +327,7 @@ def deep_quench_continuation(
             concentration_value=metric.value,
             concentration_cross=metric.cross_check,
             projection_residual=_projection_residual(u_star, result.adjoint, weights, box),
-            vi_min=vi_min,
+            vi_min=variational_inequality_min(u_star, plain_grad, box),
             control_h1=box.h1_norm(u_star),
             within_budget=box.within_budget(u_star),
             history=result.history,
@@ -358,6 +348,4 @@ def deep_quench_continuation(
         final_sign_violations=check_obstacle_signs(obstacle_state),
         final_state_distance=distance,
         anchor_distances=[r.anchor_distance for r in levels if r.anchor_distance is not None],
-        vi_min_final=levels[-1].vi_min,
-        projection_residual_final=levels[-1].projection_residual,
     )

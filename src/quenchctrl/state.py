@@ -11,7 +11,7 @@ constraint term must be the implicit one, otherwise the iterates leave
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,16 +86,7 @@ class StateDiagnostics:
     mu_nonneg_ok: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "min_mu": self.min_mu,
-            "min_rho": self.min_rho,
-            "max_rho": self.max_rho,
-            "xi_l6": self.xi_l6,
-            "energy_residual_max": self.energy_residual_max,
-            "clamp_events": self.clamp_events,
-            "mu_nonneg_ok": self.mu_nonneg_ok,
-        }
+        return asdict(self)
 
 
 @dataclass

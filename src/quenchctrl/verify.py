@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .grid import (
     inner_product,
     inner_product_spacetime,
     laplacian_values,
-    norm_l2_spacetime,
 )
 from .nonlocal_op import Kernel, NonlocalOperator, check_a3
 from .optimize import reduced_gradient
@@ -235,13 +234,7 @@ class CheckResult:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "bound": self.bound,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass

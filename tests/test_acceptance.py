@@ -12,23 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchctrl.adjoint import solve_adjoint, time_ramp_probe
+from quenchctrl.adjoint import solve_adjoint
 from quenchctrl.cli import main, read_fields_csv
 from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, project_admissible, tracking_cost
-from quenchctrl.grid import (
-    Field,
-    Grid,
-    Trajectory,
-    inner_product,
-    norm_l2,
-    norm_l2_spacetime,
-)
+from quenchctrl.grid import Field, Trajectory, inner_product, norm_l2_spacetime
 from quenchctrl.optimize import (
     PGDOptions,
     deep_quench_continuation,
     reduced_gradient,
-    sample_variational_inequality,
+    variational_inequality_min,
 )
 from quenchctrl.potentials import (
     log_potential_prime,
@@ -85,7 +78,6 @@ def default_run(default_problem):
         init=p.init,
         model=p.model,
         op=p.op,
-        seed=p.config.seed,
     )
 
 
@@ -170,7 +162,7 @@ def test_criterion_04_operator_adjoint_identity(default_problem):
         w = Field(grid, rng.standard_normal(grid.shape))
         lhs = inner_product(Field(grid, op.apply_adjoint_values(v.values)), w)
         rhs = inner_product(v, Field(grid, op.apply_values(w.values)))
-        gap = abs(lhs - rhs) / max(norm_l2(v) * norm_l2(w), 1e-300)
+        gap = abs(lhs - rhs) / max(np.sqrt(inner_product(v, v) * inner_product(w, w)), 1e-300)
         worst = max(worst, gap)
     f = rng.standard_normal(grid.shape)
     quad_gap = float(
@@ -341,8 +333,7 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     plain_grad = Trajectory(
         u_star.tgrid, u_star.grid, p.weights.control_weight * u_star.values + adj.mu_dual.values
     )
-    rng = np.random.default_rng(123)
-    vi_min = sample_variational_inequality(u_star, plain_grad, p.box, rng, 100)
+    vi_min = variational_inequality_min(u_star, plain_grad, p.box)
 
     candidate = Trajectory(
         u_star.tgrid, u_star.grid, -adj.mu_dual.values / p.weights.control_weight
@@ -369,7 +360,7 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     report(
         10,
         ok,
-        f"VI min {vi_min:.2e} >= -1e-6 on 100 samples, projection residual {proj_res:.2e} "
+        f"VI min {vi_min:.2e} >= -1e-6, projection residual {proj_res:.2e} "
         f"<= {10 * tol:.0e}, pairings all >= 0, concentration slope {slope:.4f} in [0.9, 1.1]",
     )
 

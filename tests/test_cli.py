@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,13 @@ from quenchctrl.cli import main, read_fields_csv
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.state import StateSolution
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# subprocesses import the package from this checkout, installed or not
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
 
 SMALL = """
 cells_x = 16
@@ -170,10 +179,8 @@ def test_sweep_rejects_nonpositive_alpha(tmp_path):
 
 
 def test_optimize_outputs(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\nvi_samples = 20\n",
-    )
+    text = "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\nvi_samples = 20\n"
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "control_0.csv").is_file()
@@ -187,6 +194,14 @@ def test_optimize_outputs(tmp_path):
     assert report["final"]["sign_violations"] == []
     assert report["levels"][0]["anchor_distance"] is None
     assert report["levels"][1]["anchor_distance"] is not None
+    assert report["final"]["vi_min"] == report["levels"][-1]["vi_min"]
+
+    # nothing in optimize is random: the seed key is parsed and ignored
+    reseeded = tmp_path / "reseeded"
+    cfg7 = write_cfg(tmp_path, text + "seed = 7\n", name="seed7.cfg")
+    assert main(["optimize", "--config", cfg7, "--out", str(reseeded)]) == 0
+    for name in ("control_0.csv", "control_1.csv", "history.csv", "limit_report.json"):
+        assert (reseeded / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_verify_command(tmp_path, capsys):
@@ -207,6 +222,7 @@ def test_console_script_end_to_end(tmp_path):
         [sys.executable, "-m", "quenchctrl.cli", "simulate", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "fields.csv").is_file()
@@ -219,5 +235,7 @@ def test_cli_import_pulls_in_no_scipy():
         "import quenchctrl.cli, sys; "
         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV
+    )
     assert proc.returncode == 0, proc.stderr

@@ -1,15 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from quenchctrl.costs import AdmissibleSet, CostWeights, project_admissible
-from quenchctrl.grid import Field, Grid, TimeGrid, Trajectory, norm_l2_spacetime
+from quenchctrl.grid import (
+    Field,
+    Grid,
+    TimeGrid,
+    Trajectory,
+    inner_product_spacetime,
+    norm_l2_spacetime,
+)
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.optimize import (
     PGDOptions,
     deep_quench_continuation,
     projected_gradient_descent,
     reduced_gradient,
-    sample_variational_inequality,
+    variational_inequality_min,
 )
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import InitialData
@@ -113,18 +122,26 @@ def test_initial_point_is_projected():
     assert np.min(res.control.values) >= 0.0
 
 
-def test_vi_sampler_sign():
-    # at u = 0 with gradient identically +1 every admissible v >= 0 gives
-    # a nonnegative pairing; gradient -1 gives the mirror image
-    grid = Grid.line(4, 1.0)
-    tgrid = TimeGrid(1.0, 3)
-    box = AdmissibleSet(Trajectory.constant(tgrid, grid, 1.0))
-    u = Trajectory.zeros(tgrid, grid)
-    plus = Trajectory.constant(tgrid, grid, 1.0)
-    rng = np.random.default_rng(0)
-    assert sample_variational_inequality(u, plus, box, rng, 50) >= 0.0
-    minus = Trajectory.constant(tgrid, grid, -1.0)
-    assert sample_variational_inequality(u, minus, box, rng, 50) < 0.0
+def test_variational_inequality_min_matches_vertex_oracle():
+    # 2 cells x 2 time nodes = 4 controls; the pairing is linear in v, so
+    # its minimum over the box sits at one of the 16 vertices
+    grid = Grid.line(2)
+    tgrid = TimeGrid(1.0, 1)
+    ceiling = Trajectory(tgrid, grid, np.array([[1.5, 0.5], [2.0, 0.25]]))
+    box = AdmissibleSet(ceiling)
+    u = Trajectory(tgrid, grid, np.array([[0.3, 0.1], [1.0, 0.2]]))
+    g = Trajectory(tgrid, grid, np.array([[-0.7, 1.3], [0.4, -2.1]]))
+    vertices = [
+        Trajectory(tgrid, grid, np.reshape(bits, (2, 2)) * ceiling.values)
+        for bits in itertools.product((0.0, 1.0), repeat=4)
+    ]
+    oracle = min(inner_product_spacetime(g, v - u) for v in vertices)
+    assert oracle < 0.0
+    assert abs(variational_inequality_min(u, g, box) - oracle) <= 1e-15
+
+    # a nonnegative gradient at u = 0: v = 0 attains the minimum 0
+    zero = Trajectory.zeros(tgrid, grid)
+    assert variational_inequality_min(zero, Trajectory(tgrid, grid, np.abs(g.values)), box) == 0.0
 
 
 def test_continuation_schedule_validation():
