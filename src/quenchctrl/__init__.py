@@ -10,7 +10,6 @@ independent oracles that check every piece against a second route.
 """
 
 from .adjoint import (
-    AdjointDiagnostics,
     AdjointSolution,
     concentration_metric,
     solve_adjoint,
@@ -81,7 +80,6 @@ from .verify import VerificationReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointDiagnostics",
     "AdjointSolution",
     "concentration_metric",
     "solve_adjoint",

@@ -21,7 +21,7 @@ reached through the continuation instead.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .potentials import PotentialConfig, QuenchLevel, log_potential_second
 from .state import StateSolution, mu_zeroth_coefficient
 
 __all__ = [
-    "AdjointDiagnostics",
     "AdjointSolution",
     "solve_adjoint",
     "ConcentrationMetric",
@@ -44,24 +43,17 @@ __all__ = [
 
 
 @dataclass
-class AdjointDiagnostics:
-    pairing_value: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
 class AdjointSolution:
     """Dual trajectories: mu_dual drives the gradient, rho_dual pairs with
-    the constraint, multiplier = scale·log_potential_second(rho)·rho_dual."""
+    the constraint, multiplier = scale·log_potential_second(rho)·rho_dual,
+    and pairing_value = ∫∫ multiplier·rho_dual."""
 
     mu_dual: Trajectory
     rho_dual: Trajectory
     multiplier: Trajectory
     alpha: float
     scale: float
-    diagnostics: AdjointDiagnostics
+    pairing_value: float
 
 
 def solve_adjoint(
@@ -123,8 +115,7 @@ def solve_adjoint(
         q[m] = (q[m + 1] + tau * source) / (1.0 + tau * scale * log_potential_second(rho[m]))
 
     lam = np.zeros_like(q)
-    for m in range(1, nt):
-        lam[m] = scale * log_potential_second(rho[m]) * q[m]
+    lam[1:nt] = scale * log_potential_second(rho[1:nt]) * q[1:nt]
 
     mu_dual = Trajectory(tgrid, grid, p)
     rho_dual = Trajectory(tgrid, grid, q)
@@ -136,7 +127,7 @@ def solve_adjoint(
         multiplier=multiplier,
         alpha=level.alpha,
         scale=level.scale,
-        diagnostics=AdjointDiagnostics(inner_product_spacetime(multiplier, rho_dual)),
+        pairing_value=inner_product_spacetime(multiplier, rho_dual),
     )
 
 

@@ -7,8 +7,8 @@ Four commands over one flat config format:
     sweep-alpha  forward solves along a quench ladder, sweep.csv
     verify       the oracle suite, table on stdout + verify_report.json
 
-Exit codes: 0 success, 1 post-run invariant violation, 2 configuration
-error, 3 solver failure.  All floats are printed with 17 significant
+Exit codes: 0 success, 1 post-run invariant violation (each named on
+stderr), 2 configuration error, 3 solver failure.  All floats are printed with 17 significant
 digits so reading a file back reproduces the run bit for bit.
 """
 
@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import build_problem, load_config
+from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
 from .optimize import ContinuationRun, deep_quench_continuation
@@ -102,58 +103,32 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each runs its work on the built problem and returns its
+# invariant violations and the line to print when there are none
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    alpha = cfg.alpha if args.alpha is None else float(args.alpha)
+def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
+    alpha = problem.config.alpha if args.alpha is None else float(args.alpha)
     if alpha < 0.0:
         raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
     level = None if alpha == 0.0 else problem.model.level(alpha)
     sol = solve_state(problem.control, level, problem.init, problem.model, problem.op)
 
-    out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_fields_csv(out / "fields.csv", sol, problem.control)
-    _write_json(out / "diagnostics.json", sol.diagnostics.as_dict())
-
-    violations = _state_invariant_violations(sol)
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return 1
-    print(f"wrote {out / 'fields.csv'} and {out / 'diagnostics.json'}")
-    return 0
+    _write_json(out / "diagnostics.json", asdict(sol.diagnostics))
+    return (
+        _state_invariant_violations(sol),
+        f"wrote {out / 'fields.csv'} and {out / 'diagnostics.json'}",
+    )
 
 
 def _continuation_report(run: ContinuationRun, tol: float) -> dict:
-    levels = []
-    for rec in run.levels:
-        levels.append(
-            {
-                "alpha": rec.alpha,
-                "scale": rec.scale,
-                "cost": rec.cost,
-                "cost_plain": rec.cost_plain,
-                "stationarity": rec.stationarity,
-                "converged": rec.converged,
-                "stalled": rec.stalled,
-                "iterations": rec.iterations,
-                "anchor_distance": rec.anchor_distance,
-                "pairing": rec.pairing_value,
-                "concentration": rec.concentration_value,
-                "concentration_cross": rec.concentration_cross,
-                "projection_residual": rec.projection_residual,
-                "vi_min": rec.vi_min,
-                "control_h1": rec.control_h1,
-                "within_budget": rec.within_budget,
-            }
-        )
-    usable = [
-        (r.scale, r.concentration_value) for r in run.levels if r.concentration_value > 0.0
+    levels = [
+        {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in ("control", "history")}
+        for rec in run.levels
     ]
+    usable = [(r.scale, r.concentration) for r in run.levels if r.concentration > 0.0]
     slope = None
     if len(usable) >= 2:
         xs = np.log([s for s, _ in usable])
@@ -167,16 +142,15 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
         "all_converged": run.all_converged,
         "concentration_slope": slope,
         "stationarity_tol": tol,
-        "obstacle_diagnostics": run.final_state.diagnostics.as_dict(),
+        "obstacle_diagnostics": asdict(run.final_state.diagnostics),
     }
     return {"levels": levels, "final": final}
 
 
-def _cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
+def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
+    tol = problem.pgd_opts.tol
     run = deep_quench_continuation(
-        cfg.schedule_values(),
+        problem.config.schedule_values(),
         problem.weights,
         problem.box,
         problem.pgd_opts,
@@ -186,7 +160,6 @@ def _cmd_optimize(args) -> int:
         op=problem.op,
     )
 
-    out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for lvl, rec in enumerate(run.levels):
         write_control_csv(out / f"control_{lvl}.csv", rec.control)
@@ -197,31 +170,34 @@ def _cmd_optimize(args) -> int:
         [[lvl for lvl, _ in history], [row.iteration for _, row in history]],
         [[row.cost for _, row in history], [row.stationarity for _, row in history]],
     )
-    _write_json(out / "limit_report.json", _continuation_report(run, cfg.tol))
+    _write_json(out / "limit_report.json", _continuation_report(run, tol))
 
     violations: list[str] = []
     for lvl, rec in enumerate(run.levels):
+        if not rec.converged:
+            why = "stalled" if rec.stalled else "iteration cap reached"
+            print(
+                f"warning: level {lvl} (alpha {rec.alpha:g}) did not converge: {why} "
+                f"(stationarity {rec.stationarity:.3e} > tol {tol:g})",
+                file=sys.stderr,
+            )
         if not problem.box.contains_box(rec.control):
             violations.append(f"level {lvl} control leaves the box")
         costs = [row.cost for row in rec.history]
         if any(b > a + 1e-15 * max(1.0, abs(a)) for a, b in zip(costs, costs[1:])):
             violations.append(f"level {lvl} cost history increased")
-        if rec.pairing_value < 0.0:
+        if rec.pairing < 0.0:
             violations.append(f"level {lvl} pairing negative")
     violations.extend(run.final_sign_violations)
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(run.levels)} control files, history.csv, limit_report.json in {out}")
-    return 0
+    return (
+        violations,
+        f"wrote {len(run.levels)} control files, history.csv, limit_report.json in {out}",
+    )
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    problem = build_problem(cfg)
+def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     alphas = (
-        cfg.sweep_values()
+        problem.config.sweep_values()
         if args.alphas is None
         else [float(tok) for tok in args.alphas.split(",") if tok.strip()]
     )
@@ -253,7 +229,6 @@ def _cmd_sweep(args) -> int:
         (0.0, 0.0, 0.0, base.diagnostics.xi_l6, base.diagnostics.energy_residual_max)
     )
 
-    out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "sweep.csv",
@@ -261,27 +236,18 @@ def _cmd_sweep(args) -> int:
         [],
         np.array(rows).T,
     )
-
-    violations: list[str] = []
-    for sol in solutions:
-        violations.extend(_state_invariant_violations(sol))
-    if violations:
-        for v in violations:
-            print(f"invariant violation: {v}", file=sys.stderr)
-        return 1
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
-    return 0
+    violations = [v for sol in solutions for v in _state_invariant_violations(sol)]
+    return violations, f"wrote {out / 'sweep.csv'} ({len(rows)} rows)"
 
 
-def _cmd_verify(args) -> int:
-    if args.config is not None:
-        build_problem(load_config(args.config))  # constructibility check only
+def _cmd_verify(args, problem: Problem, out: Path) -> tuple[list[str], str]:
+    # the problem is built only to check that the config is constructible
     report = run_suite(seed=args.seed)
     print(report.format_table())
-    out = Path(load_config(args.config).out_dir if args.config else "out")
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify_report.json", report.as_dict())
-    return 0 if report.all_passed else 1
+    violations = [f"verify check {c.name} failed" for c in report.checks if not c.passed]
+    return violations, f"wrote {out / 'verify_report.json'}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -312,17 +278,26 @@ def main(argv: list[str] | None = None) -> int:
     p_ver = sub.add_parser("verify", help="run the oracle suite")
     p_ver.add_argument("--config", default=None)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_verify, out=None)  # writes to the config's out_dir
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        problem = build_problem(cfg)
+        out = Path(cfg.out_dir if args.out is None else args.out)
+        violations, success_line = args.func(args, problem, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    for v in violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    if violations:
+        return 1
+    print(success_line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -257,11 +257,9 @@ def build_problem(cfg: ProblemConfig) -> Problem:
     )
     control = Trajectory.constant_profile(tgrid, grid, profile_values(cfg.control, grid))
 
-    ceiling_vals = profile_values(cfg.ceiling, grid)
-    if np.min(ceiling_vals) < 0.0:
-        raise ConfigError("(A4) control ceiling must be nonnegative")
     box = AdmissibleSet(
-        Trajectory.constant_profile(tgrid, grid, ceiling_vals), h1_budget=cfg.h1_budget
+        Trajectory.constant_profile(tgrid, grid, profile_values(cfg.ceiling, grid)),
+        h1_budget=cfg.h1_budget,
     )
     weights = CostWeights(
         rho_weight=cfg.rho_weight,

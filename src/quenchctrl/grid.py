@@ -184,21 +184,9 @@ class Trajectory:
         """Field view of node n (shares memory with the trajectory)."""
         return Field(self.grid, self.values[n])
 
-    def copy(self) -> "Trajectory":
-        return Trajectory(self.tgrid, self.grid, self.values.copy())
-
-    def __add__(self, other: "Trajectory") -> "Trajectory":
-        _check_same_spacetime(self, other)
-        return Trajectory(self.tgrid, self.grid, self.values + other.values)
-
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         _check_same_spacetime(self, other)
         return Trajectory(self.tgrid, self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Trajectory":
-        return Trajectory(self.tgrid, self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def _check_same_grid(a, b) -> None:

@@ -67,7 +67,6 @@ class PGDResult:
     control: Trajectory
     state: StateSolution
     adjoint: AdjointSolution
-    gradient: Trajectory
     cost: float
     stationarity: float
     converged: bool
@@ -192,7 +191,6 @@ def projected_gradient_descent(
         control=u,
         state=state,
         adjoint=adj,
-        gradient=grad,
         cost=cost,
         stationarity=stationarity,
         converged=converged,
@@ -230,8 +228,8 @@ class LevelRecord:
     stalled: bool
     iterations: int
     anchor_distance: float | None
-    pairing_value: float
-    concentration_value: float
+    pairing: float
+    concentration: float
     concentration_cross: float
     projection_residual: float | None
     vi_min: float
@@ -243,11 +241,9 @@ class LevelRecord:
 @dataclass
 class ContinuationRun:
     levels: list[LevelRecord]
-    final_control: Trajectory
     final_state: StateSolution          # obstacle solve with the final control
     final_sign_violations: list[str]
     final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
-    anchor_distances: list[float]
 
     @property
     def all_converged(self) -> bool:
@@ -323,8 +319,8 @@ def deep_quench_continuation(
             stalled=result.stalled,
             iterations=result.iterations,
             anchor_distance=None if anchor is None else norm_l2_spacetime(u_star - anchor),
-            pairing_value=result.adjoint.diagnostics.pairing_value,
-            concentration_value=metric.value,
+            pairing=result.adjoint.pairing_value,
+            concentration=metric.value,
             concentration_cross=metric.cross_check,
             projection_residual=_projection_residual(u_star, result.adjoint, weights, box),
             vi_min=variational_inequality_min(u_star, plain_grad, box),
@@ -336,16 +332,10 @@ def deep_quench_continuation(
         anchor = u_star
         u = u_star
 
-    final_control = levels[-1].control
-    obstacle_state = solve_state(final_control, None, init, model, op)
-    last_state = result.state
-    distance = norm_l2_spacetime(last_state.rho - obstacle_state.rho)
-
+    obstacle_state = solve_state(u, None, init, model, op)
     return ContinuationRun(
         levels=levels,
-        final_control=final_control,
         final_state=obstacle_state,
         final_sign_violations=check_obstacle_signs(obstacle_state),
-        final_state_distance=distance,
-        anchor_distances=[r.anchor_distance for r in levels if r.anchor_distance is not None],
+        final_state_distance=norm_l2_spacetime(result.state.rho - obstacle_state.rho),
     )

@@ -103,7 +103,6 @@ class QuenchLevel:
             raise ValueError("quench scale must be positive at alpha > 0")
 
 
-_F_FAMILIES = ("concave-quadratic",)
 _G_FAMILIES = ("linear", "saturating", "zero")
 
 
@@ -111,24 +110,21 @@ _G_FAMILIES = ("linear", "saturating", "zero")
 class PotentialConfig:
     """Smooth model ingredients: F (regular potential part) and g (coupling).
 
-    Families:
-      F concave-quadratic   F(rho) = -(strength/2)(2 rho - 1)², strength ≥ 0
-      g linear              g(rho) = rho
-      g saturating          g(rho) = rho (2 - rho)
-      g zero                g ≡ 0 (degenerate, for tests)
+    F is the concave quadratic F(rho) = -(strength/2)(2 rho - 1)² with
+    strength ≥ 0; only its derivatives enter the scheme.  g families:
+      linear              g(rho) = rho
+      saturating          g(rho) = rho (2 - rho)
+      zero                g ≡ 0 (degenerate, for tests)
 
     Construction samples g on 1001 points of [0, 1] and rejects any
     family violating g ≥ 0 or concavity, naming assumption (A1).
     """
 
-    f_family: str = "concave-quadratic"
     f_strength: float = 0.25
     g_family: str = "linear"
     quench_exponent: float = 1.0
 
     def __post_init__(self):
-        if self.f_family not in _F_FAMILIES:
-            raise ConfigError(f"(A1) unknown F family {self.f_family!r}")
         if self.g_family not in _G_FAMILIES:
             raise ConfigError(f"(A1) unknown g family {self.g_family!r}")
         if self.f_strength < 0.0:
@@ -142,10 +138,6 @@ class PotentialConfig:
             raise ConfigError("(A1) coupling g must be concave on [0, 1]")
 
     # -- F ---------------------------------------------------------------
-    def f(self, rho):
-        s = 2.0 * np.asarray(rho, dtype=float) - 1.0
-        return -0.5 * self.f_strength * s * s
-
     def f_prime(self, rho):
         return -2.0 * self.f_strength * (2.0 * np.asarray(rho, dtype=float) - 1.0)
 

@@ -11,7 +11,7 @@ constraint term must be the implicit one, otherwise the iterates leave
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,6 @@ class StateDiagnostics:
     energy_residual_max: float
     clamp_events: int
     mu_nonneg_ok: bool | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

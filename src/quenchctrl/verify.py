@@ -233,9 +233,6 @@ class CheckResult:
     bound: float
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class VerificationReport:
@@ -250,7 +247,7 @@ class VerificationReport:
         # runtime deliberately omitted so reruns compare byte for byte
         return {
             "all_passed": self.all_passed,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def format_table(self) -> str:
@@ -263,7 +260,7 @@ class VerificationReport:
                 line += f"  ({c.detail})"
             lines.append(line)
         n_ok = sum(c.passed for c in self.checks)
-        lines.append(f"{n_ok}/{len(self.checks)} checks passed")
+        lines.append(f"{n_ok}/{len(self.checks)} checks passed in {self.elapsed_seconds:.2f} s")
         return "\n".join(lines)
 
 
@@ -604,7 +601,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     checks.append(
         _bounded(
             "adjoint_pairing_nonnegative",
-            -adj_s.diagnostics.pairing_value,
+            -adj_s.pairing_value,
             0.0,
             "weighted dual pairing",
         )

@@ -1,9 +1,11 @@
-"""Acceptance gate: the eleven release criteria, one test each.
+"""Acceptance gate: the eleven release criteria, one test each, and two
+convergence-order gates.
 
-Every test prints a single PASS/FAIL line with the measured numbers so a
-plain `pytest -rA tests/test_acceptance.py` reads as a checklist.  The
-expensive continuation run and the quench sweep are shared module-scoped
-fixtures; everything else is computed in place at the stated sizes.
+Every criterion prints a single PASS/FAIL line with the measured numbers
+so a plain `pytest -rA tests/test_acceptance.py` reads as a checklist.
+The expensive continuation run and the quench sweep are shared
+module-scoped fixtures; everything else is computed in place at the
+stated sizes.
 """
 
 import dataclasses
@@ -305,7 +307,7 @@ def test_criterion_08_deep_quench_convergence(sweep_solutions, default_run):
     alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
-    gaps = default_run.anchor_distances
+    gaps = [rec.anchor_distance for rec in default_run.levels[1:]]
     gaps_decreasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
     ok = decreasing and dists[-1] < 1e-2 and gaps_decreasing
     report(
@@ -340,11 +342,9 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     )
     proj_res = norm_l2_spacetime(u_star - project_admissible(candidate, p.box))
 
-    pairings = [rec.pairing_value for rec in default_run.levels]
+    pairings = [rec.pairing for rec in default_run.levels]
     usable = [
-        (rec.scale, rec.concentration_value)
-        for rec in default_run.levels
-        if rec.concentration_value > 0.0
+        (rec.scale, rec.concentration) for rec in default_run.levels if rec.concentration > 0.0
     ]
     slope = float(
         np.polyfit(np.log([s for s, _ in usable]), np.log([c for _, c in usable]), 1)[0]
@@ -407,3 +407,34 @@ def test_criterion_11_determinism(tmp_path):
         f"simulate reruns byte-identical: {sim_same}; optimize reruns byte-identical: {opt_same}; "
         f"CSV round-trip lossless: {round_trip}",
     )
+
+
+# -- convergence orders --------------------------------------------------------
+# The criteria above check discrete exactness; these check that the discrete
+# solutions converge at the order the scheme claims.  Bounds were fixed before
+# the first run.
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.0])
+def test_time_step_refinement_first_order(alpha):
+    # halving tau halves the error of the semi-implicit march: successive
+    # max differences at the 51 nodes every refinement shares shrink by ~2
+    cfg = load_config(CONFIGS / "default.cfg")
+    runs = []
+    for steps in (50, 100, 200, 400, 800):
+        _, sol = solve_cfg(dataclasses.replace(cfg, steps=steps), alpha)
+        every = steps // 50
+        runs.append((sol.rho.values[::every], sol.mu.values[::every]))
+    for k, name in enumerate(("rho", "mu")):
+        diffs = [float(np.max(np.abs(a[k] - b[k]))) for a, b in zip(runs, runs[1:])]
+        ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+        assert all(1.8 <= r <= 2.2 for r in ratios), (name, ratios)
+
+
+def test_deep_quench_rate_first_order(sweep_solutions):
+    # the quench solutions approach the obstacle solution at order 1 in alpha
+    base, quench = sweep_solutions
+    alphas = sorted(quench, reverse=True)
+    dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
+    slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0])
+    assert 0.9 <= slope <= 1.1, slope

@@ -11,6 +11,7 @@ from quenchctrl import cli
 from quenchctrl.cli import main, read_fields_csv
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.state import StateSolution
+from quenchctrl.verify import CheckResult, VerificationReport
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -25,6 +26,22 @@ cells_x = 16
 steps = 20
 """
 
+OPT = "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\nvi_samples = 20\n"
+
+DIAGNOSTICS_KEYS = {
+    "alpha", "min_mu", "min_rho", "max_rho", "xi_l6", "energy_residual_max",
+    "clamp_events", "mu_nonneg_ok",
+}
+LEVEL_KEYS = {
+    "alpha", "scale", "cost", "cost_plain", "stationarity", "converged", "stalled",
+    "iterations", "anchor_distance", "pairing", "concentration", "concentration_cross",
+    "projection_residual", "vi_min", "control_h1", "within_budget",
+}
+FINAL_KEYS = {
+    "vi_min", "projection_residual", "sign_violations", "state_distance", "all_converged",
+    "concentration_slope", "stationarity_tol", "obstacle_diagnostics",
+}
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -38,6 +55,7 @@ def test_simulate_exit_zero_and_outputs(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "fields.csv").is_file()
     diag = json.loads((out / "diagnostics.json").read_text())
+    assert set(diag) == DIAGNOSTICS_KEYS
     assert diag["mu_nonneg_ok"] is True
     assert 0.0 < diag["min_rho"] and diag["max_rho"] < 1.0  # quench run default
 
@@ -178,11 +196,11 @@ def test_sweep_rejects_nonpositive_alpha(tmp_path):
     assert main(["sweep-alpha", "--config", cfg, "--alphas", "1e-1,0"]) == 2
 
 
-def test_optimize_outputs(tmp_path):
-    text = "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\nvi_samples = 20\n"
-    cfg = write_cfg(tmp_path, text)
+def test_optimize_outputs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OPT)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
     assert (out / "control_0.csv").is_file()
     assert (out / "control_1.csv").is_file()
     hist = (out / "history.csv").read_text().splitlines()
@@ -190,6 +208,9 @@ def test_optimize_outputs(tmp_path):
     assert len(hist) > 2
     report = json.loads((out / "limit_report.json").read_text())
     assert len(report["levels"]) == 2
+    assert all(set(level) == LEVEL_KEYS for level in report["levels"])
+    assert set(report["final"]) == FINAL_KEYS
+    assert set(report["final"]["obstacle_diagnostics"]) == DIAGNOSTICS_KEYS
     assert report["final"]["all_converged"] is True
     assert report["final"]["sign_violations"] == []
     assert report["levels"][0]["anchor_distance"] is None
@@ -198,10 +219,40 @@ def test_optimize_outputs(tmp_path):
 
     # nothing in optimize is random: the seed key is parsed and ignored
     reseeded = tmp_path / "reseeded"
-    cfg7 = write_cfg(tmp_path, text + "seed = 7\n", name="seed7.cfg")
+    cfg7 = write_cfg(tmp_path, OPT + "seed = 7\n", name="seed7.cfg")
     assert main(["optimize", "--config", cfg7, "--out", str(reseeded)]) == 0
     for name in ("control_0.csv", "control_1.csv", "history.csv", "limit_report.json"):
         assert (reseeded / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_optimize_warns_on_unconverged_level(tmp_path, capsys):
+    # a level that stops short of the tolerance still exits 0, but says so
+    cfg = write_cfg(tmp_path, OPT.replace("max_iters = 60", "max_iters = 0"))
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for level, (line, alpha) in enumerate(zip(err, ("0.1", "0.01"))):
+        assert line.startswith(
+            f"warning: level {level} (alpha {alpha}) did not converge: "
+            "iteration cap reached (stationarity "
+        )
+        assert line.endswith(" > tol 1e-05)")
+    report = json.loads((out / "limit_report.json").read_text())
+    assert report["final"]["all_converged"] is False
+
+
+def test_verify_failed_check_exit_1(tmp_path, monkeypatch, capsys):
+    checks = [CheckResult("fine_check", True, 0.5, 1.0), CheckResult("broken_check", False, 2.0, 1.0)]
+    monkeypatch.setattr(cli, "run_suite", lambda seed: VerificationReport(checks, 0.25))
+    cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
+    assert main(["verify", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert "PASS  fine_check" in captured.out and "FAIL  broken_check" in captured.out
+    assert "1/2 checks passed in 0.25 s" in captured.out
+    assert captured.err.splitlines() == ["invariant violation: verify check broken_check failed"]
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["all_passed"] is False
 
 
 def test_verify_command(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_misfit_left_endpoint_rule():
     expected = sum((n * tg.tau) ** 2 * tg.tau for n in range(4))
     assert tracking_misfit_sq(traj, zero) == pytest.approx(expected, rel=1e-14)
     # the value at the final node must not enter
-    bumped = traj.copy()
+    bumped = Trajectory(tg, g, traj.values.copy())
     bumped.values[-1] += 100.0
     assert tracking_misfit_sq(bumped, zero) == tracking_misfit_sq(traj, zero)
 

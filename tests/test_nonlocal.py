@@ -149,8 +149,6 @@ def test_check_a3_report_consistent():
     rep = check_a3(op, tg, np.random.default_rng(5), n_pairs=10)
     assert rep.consistent
     assert rep.lipschitz_sampled <= rep.induced_norm * (1.0 + 1e-10)
-    assert rep.n_pairs == 10
-    assert len(rep.ratios) == 10
 
 
 def test_derivative_is_anchor_independent():

@@ -169,19 +169,19 @@ def test_continuation_small_run_structure():
     assert run.all_converged
     # level 0 runs unanchored, so exactly the later levels report a gap
     assert run.levels[0].anchor_distance is None
-    assert len(run.anchor_distances) == len(schedule) - 1
-    assert all(d >= 0 for d in run.anchor_distances)
+    gaps = [r.anchor_distance for r in run.levels[1:]]
+    assert all(d >= 0 for d in gaps)
     # obstacle limit: the last quench state is already close
     assert run.final_state_distance < 1e-2
     assert run.final_sign_violations == []
     assert run.final_state.alpha == 0.0
     for rec in run.levels:
-        assert rec.pairing_value >= 0.0
+        assert rec.pairing >= 0.0
         assert rec.within_budget
         assert rec.cost_plain <= rec.cost + 1e-15
     # the anchored optimality condition ties the projection residual to
     # the anchored displacement, both shrinking along the schedule
-    assert run.anchor_distances[-1] < run.anchor_distances[0]
+    assert gaps[-1] < gaps[0]
 
 
 def test_continuation_warm_start_continuity():
@@ -194,6 +194,6 @@ def test_continuation_warm_start_continuity():
         PGDOptions(tol=1e-6, max_iters=80),
         u0=u0, init=init, model=model, op=op,
     )
-    last_gap = run.anchor_distances[-1]
-    ctrl_norm = norm_l2_spacetime(run.final_control)
+    last_gap = run.levels[-1].anchor_distance
+    ctrl_norm = norm_l2_spacetime(run.levels[-1].control)
     assert last_gap <= 0.1 * max(ctrl_norm, 1e-12)

@@ -57,8 +57,6 @@ def test_quench_scale_and_level_validation():
 
 def test_potential_config_families_and_a1():
     cfg = PotentialConfig(f_strength=0.25, g_family="linear")
-    assert cfg.f(0.5) == 0.0
-    assert cfg.f(0.0) == pytest.approx(-0.125)
     assert cfg.f_prime(0.0) == pytest.approx(0.5)
     assert cfg.f_prime(1.0) == pytest.approx(-0.5)
     assert float(cfg.f_second(0.3)) == pytest.approx(-1.0)

@@ -62,9 +62,9 @@ def test_taylor_slope_on_explicit_quadratic():
 
 def test_check_result_bookkeeping():
     c = CheckResult("thing", True, 1.0, 2.0, "note")
-    d = c.as_dict()
-    assert d == {"name": "thing", "passed": True, "value": 1.0, "bound": 2.0, "detail": "note"}
     rep = VerificationReport(checks=[c, CheckResult("other", False, 3.0, 2.0)])
+    d = rep.as_dict()["checks"][0]
+    assert d == {"name": "thing", "passed": True, "value": 1.0, "bound": 2.0, "detail": "note"}
     assert not rep.all_passed
     table = rep.format_table()
     assert "PASS" in table and "FAIL" in table
