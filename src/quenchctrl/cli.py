@@ -164,11 +164,15 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     for lvl, rec in enumerate(run.levels):
         write_control_csv(out / f"control_{lvl}.csv", rec.control)
     history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
+    # backtracks sits between float columns; %.17g prints a whole number as %d does
     _write_csv(
         out / "history.csv",
-        ["level", "iteration", "cost", "stationarity"],
+        ["level", "iteration", "step", "backtracks", "cost", "stationarity"],
         [[lvl for lvl, _ in history], [row.iteration for _, row in history]],
-        [[row.cost for _, row in history], [row.stationarity for _, row in history]],
+        [
+            [getattr(row, name) for _, row in history]
+            for name in ("step", "backtracks", "cost", "stationarity")
+        ],
     )
     _write_json(out / "limit_report.json", _continuation_report(run, tol))
 

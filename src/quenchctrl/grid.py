@@ -234,24 +234,21 @@ def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(a) − Δ_h) x = rhs, Δ_h being `laplacian_values`.
 
     Block Thomas elimination along the first axis with dense blocks
-    along the last one; in 1D that is a single dense solve.  Every
-    entry of a must be positive: the matrix is then SPD, and so is each
-    Schur complement, so the elimination needs no pivoting across
-    blocks.  The operator is symmetric, so the same call solves the
-    transposed system.
+    along the last one; in 1D the blocks are 1×1 and the sweep runs on
+    Python floats.  Every entry of a must be positive: the matrix is
+    then SPD, and so is each Schur complement, so the elimination needs
+    no pivoting across blocks.  The operator is symmetric, so the same
+    call solves the transposed system.
     """
-    ny = grid.cells[-1]
-    nx = grid.n_cells // ny
-    inv_hy2 = grid.spacing[-1] ** -2
+    if grid.dim == 1:
+        return _solve_tridiagonal(grid, a, rhs)
+    nx, ny = grid.cells
+    inv_hx2, inv_hy2 = (h ** -2 for h in grid.spacing)
     block = inv_hy2 * (
         np.diag(_neighbour_counts(ny)) - np.eye(ny, k=1) - np.eye(ny, k=-1)
     )
-    diag = np.array(a, dtype=float).reshape(nx, ny)
-    inv_hx2 = 0.0
-    if grid.dim == 2:
-        inv_hx2 = grid.spacing[0] ** -2
-        diag += inv_hx2 * _neighbour_counts(nx)[:, None]
-    y = np.array(rhs, dtype=float).reshape(nx, ny)
+    diag = np.array(a, dtype=float) + inv_hx2 * _neighbour_counts(nx)[:, None]
+    y = np.array(rhs, dtype=float)
     on_diag = np.arange(ny)
 
     schur = block.copy()
@@ -267,7 +264,27 @@ def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     x[-1] = np.linalg.solve(schur, y[-1])
     for i in range(nx - 2, -1, -1):
         x[i] = inverses[i] @ (y[i] + inv_hx2 * x[i + 1])
-    return x.reshape(grid.shape)
+    return x
+
+
+def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The 1D case of `solve_step_system`: the same elimination, 1×1 blocks."""
+    n = grid.cells[0]
+    k = grid.spacing[0] ** -2
+    diag = (np.asarray(a, dtype=float) + k * _neighbour_counts(n)).tolist()
+    y = np.asarray(rhs, dtype=float).tolist()
+    inverses = [0.0] * n
+    schur = diag[0]
+    for i in range(1, n):
+        w = 1.0 / schur
+        inverses[i - 1] = w
+        y[i] += k * w * y[i - 1]
+        schur = diag[i] - k * k * w
+    x = [0.0] * n
+    x[-1] = y[-1] / schur
+    for i in range(n - 2, -1, -1):
+        x[i] = inverses[i] * (y[i] + k * x[i + 1])
+    return np.array(x)
 
 
 def inner_product(f: Field, g: Field) -> float:

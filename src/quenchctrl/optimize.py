@@ -58,6 +58,8 @@ class PGDOptions:
 @dataclass
 class HistoryRow:
     iteration: int
+    step: float          # accepted trial step that produced this iterate (0 on row 0)
+    backtracks: int      # halvings before that step was accepted
     cost: float
     stationarity: float
 
@@ -133,13 +135,19 @@ def projected_gradient_descent(
     """Armijo projected gradient on the reduced cost at one quench level.
 
     The stationarity residual is ‖u - P(u - s0·g)‖ with the fixed
-    reference step s0 = 1/control_weight (1 if that weight is 0), which
-    is also the first trial step; a trial step is accepted when the cost
-    drop reaches ARMIJO_SIGMA·‖u - u_trial‖²/s.  Cost history is
+    reference step s0 = 1/control_weight (1 if that weight is 0).  The
+    first trial step is the inverse curvature of the cost's quadratic
+    part: s0 on the plain cost, 1/(control_weight + 1) on the anchored
+    one, whose proximity term adds 1.  Where the adjoint does not depend
+    on u, that step lands on the projection formula
+    P((anchor - mu_dual)/(control_weight + 1)) in one iteration.  A trial
+    step is accepted when the cost drop reaches
+    ARMIJO_SIGMA·‖u - u_trial‖²/s, else it is halved.  Cost history is
     nonincreasing by construction; if no acceptable step exists the run
     stops flagged as stalled.
     """
     step0 = 1.0 / weights.control_weight if weights.control_weight > 0.0 else 1.0
+    first_trial = step0 if anchor is None else 1.0 / (weights.control_weight + 1.0)
 
     u = project_admissible(u0, box)
     cost, state = _cost_of(u, level, weights, anchor, init, model, op)
@@ -151,22 +159,23 @@ def projected_gradient_descent(
     stalled = False
     iterations = 0
     stationarity = float("inf")
+    s, backtracks = 0.0, 0
 
     for it in range(opts.max_iters + 1):
         reference = project_admissible(
             Trajectory(u.tgrid, u.grid, u.values - step0 * grad.values), box
         )
         stationarity = norm_l2_spacetime(u - reference)
-        history.append(HistoryRow(iteration=it, cost=cost, stationarity=stationarity))
+        history.append(HistoryRow(it, s, backtracks, cost, stationarity))
         if stationarity <= opts.tol:
             converged = True
             break
         if it == opts.max_iters:
             break
 
-        s = step0
+        s = first_trial
         accepted = False
-        for _ in range(MAX_BACKTRACKS):
+        for backtracks in range(MAX_BACKTRACKS):
             trial = project_admissible(
                 Trajectory(u.tgrid, u.grid, u.values - s * grad.values), box
             )

@@ -438,3 +438,15 @@ def test_deep_quench_rate_first_order(sweep_solutions):
     dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
     slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0])
     assert 0.9 <= slope <= 1.1, slope
+
+
+# -- solver effort -------------------------------------------------------------
+
+
+def test_anchored_levels_take_few_pgd_iterations(default_run):
+    # the first trial step 1/(control_weight + 1) matches the anchored cost's
+    # curvature, so each anchored level needs only a few forward and adjoint
+    # solves; bounds were fixed before the first run
+    iters = [rec.iterations for rec in default_run.levels]
+    assert all(i <= 3 for i in iters[1:]), iters
+    assert sum(iters) <= 20, iters

@@ -26,7 +26,7 @@ cells_x = 16
 steps = 20
 """
 
-OPT = "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\nvi_samples = 20\n"
+OPT = "cells_x = 8\nsteps = 10\nschedule = 1e-1,1e-2\ntol = 1e-5\nmax_iters = 60\n"
 
 DIAGNOSTICS_KEYS = {
     "alpha", "min_mu", "min_rho", "max_rho", "xi_l6", "energy_residual_max",
@@ -204,7 +204,7 @@ def test_optimize_outputs(tmp_path, capsys):
     assert (out / "control_0.csv").is_file()
     assert (out / "control_1.csv").is_file()
     hist = (out / "history.csv").read_text().splitlines()
-    assert hist[0] == "level,iteration,cost,stationarity"
+    assert hist[0] == "level,iteration,step,backtracks,cost,stationarity"
     assert len(hist) > 2
     report = json.loads((out / "limit_report.json").read_text())
     assert len(report["levels"]) == 2

@@ -81,6 +81,29 @@ def test_reduced_gradient_decoupled_exact():
     assert np.array_equal(g2.values, 3.0 * u.values + 0.5)
 
 
+def test_anchored_step_lands_on_projection_formula():
+    # zero tracking weights decouple the adjoint, so the anchored gradient
+    # is (cw + 1)u - anchor and one step of 1/(cw + 1) lands on the
+    # projection formula P(anchor/(cw + 1)) = 0.2/4
+    grid, tgrid, model, op, init, _, box = small_problem()
+    weights = CostWeights(
+        rho_weight=0.0,
+        mu_weight=0.0,
+        control_weight=3.0,
+        rho_target=Trajectory.zeros(tgrid, grid),
+        mu_target=Trajectory.zeros(tgrid, grid),
+    )
+    res = projected_gradient_descent(
+        Trajectory.constant(tgrid, grid, 0.7), model.level(1e-2), weights, box,
+        PGDOptions(tol=1e-10), init=init, model=model, op=op,
+        anchor=Trajectory.constant(tgrid, grid, 0.2),
+    )
+    assert res.converged
+    assert res.iterations == 1
+    assert np.max(np.abs(res.control.values - 0.05)) <= 1e-15
+    assert [(row.step, row.backtracks) for row in res.history] == [(0.0, 0), (0.25, 0)]
+
+
 def test_history_costs_nonincreasing():
     grid, tgrid, model, op, init, weights, box = small_problem()
     u0 = Trajectory.constant(tgrid, grid, 1.0)
@@ -92,6 +115,20 @@ def test_history_costs_nonincreasing():
     assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
     assert res.history[0].iteration == 0
     assert res.cost == costs[-1]
+
+
+def test_history_records_accepted_step_and_backtracks():
+    # with a small control weight the first trial step 1/cw = 50 overshoots
+    # the tracking curvature, so some iterations halve it before acceptance
+    grid, tgrid, model, op, init, weights, box = small_problem(rw=5.0, cw=0.02)
+    res = projected_gradient_descent(
+        Trajectory.constant(tgrid, grid, 1.0), model.level(1e-2), weights, box,
+        PGDOptions(tol=1e-6, max_iters=60), init=init, model=model, op=op,
+    )
+    assert res.converged
+    assert (res.history[0].step, res.history[0].backtracks) == (0.0, 0)
+    assert all(row.step == 50.0 * 0.5 ** row.backtracks for row in res.history[1:])
+    assert any(row.backtracks > 0 for row in res.history)
 
 
 def test_stationary_start_returns_immediately():
