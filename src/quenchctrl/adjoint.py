@@ -88,6 +88,7 @@ def solve_adjoint(
     b2 = weights.mu_weight
     rho_tgt = weights.rho_target.values
     mu_tgt = weights.mu_target.values
+    curv = log_potential_second(rho[1:nt])
 
     for m in range(nt - 1, 0, -1):
         a_m, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
@@ -112,10 +113,10 @@ def solve_adjoint(
             / tau
             + model.g_prime(rho[m + 1]) * mu[m + 1] * p[m + 1] / tau
         )
-        q[m] = (q[m + 1] + tau * source) / (1.0 + tau * scale * log_potential_second(rho[m]))
+        q[m] = (q[m + 1] + tau * source) / (1.0 + tau * scale * curv[m - 1])
 
     lam = np.zeros_like(q)
-    lam[1:nt] = scale * log_potential_second(rho[1:nt]) * q[1:nt]
+    lam[1:nt] = scale * curv * q[1:nt]
 
     mu_dual = Trajectory(tgrid, grid, p)
     rho_dual = Trajectory(tgrid, grid, q)

@@ -41,16 +41,31 @@ def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> Non
     Integer columns come first as %d, float columns follow as %.17g, rows
     end in CRLF.  The table is formatted one slice of the first axis (one
     time node) at a time, so memory stays at one node's worth of text.
-    A slice is stacked as float64, which holds every index and count
-    here exactly, so %d prints them unchanged.
+
+    An integer column either varies along the first axis only (the time
+    index; every column of a 1D table) or not at all along it (the cell
+    indices), and the first kind precede the second.  The text of the
+    second kind is built once per table into the row templates, that of
+    the first once per slice as the rows' common prefix, so only the
+    float columns go through % per row.
     """
-    columns = np.broadcast_arrays(*int_columns, *float_columns)
-    row = ",".join(["%d"] * len(int_columns) + ["%.17g"] * len(float_columns)) + "\r\n"
+    ints = [np.asarray(c) for c in int_columns]
+    columns = np.broadcast_arrays(*ints, *float_columns)
+    floats = columns[len(ints):]
+    per_slice = [c.reshape(-1).tolist() for c in ints if c.shape[0] > 1]
+    per_table = [c[0].ravel().tolist() for c in columns[len(per_slice) : len(ints)]]
+    cell = ",".join(["%.17g"] * len(floats))
+    if per_table:
+        rows = ["".join("%d," % i for i in idx) + cell for idx in zip(*per_table)]
+    else:
+        rows = [cell] * floats[0][0].size
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k in range(columns[0].shape[0]):
-            block = np.stack([c[k].ravel() for c in columns], axis=-1)
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for k in range(floats[0].shape[0]):
+            prefix = "".join("%d," % c[k] for c in per_slice)
+            template = prefix + ("\r\n" + prefix).join(rows) + "\r\n"
+            block = np.stack([c[k].ravel() for c in floats], axis=-1)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:

@@ -174,12 +174,9 @@ class PotentialConfig:
 
 
 def _sigmoid(y: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    pos = y >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-    e = np.exp(y[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp of -|y| only, so no branch can overflow
+    e = np.exp(-np.abs(y))
+    return np.where(y >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _solve_quench_logit(b: np.ndarray, s: float):
@@ -202,7 +199,8 @@ def _solve_quench_logit(b: np.ndarray, s: float):
             f"quench resolvent bracket [(b-1)/s, b/s] is not finite "
             f"(max |b| = {float(np.max(np.abs(b))):.3e}, s = {s:.3e})"
         )
-    y = np.clip(log_potential_prime(np.clip(b, RHO_MIN, RHO_MAX)), lo, hi)
+    r = np.clip(b, RHO_MIN, RHO_MAX)
+    y = np.clip(np.log(r) - np.log1p(-r), lo, hi)
     tol = RESOLVENT_TOL * np.maximum(1.0, np.abs(b))
     for _ in range(RESOLVENT_MAX_ITER):
         sig = _sigmoid(y)

@@ -97,6 +97,16 @@ def test_reruns_byte_identical(tmp_path):
     assert (a / "diagnostics.json").read_bytes() == (b / "diagnostics.json").read_bytes()
 
 
+def test_reruns_byte_identical_2d_split_blocks(tmp_path):
+    # 64-cell blocks take the 2×2 split of the step solve's block inverse
+    cfg = write_cfg(tmp_path, "dim = 2\ncells_x = 4\ncells_y = 64\nsteps = 4\nhorizon = 0.1\n")
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("fields.csv", "diagnostics.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_csv_writers_golden_bytes(tmp_path):
     # exact bytes: integer index columns, 17 significant digits (so 0.1
     # and 1/3 show their binary value, -0.0 keeps its sign and 1e-300
@@ -125,6 +135,23 @@ def test_csv_writers_golden_bytes(tmp_path):
     back = read_fields_csv(tmp_path / "fields.csv")
     for name, traj in zip(["mu", "rho", "xi", "u"], [mu, rho, xi, u]):
         assert np.array_equal(back[name], traj.values)
+
+
+def test_fields_csv_2d_matches_per_row_format(tmp_path):
+    # several nodes and cells per axis, so every index column changes; the
+    # values include -0.0, 1e-300 and a subnormal
+    tg, g = TimeGrid(1.0, 2), Grid.box((4, 5))
+    vals = np.random.default_rng(8).standard_normal((4, 3, 4, 5))
+    vals.reshape(-1)[:3] = [-0.0, 1e-300, 5e-324]
+    mu, rho, xi, u = (Trajectory(tg, g, v) for v in vals)
+    cli.write_fields_csv(tmp_path / "fields.csv", StateSolution(mu, rho, xi, 0.0, None), u)
+    expected = "t_index,cell_index,cell_index_y,mu,rho,xi,u\r\n" + "".join(
+        "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % ((n, i, j) + tuple(vals[:, n, i, j]))
+        for n in range(3)
+        for i in range(4)
+        for j in range(5)
+    )
+    assert (tmp_path / "fields.csv").read_bytes() == expected.encode()
 
 
 def test_two_dimensional_fields_header(tmp_path):
@@ -208,6 +235,12 @@ def test_optimize_outputs(tmp_path, capsys):
     assert len(hist) > 2
     report = json.loads((out / "limit_report.json").read_text())
     assert len(report["levels"]) == 2
+    # one row per iterate: each level counts its iterations up from 0
+    assert [tuple(line.split(",")[:2]) for line in hist[1:]] == [
+        (str(lvl), str(it))
+        for lvl, rec in enumerate(report["levels"])
+        for it in range(rec["iterations"] + 1)
+    ]
     assert all(set(level) == LEVEL_KEYS for level in report["levels"])
     assert set(report["final"]) == FINAL_KEYS
     assert set(report["final"]["obstacle_diagnostics"]) == DIAGNOSTICS_KEYS

@@ -3,6 +3,7 @@ import pytest
 
 from quenchctrl.errors import ConfigError
 from quenchctrl.grid import (
+    SPLIT_MIN_ROWS,
     Field,
     Grid,
     TimeGrid,
@@ -44,9 +45,15 @@ def test_initial_data_a2_validation():
     InitialData(Field.constant(g, 0.5), Field.constant(g, 0.0))  # boundary mu ok
 
 
+# blocks of 64 and 97 rows take the 2×2 split of the block inverse once,
+# 128 rows recurse into it; all assemble densely in under 500 cells
+SPLIT_GRIDS = [Grid.box((6, 64)), Grid.box((5, 97)), Grid.box((3, 128))]
+
+
 @pytest.mark.parametrize(
     "grid",
-    [Grid.line(1), Grid.line(64), Grid.box((7, 5)), Grid.box((1, 6)), Grid.box((6, 1))],
+    [Grid.line(1), Grid.line(64), Grid.box((7, 5)), Grid.box((1, 6)), Grid.box((6, 1))]
+    + SPLIT_GRIDS,
     ids=lambda g: "x".join(map(str, g.cells)),
 )
 def test_solve_step_system_matches_dense_assembly(grid):
@@ -58,6 +65,21 @@ def test_solve_step_system_matches_dense_assembly(grid):
     mat = np.diag(a.reshape(-1)) - dense_laplacian(grid)
     residual = mat @ x.reshape(-1) - rhs.reshape(-1)
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_solve_step_system_symmetric_on_split_blocks(grid):
+    # the exact adjoint reuses the forward solve as its transpose
+    assert grid.cells[1] // 2 >= SPLIT_MIN_ROWS  # the block inverse splits
+    rng = np.random.default_rng(6)
+    a = rng.uniform(10.0, 400.0, grid.shape)
+    a.reshape(-1)[::3] = COEFFICIENT_FLOOR
+    r1, r2 = rng.standard_normal((2,) + grid.shape)
+    x1 = solve_step_system(grid, a, r1)
+    x2 = solve_step_system(grid, a, r2)
+    lhs, rhs = np.vdot(x1, r2), np.vdot(r1, x2)
+    scale = np.linalg.norm(x1) * np.linalg.norm(r2) + np.linalg.norm(r1) * np.linalg.norm(x2)
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_trivial_configuration_is_exactly_stationary():
