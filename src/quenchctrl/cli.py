@@ -15,6 +15,7 @@ digits so reading a file back reproduces the run bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -35,37 +36,179 @@ __all__ = ["main", "write_fields_csv", "read_fields_csv", "write_control_csv"]
 _INDEX_HEADER = ["t_index", "cell_index", "cell_index_y"]
 
 
+# CSV text is built in PAD-filled uint8 matrices, one table row per matrix
+# row and one fixed-width slot per column; the file gets the matrix's bytes
+# with the PADs deleted.
+_PAD = 0
+_CHUNK_ROWS = 2048  # table rows per pass; bounds the transient text matrices
+_DOT = np.uint8(ord("."))
+_FLOAT_SLOT = 25  # the longest %.17g text, "-2.2250738585072014e-308", and a comma
+# 10^k is an exact double for 0 <= k <= 22
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The ASCII text of 0000..9999 as one uint32 word each, then again
+    with the trailing zeros as PAD."""
+    i = np.arange(10000, dtype=np.uint16)
+    text = np.empty((2, 10000, 4), dtype=np.uint8)
+    for col, k in enumerate((1000, 100, 10, 1)):
+        text[:, :, col] = i // k % 10 + ord("0")
+        text[1, i % (10 * k) == 0, col] = _PAD
+    table = text.view(np.uint32).ravel()
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into two halves of 26 significant bits."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's TwoProduct: a·b exactly, as the double p plus the double err."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _decimal_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D and the exponent E of each x in v.
+
+    For 1e-6 <= |x| < 1e17, with E = floor(log10|x|), x·10^(16−E) is
+    formed exactly and rounded half to even, as CPython's dtoa rounds, so
+    that |x| ≈ D·10^(E−16) with 10^16 <= D < 10^17.  The third array
+    marks those x; D and E of the others are meaningless.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-6) & (a < 1e17)
+    a[~fast] = 1.0
+    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 16)
+    p, err = _two_product(a, _POW10[16 - e])
+    low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
+    high = p >= 1e17
+    if low.any() or high.any():  # log10 was one off next to a power of ten
+        e = np.clip(e - low + high, -6, 16)
+        p, err = _two_product(a, _POW10[16 - e])
+        fast &= (p < 1e17) & ((p > 1e16) | ((p == 1e16) & (err >= 0.0)))
+    # p >= 1e16 > 2^53 is an even integer, so rounding err half to even
+    # rounds p + err half to even
+    d = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    e += carry
+    return d, e, fast & (e <= 16)
+
+
+def _digit_text(d: np.ndarray) -> np.ndarray:
+    """The 17 digits of each D in d as ASCII rows, and the same rows with
+    the trailing zeros as PAD."""
+    lead, rest = np.divmod(d, 10**16)
+    hi, lo = (x.astype(np.int32) for x in np.divmod(rest, 10**8))
+    # five uint32 words per D: its leading digit ("000d") and four groups
+    # of four; a group followed by zero groups only is looked up trimmed
+    quads = _quads()
+    words = np.empty((2, len(d), 5), dtype=np.uint32)
+    words[:, :, 0] = np.take(quads, lead)
+    zeros_after = np.ones(len(d), dtype=bool)
+    for j, g in zip((4, 3, 2, 1), (lo % 10**4, lo // 10**4, hi % 10**4, hi // 10**4)):
+        words[0, :, j] = np.take(quads, g)
+        words[1, :, j] = np.take(quads, g + 10000 * zeros_after)
+        zeros_after &= g == 0
+    return words.view(np.uint8)[:, :, 3:]
+
+
+def _float_text(v: np.ndarray) -> np.ndarray:
+    """Rows of "%.17g," % x for each x of v, as a PAD-filled (len(v), _FLOAT_SLOT) matrix.
+
+    The values within `_decimal_digits`' range are sorted by exponent, so
+    that each layout is written with slices.  0 and -0 are vectorized too;
+    any other value (tiny, huge, subnormal, non-finite) goes through % on
+    its own.
+    """
+    n = len(v)
+    d, e, fast = _decimal_digits(v)
+    # layout key: E + 6 (0..22), then zeros (23), then the rest (24)
+    key = np.where(fast, e + 6, 24 - (v == 0.0)).astype(np.uint8)
+    order = np.argsort(key, kind="stable")  # a radix sort on uint8
+    ends = np.cumsum(np.bincount(key, minlength=25)).tolist()
+    v = v[order]
+    digits, trimmed = _digit_text(d[order])
+
+    out = np.full((n, _FLOAT_SLOT), _PAD, dtype=np.uint8)
+    out[:, 0] = np.uint8(ord("-")) * np.signbit(v)
+    out[:, -1] = ord(",")
+    start = 0
+    for exp, end in zip(range(-6, 17), ends):
+        r, start = slice(start, end), end
+        if r.start == r.stop:
+            continue
+        if exp >= 0:  # ddd.ddd
+            out[r, 1 : exp + 2] = digits[r, : exp + 1]
+            if exp < 16:
+                out[r, exp + 2] = _DOT * (trimmed[r, exp + 1] != _PAD)
+                out[r, exp + 3 : 19] = trimmed[r, exp + 1 :]
+        elif exp >= -4:  # 0.000ddd
+            out[r, 1 : 2 - exp] = np.frombuffer(b"0." + b"0" * (-1 - exp), dtype=np.uint8)
+            out[r, 2 - exp : 19 - exp] = trimmed[r]
+        else:  # d.ddde-05, d.ddde-06
+            out[r, 1] = digits[r, 0]
+            out[r, 2] = _DOT * (trimmed[r, 1] != _PAD)
+            out[r, 3:19] = trimmed[r, 1:]
+            out[r, 19:23] = np.frombuffer(b"e-%02d" % -exp, dtype=np.uint8)
+    out[ends[22] : ends[23], 1] = ord("0")
+    for i in range(ends[23], n):
+        text = b"%.17g" % v[i]
+        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        out[i, len(text) : -1] = _PAD
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    return np.take(out, inverse, axis=0)
+
+
+def _int_text(v: np.ndarray) -> np.ndarray:
+    """Rows of "%d," % i for each i of v, as a PAD-filled matrix."""
+    q = np.abs(v)
+    width = len(str(q.max())) + 2  # sign, digits, comma
+    out = np.full((len(v), width), _PAD, dtype=np.uint8)
+    out[:, 0] = np.uint8(ord("-")) * (v < 0)
+    out[:, -1] = ord(",")
+    out[:, -2] = q % 10 + ord("0")
+    for col in range(width - 3, 0, -1):  # leading zeros stay PAD
+        q = q // 10
+        out[:, col] = np.where(q > 0, q % 10 + ord("0"), _PAD)
+    return out
+
+
 def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> None:
     """Write equally shaped (or broadcastable) columns as one CSV table.
 
     Integer columns come first as %d, float columns follow as %.17g, rows
-    end in CRLF.  The table is formatted one slice of the first axis (one
-    time node) at a time, so memory stays at one node's worth of text.
-
-    An integer column either varies along the first axis only (the time
-    index; every column of a 1D table) or not at all along it (the cell
-    indices), and the first kind precede the second.  The text of the
-    second kind is built once per table into the row templates, that of
-    the first once per slice as the rows' common prefix, so only the
-    float columns go through % per row.
+    end in CRLF; the columns are read in C order.  _CHUNK_ROWS rows at a
+    time, each kind of column is formatted in one vector pass over all
+    its columns, and the rows' text is written without its PAD bytes.
     """
-    ints = [np.asarray(c) for c in int_columns]
-    columns = np.broadcast_arrays(*ints, *float_columns)
-    floats = columns[len(ints):]
-    per_slice = [c.reshape(-1).tolist() for c in ints if c.shape[0] > 1]
-    per_table = [c[0].ravel().tolist() for c in columns[len(per_slice) : len(ints)]]
-    cell = ",".join(["%.17g"] * len(floats))
-    if per_table:
-        rows = ["".join("%d," % i for i in idx) + cell for idx in zip(*per_table)]
-    else:
-        rows = [cell] * floats[0][0].size
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for k in range(floats[0].shape[0]):
-            prefix = "".join("%d," % c[k] for c in per_slice)
-            template = prefix + ("\r\n" + prefix).join(rows) + "\r\n"
-            block = np.stack([c[k].ravel() for c in floats], axis=-1)
-            fh.write(template % tuple(block.ravel().tolist()))
+    ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
+    columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for start in range(0, columns[0].size, _CHUNK_ROWS):
+            block = [c.flat[start : start + _CHUNK_ROWS] for c in columns]
+            rows = len(block[0])
+            parts = []
+            if ints:
+                parts.append(_int_text(np.stack(block[: len(ints)], axis=1).ravel()))
+            parts.append(_float_text(np.stack(block[len(ints) :], axis=1).ravel()))
+            text = np.concatenate(
+                [t.reshape(rows, -1) for t in parts] + [np.full((rows, 1), ord("\n"), np.uint8)],
+                axis=1,
+            )
+            text[:, -2] = ord("\r")  # in place of the last comma
+            fh.write(text.tobytes().translate(None, bytes([_PAD])))
 
 
 def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
@@ -123,9 +266,7 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
 
 
 def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    alpha = problem.config.alpha if args.alpha is None else float(args.alpha)
-    if alpha < 0.0:
-        raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
+    alpha = problem.config.alpha
     level = None if alpha == 0.0 else problem.model.level(alpha)
     sol = solve_state(problem.control, level, problem.init, problem.model, problem.op)
 
@@ -215,13 +356,7 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 
 
 def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    alphas = (
-        problem.config.sweep_values()
-        if args.alphas is None
-        else [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-    )
-    if any(a <= 0.0 for a in alphas):
-        raise ConfigError("(A1) sweep quench parameters must be positive")
+    alphas = problem.config.sweep_values()
 
     base = solve_state(problem.control, None, problem.init, problem.model, problem.op)
     rows = []
@@ -279,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sim = sub.add_parser("simulate", help="one forward solve")
     p_sim.add_argument("--config", default=None, help="path to a key=value config file")
-    p_sim.add_argument("--alpha", default=None, help="quench parameter (0 = obstacle)")
+    p_sim.add_argument("--alpha", help="quench parameter (0 = obstacle), in place of the config's")
     p_sim.add_argument("--out", default=None, help="output directory")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -290,7 +425,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_swp = sub.add_parser("sweep-alpha", help="forward solves along a quench ladder")
     p_swp.add_argument("--config", default=None)
-    p_swp.add_argument("--alphas", default=None, help="comma-separated quench parameters")
+    p_swp.add_argument(
+        "--alphas", dest="sweep_alphas", help="comma-separated quench parameters, in place of the config's"
+    )
     p_swp.add_argument("--out", default=None)
     p_swp.set_defaults(func=_cmd_sweep)
 
@@ -301,7 +438,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        # --alpha and --alphas replace config keys and are validated as such
+        overrides = {
+            key: getattr(args, key)
+            for key in ("alpha", "sweep_alphas")
+            if getattr(args, key, None) is not None
+        }
+        cfg = load_config(args.config, overrides)
         problem = build_problem(cfg)
         out = Path(cfg.out_dir if args.out is None else args.out)
         violations, success_line = args.func(args, problem, out)

@@ -102,16 +102,22 @@ class ProblemConfig:
             raise ConfigError("domain lengths must be positive")
         if self.horizon <= 0.0 or self.steps < 1:
             raise ConfigError("need a positive horizon and at least one step")
-        if self.alpha < 0.0:
-            raise ConfigError("(A1) quench parameter must be >= 0 (0 = obstacle)")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError("(A1) alpha: quench parameter must lie in [0, 1] (0 = obstacle)")
         if self.tol <= 0.0 or self.max_iters < 0:
             raise ConfigError("optimizer options out of range")
+        # parse both quench lists now, so a bad one fails every command alike
+        self.schedule_values()
+        self.sweep_values()
 
     def schedule_values(self) -> list[float]:
-        return _float_list("schedule", self.schedule)
+        levels = _quench_list("schedule", self.schedule)
+        if any(b >= a for a, b in zip(levels, levels[1:])):
+            raise ConfigError("schedule: quench parameters must be strictly decreasing")
+        return levels
 
     def sweep_values(self) -> list[float]:
-        return _float_list("sweep_alphas", self.sweep_alphas)
+        return _quench_list("sweep_alphas", self.sweep_alphas)
 
 
 def _float_list(key: str, text: str) -> list[float]:
@@ -121,6 +127,13 @@ def _float_list(key: str, text: str) -> list[float]:
         raise ConfigError(f"{key}: could not parse float list {text!r}") from exc
     if not vals:
         raise ConfigError(f"{key}: empty list")
+    return vals
+
+
+def _quench_list(key: str, text: str) -> list[float]:
+    vals = _float_list(key, text)
+    if not all(0.0 < a <= 1.0 for a in vals):
+        raise ConfigError(f"(A1) {key}: quench parameters must lie in (0, 1], got {text!r}")
     return vals
 
 
@@ -162,15 +175,19 @@ def config_from_map(cfg_map: dict[str, str]) -> ProblemConfig:
     return ProblemConfig(**kwargs)
 
 
-def load_config(path: str | Path | None) -> ProblemConfig:
-    """Read a config file, or start from the defaults when path is None."""
+def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> ProblemConfig:
+    """Read a config file, or start from the defaults when path is None.
+
+    `overrides` (key to value text, as in a file) replace the file's
+    values and are parsed and validated the same way.
+    """
     cfg_map: dict[str, str] = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
         cfg_map = parse_config_text(p.read_text())
-    return config_from_map(cfg_map)
+    return config_from_map({**cfg_map, **(overrides or {})})
 
 
 def profile_values(profile: str, grid: Grid) -> np.ndarray:

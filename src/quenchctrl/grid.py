@@ -255,17 +255,18 @@ def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
     diag = np.array(a, dtype=float) + inv_hx2 * _neighbour_counts(nx)[:, None]
     y = np.array(rhs, dtype=float)
-    on_diag = np.arange(ny)
 
     schur = block.copy()
-    schur[on_diag, on_diag] += diag[0]
+    schur.reshape(-1)[:: ny + 1] += diag[0]
     inverses = []
     for i in range(1, nx):
         w = _spd_inverse(schur)
         inverses.append(w)
         y[i] += inv_hx2 * (w @ y[i - 1])
-        schur = block - (inv_hx2 * inv_hx2) * w
-        schur[on_diag, on_diag] += diag[i]
+        # block − c²·w, summed in place: a − b == a + (−b) in IEEE arithmetic
+        schur = w * -(inv_hx2 * inv_hx2)
+        schur += block
+        schur.reshape(-1)[:: ny + 1] += diag[i]
     x = np.empty_like(y)
     x[-1] = np.linalg.solve(schur, y[-1])
     for i in range(nx - 2, -1, -1):
@@ -291,9 +292,10 @@ def _spd_inverse(s: np.ndarray) -> np.ndarray:
     d_inv = _spd_inverse(s[h:, h:] - b.T @ x)
     y = x @ d_inv
     out = np.empty_like(s)
-    out[:h, :h] = a_inv + y @ x.T
-    out[:h, h:] = -y
-    out[h:, :h] = -y.T
+    np.matmul(y, x.T, out=out[:h, :h])
+    out[:h, :h] += a_inv
+    np.negative(y, out=out[:h, h:])
+    out[h:, :h] = out[:h, h:].T
     out[h:, h:] = d_inv
     return out
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quenchctrl import cli
 from quenchctrl.cli import main, read_fields_csv
@@ -154,6 +156,59 @@ def test_fields_csv_2d_matches_per_row_format(tmp_path):
     assert (tmp_path / "fields.csv").read_bytes() == expected.encode()
 
 
+def _ulps_around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# 1e14 + m/8 and 1e7 + m/1024 (m odd) end exactly halfway between two
+# 17-digit decimals, so they pin the half-to-even rounding
+TIES = [1e14 + m / 8 for m in range(1, 40, 2)] + [1e7 + m / 1024 for m in range(1, 40, 2)]
+# ties, the ends of the vectorized range 1e-6 <= |x| < 1e17, the switch
+# to fixed notation at 1e-4, and values that take % one by one
+FORMAT_EDGES = TIES + [x for b in (1e-6, 1e-4, 1e16, 1e17) for x in _ulps_around(b)] + [
+    -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.5, 0.125, 1e-5,
+]
+
+
+def _float_text_rows(values):
+    text = cli._float_text(np.asarray(values, dtype=float))
+    return [bytes(row[row != 0]) for row in text]
+
+
+def test_float_text_edges_match_percent_format():
+    values = FORMAT_EDGES + [-x for x in FORMAT_EDGES]
+    assert _float_text_rows(values) == [b"%.17g," % x for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+@example(TIES)
+def test_float_text_matches_percent_format(values):
+    # one call holds values of many exponents, as a table's float columns do
+    assert _float_text_rows(values) == [b"%.17g," % x for x in values]
+
+
+def test_history_shaped_table_matches_per_row_format(tmp_path):
+    # int columns whose width changes between row chunks, whole-number
+    # floats, and values below 1e-6 that are formatted one by one
+    n = 2 * cli._CHUNK_ROWS + 100
+    rng = np.random.default_rng(3)
+    level, iteration = np.arange(n) // 1000, np.arange(n)
+    backtracks = rng.integers(0, 6, n).astype(float)
+    step = 2.0 ** -backtracks
+    cost = rng.random(n)
+    stationarity = 10.0 ** rng.uniform(-12, 0, n)
+    path = tmp_path / "history.csv"
+    header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]
+    cli._write_csv(path, header, [level, iteration], [step, backtracks, cost, stationarity])
+    expected = ",".join(header) + "\r\n" + "".join(
+        "%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % row
+        for row in zip(level.tolist(), iteration.tolist(), step.tolist(),
+                       backtracks.tolist(), cost.tolist(), stationarity.tolist())
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_two_dimensional_fields_header(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -177,6 +232,35 @@ def test_config_error_exit_2(tmp_path):
     assert main(["simulate", "--config", a2]) == 2
     neg = write_cfg(tmp_path, SMALL, name="neg.cfg")
     assert main(["simulate", "--config", neg, "--alpha", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--alpha", "abc"]),
+        ("simulate", ["--alpha", "nan"]),
+        ("simulate", ["--alpha", "inf"]),
+        ("simulate", ["--alpha", "2"]),
+        ("sweep-alpha", ["--alphas", "1e-2,x"]),
+        ("sweep-alpha", ["--alphas", ","]),
+        ("sweep-alpha", ["--alphas", "1e-2,2"]),
+    ],
+)
+def test_invalid_quench_flag_exit_2(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path, SMALL)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), *extra]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["alpha = 2", "alpha = nan", "sweep_alphas = 2", "schedule = 1e-1,2", "schedule = 1e-2,1e-1"],
+)
+def test_invalid_quench_config_exit_2(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, SMALL + line + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["resolvent_tol = 1e-13", "coefficient_floor = 1e-8"])
