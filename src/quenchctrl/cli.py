@@ -8,14 +8,16 @@ Four commands over one flat config format:
     verify       the oracle suite, table on stdout + verify_report.json
 
 Exit codes: 0 success, 1 post-run invariant violation (each named on
-stderr), 2 configuration error, 3 solver failure.  All floats are printed with 17 significant
-digits so reading a file back reproduces the run bit for bit.
+stderr), 2 configuration error, 3 solver failure, a non-finite value in
+a march or an output included.  All floats are printed with 17
+significant digits so reading a file back reproduces the run bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict, fields
@@ -184,31 +186,47 @@ def _int_text(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_text(fmt, values: list[np.ndarray]) -> np.ndarray:
+    """Text of equally long value columns side by side: one row per value."""
+    return fmt(np.stack(values, axis=1).ravel()).reshape(len(values[0]), -1)
+
+
 def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> None:
     """Write equally shaped (or broadcastable) columns as one CSV table.
 
     Integer columns come first as %d, float columns follow as %.17g, rows
     end in CRLF; the columns are read in C order.  _CHUNK_ROWS rows at a
-    time, each kind of column is formatted in one vector pass over all
-    its columns, and the rows' text is written without its PAD bytes.
+    time, each run of neighbouring columns of one kind is formatted in one
+    vector pass, and the rows' text is written without its PAD bytes.  A
+    column that repeats along the first axis (stride 0, as the cell-index
+    columns and a time-constant control do) is formatted once, for one
+    slice, and its rows are looked up by row mod slice size.
     """
     ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
     columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
+    total, cells = columns[0].size, columns[0][0].size
+    runs = []  # (formatter, columns, text of one slice if the columns repeat, else None)
+    for (is_int, held), run in itertools.groupby(
+        enumerate(columns), key=lambda ic: (ic[0] < len(ints), ic[1].strides[0] == 0)
+    ):
+        run = [c for _, c in run]
+        fmt = _int_text if is_int else _float_text
+        runs.append((fmt, run, _column_text(fmt, [c[0].reshape(-1) for c in run]) if held else None))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, columns[0].size, _CHUNK_ROWS):
-            block = [c.flat[start : start + _CHUNK_ROWS] for c in columns]
-            rows = len(block[0])
-            parts = []
-            if ints:
-                parts.append(_int_text(np.stack(block[: len(ints)], axis=1).ravel()))
-            parts.append(_float_text(np.stack(block[len(ints) :], axis=1).ravel()))
-            text = np.concatenate(
-                [t.reshape(rows, -1) for t in parts] + [np.full((rows, 1), ord("\n"), np.uint8)],
-                axis=1,
-            )
-            text[:, -2] = ord("\r")  # in place of the last comma
-            fh.write(text.tobytes().translate(None, bytes([_PAD])))
+        for start in range(0, total, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, total)
+            cell = np.arange(start, stop) % cells
+            parts = [
+                _column_text(fmt, [c.flat[start:stop] for c in run])
+                if text is None
+                else np.take(text, cell, axis=0)
+                for fmt, run, text in runs
+            ]
+            parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
+            lines = np.concatenate(parts, axis=1)
+            lines[:, -2] = ord("\r")  # in place of the last comma
+            fh.write(lines.tobytes().translate(None, bytes([_PAD])))
 
 
 def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
@@ -241,7 +259,11 @@ def write_control_csv(path: Path, u: Trajectory) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON has no literal for
+        raise SolverError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def _state_invariant_violations(sol: StateSolution) -> list[str]:

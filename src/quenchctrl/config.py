@@ -197,10 +197,10 @@ def profile_values(profile: str, grid: Grid) -> np.ndarray:
     name, arg = profile.split(":", 1)
     if name == "constant":
         try:
-            return np.full(grid.shape, float(arg))
+            vals = np.full(grid.shape, float(arg))
         except ValueError as exc:
             raise ConfigError(f"constant profile needs a float, got {arg!r}") from exc
-    if name == "gaussian-bump":
+    elif name == "gaussian-bump":
         parts = _float_list("gaussian-bump", arg)
         if len(parts) != 3:
             raise ConfigError("gaussian-bump profile needs amplitude,center,width")
@@ -210,15 +210,15 @@ def profile_values(profile: str, grid: Grid) -> np.ndarray:
         pts = grid.center_points()
         mid = np.array([center * length for length in grid.lengths])
         d2 = np.sum((pts - mid) ** 2, axis=1)
-        return (amp * np.exp(-d2 / (2.0 * width**2))).reshape(grid.shape)
-    if name == "step":
+        vals = (amp * np.exp(-d2 / (2.0 * width**2))).reshape(grid.shape)
+    elif name == "step":
         parts = _float_list("step", arg)
         if len(parts) != 3:
             raise ConfigError("step profile needs left,right,at")
         left, right, at = parts
         x = grid.center_points()[:, 0]
-        return np.where(x < at * grid.lengths[0], left, right).reshape(grid.shape)
-    if name == "csv":
+        vals = np.where(x < at * grid.lengths[0], left, right).reshape(grid.shape)
+    elif name == "csv":
         path = Path(arg)
         if not path.is_file():
             raise ConfigError(f"profile file {path} does not exist")
@@ -227,8 +227,12 @@ def profile_values(profile: str, grid: Grid) -> np.ndarray:
             raise ConfigError(
                 f"profile file {path} has {vals.size} values, grid needs {grid.n_cells}"
             )
-        return vals.reshape(grid.shape)
-    raise ConfigError(f"unknown profile kind {name!r}")
+        vals = vals.reshape(grid.shape)
+    else:
+        raise ConfigError(f"unknown profile kind {name!r}")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"profile {profile!r} has non-finite values")
+    return vals
 
 
 @dataclass

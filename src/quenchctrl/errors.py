@@ -15,3 +15,7 @@ class SolverError(RuntimeError):
 
 class ShapeMismatchError(ValueError):
     """Fields or trajectories that should share a mesh do not."""
+
+
+class NonFiniteError(ValueError):
+    """A field or trajectory holds NaN or an infinity."""

@@ -5,16 +5,20 @@ cell-centered mesh over an interval or a rectangle with homogeneous
 Neumann boundary, and a uniform partition of [0, T].  Field and
 Trajectory are thin wrappers around numpy arrays that pin the mesh and
 validate shape and finiteness; the solvers work on the raw arrays and
-wrap results at API boundaries.
+wrap results at API boundaries.  A trajectory that does not change in
+time (`Trajectory.constant`, `zeros`, `constant_profile`) holds one
+spatial array, read-only and broadcast over every time node: copy its
+values before writing to them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError
 
 __all__ = [
     "Grid",
@@ -139,8 +143,10 @@ def _validated(values, shape, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ShapeMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what}: values must be finite")
+    # an axis of stride 0 repeats its first slice: scanning that slice suffices
+    held = arr[0] if arr.strides[0] == 0 else arr
+    if not np.isfinite(held).all():
+        raise NonFiniteError(f"{what}: values must be finite")
     return arr
 
 
@@ -173,17 +179,23 @@ class Trajectory:
 
     @classmethod
     def constant(cls, tgrid: TimeGrid, grid: Grid, value: float) -> "Trajectory":
-        return cls(tgrid, grid, np.full((tgrid.n_nodes,) + grid.shape, float(value)))
+        return cls.constant_profile(tgrid, grid, float(value))
 
     @classmethod
     def zeros(cls, tgrid: TimeGrid, grid: Grid) -> "Trajectory":
-        return cls(tgrid, grid, np.zeros((tgrid.n_nodes,) + grid.shape))
+        return cls.constant_profile(tgrid, grid, 0.0)
 
     @classmethod
     def constant_profile(cls, tgrid: TimeGrid, grid: Grid, profile: np.ndarray) -> "Trajectory":
-        """Hold one spatial snapshot fixed over every time node."""
-        vals = np.broadcast_to(np.asarray(profile, dtype=float), (tgrid.n_nodes,) + grid.shape)
-        return cls(tgrid, grid, vals.copy())
+        """Hold one spatial snapshot fixed over every time node.
+
+        The values are a read-only view, broadcast over the time axis, of
+        one private copy of the profile: memory is O(cells), whatever the
+        number of steps, and later writes to `profile` do not show.
+        """
+        held = np.empty(grid.shape)
+        held[...] = profile
+        return cls(tgrid, grid, np.broadcast_to(held, (tgrid.n_nodes,) + grid.shape))
 
     def snapshot(self, n: int) -> Field:
         """Field view of node n (shares memory with the trajectory)."""
@@ -345,10 +357,21 @@ def norm_l2_spacetime(a: Trajectory) -> float:
 
 
 def norm_lp_spacetime(a: Trajectory, p: float) -> float:
-    """L^p norm over space-time, trapezoidal in time."""
+    """L^p norm over space-time, trapezoidal in time.
+
+    Where the p-th powers of the values would overflow or underflow, the
+    values are divided by their max first, so that finite data give a
+    finite norm; elsewhere they are not, so that their bits stay as they
+    are.
+    """
+    x = np.abs(a.values)
+    top = float(np.max(x))
+    scale = top if top > 0.0 and abs(p * math.log2(top)) > 600.0 else 1.0
+    if scale != 1.0:
+        x /= scale
     w = trapezoid_weights(a.tgrid.n_nodes)
-    per_node = np.sum(np.abs(a.values) ** p, axis=tuple(range(1, a.values.ndim)))
-    return float((np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume) ** (1.0 / p))
+    per_node = np.sum(x**p, axis=tuple(range(1, x.ndim)))
+    return scale * float((np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume) ** (1.0 / p))
 
 
 def time_h1_norm(a: Trajectory) -> float:

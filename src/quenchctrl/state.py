@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteError, SolverError
 from .grid import (
     Field,
     Grid,
@@ -199,8 +199,13 @@ def solve_state(
     rho_f = Field(grid, rho[0])
     mu_f = Field(grid, mu[0])
     for n in range(tgrid.steps):
-        rho_next, xi_next = step_rho(rho_f, mu_f, level, tau, model, op)
-        mu_next = step_mu(mu_f, rho_f, rho_next, u.snapshot(n + 1), tau, model, stats)
+        try:
+            rho_next, xi_next = step_rho(rho_f, mu_f, level, tau, model, op)
+            mu_next = step_mu(mu_f, rho_f, rho_next, u.snapshot(n + 1), tau, model, stats)
+        except NonFiniteError as exc:
+            raise SolverError(
+                f"forward march: a non-finite value at time node {n + 1} of {tgrid.steps} ({exc})"
+            ) from None
         rho[n + 1] = rho_next.values
         xi[n + 1] = xi_next.values
         mu[n + 1] = mu_next.values
@@ -233,19 +238,25 @@ def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialC
         ∫ (1/2 + g(rho(t))) mu(t)² + ∫₀ᵗ∫ |∇mu|² = same at t=0 + ∫₀ᵗ∫ u·mu
 
     evaluated on the discrete solution with trapezoidal time quadrature.
-    The scheme satisfies it to first order in the step size.
+    The scheme satisfies it to first order in the step size.  Every term
+    is quadratic in (mu, u), so where the squares would overflow both are
+    divided by their max first; the relative defect does not change.
     """
     tau = sol.mu.tgrid.tau
     grid = sol.mu.grid
     mu = sol.mu.values
+    source_u = u.values
     space = tuple(range(1, mu.ndim))
+    top = max(abs(float(x)) for x in (mu.min(), mu.max(), source_u.min(), source_u.max()))
+    if top > 2.0**300:
+        mu, source_u = mu / top, source_u / top
 
     stored = np.sum((0.5 + model.g(sol.rho.values)) * mu * mu, axis=space) * grid.cell_volume
     dissip = np.zeros(len(mu))
     for axis, h in enumerate(grid.spacing):
         d = np.diff(mu, axis=axis + 1) / h
         dissip += np.sum(d * d, axis=space) * grid.cell_volume
-    source = np.sum(u.values * mu, axis=space) * grid.cell_volume
+    source = np.sum(source_u * mu, axis=space) * grid.cell_volume
 
     cum_d = np.concatenate(([0.0], np.cumsum(0.5 * tau * (dissip[:-1] + dissip[1:]))))
     cum_s = np.concatenate(([0.0], np.cumsum(0.5 * tau * (source[:-1] + source[1:]))))

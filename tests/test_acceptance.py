@@ -1,5 +1,5 @@
-"""Acceptance gate: the eleven release criteria, one test each, and two
-convergence-order gates.
+"""Acceptance gate: the eleven release criteria, one test each, two
+convergence-order gates, and a first-order check of the obstacle limit.
 
 Every criterion prints a single PASS/FAIL line with the measured numbers
 so a plain `pytest -rA tests/test_acceptance.py` reads as a checklist.
@@ -81,6 +81,23 @@ def default_run(default_problem):
         model=p.model,
         op=p.op,
     )
+
+
+@pytest.fixture(scope="module")
+def twod_run():
+    """Full continuation on configs/twod.cfg, with the problem it ran on."""
+    p = build_problem(load_config(CONFIGS / "twod.cfg"))
+    run = deep_quench_continuation(
+        p.config.schedule_values(),
+        p.weights,
+        p.box,
+        p.pgd_opts,
+        u0=p.control,
+        init=p.init,
+        model=p.model,
+        op=p.op,
+    )
+    return p, run
 
 
 # -- criteria ----------------------------------------------------------------
@@ -450,3 +467,50 @@ def test_anchored_levels_take_few_pgd_iterations(default_run):
     iters = [rec.iterations for rec in default_run.levels]
     assert all(i <= 3 for i in iters[1:]), iters
     assert sum(iters) <= 20, iters
+
+
+# -- the obstacle limit itself -------------------------------------------------
+# The obstacle control-to-state map has no adjoint, but its cost
+# J0(u) = tracking_cost(solve_state(u, None, ...)) can be probed directly: at
+# a minimizer over the box, every one-sided difference quotient along an
+# admissible direction d = v - u* is nonnegative.  Bounds were fixed before
+# the first run.
+
+OBSTACLE_EPSILONS = (1e-2, 1e-3)
+
+
+def obstacle_quotients(p, u_star: Trajectory, seed: int) -> dict:
+    """q(eps) = (J0(u* + eps·d) - J0(u*))/eps for d = v - u*, v a random box
+    vertex, a random box point, the ceiling and zero."""
+
+    def j0(u: Trajectory) -> float:
+        return tracking_cost(solve_state(u, None, p.init, p.model, p.op), u, p.weights)
+
+    rng = np.random.default_rng(seed)
+    ceiling = p.box.ceiling.values
+    shape = u_star.values.shape
+    targets = {
+        "random vertex": np.where(rng.random(shape) < 0.5, ceiling, 0.0),
+        "random box point": rng.random(shape) * ceiling,
+        "ceiling": ceiling,
+        "zero": np.zeros(shape),
+    }
+    base = j0(u_star)
+    quotients = {}
+    for name, v in targets.items():
+        d = v - u_star.values
+        for eps in OBSTACLE_EPSILONS:
+            # (1 - eps)·u* + eps·v stays in the box
+            u = Trajectory(u_star.tgrid, u_star.grid, u_star.values + eps * d)
+            quotients[name, eps] = (j0(u) - base) / eps
+    return quotients
+
+
+def test_obstacle_limit_one_sided_quotients(default_problem, default_run, twod_run):
+    # the final control of the continuation is a first-order stationary
+    # point of the nonsmooth obstacle problem, in 1D and in 2D
+    worst = {}
+    for name, p, run in (("default", default_problem, default_run), ("twod", *twod_run)):
+        q = obstacle_quotients(p, run.levels[-1].control, seed=4)
+        worst[name] = min(q.items(), key=lambda kv: kv[1])
+    assert all(value >= -1e-6 for _, value in worst.values()), worst

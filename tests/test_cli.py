@@ -139,6 +139,23 @@ def test_csv_writers_golden_bytes(tmp_path):
         assert np.array_equal(back[name], traj.values)
 
 
+def test_fields_csv_held_control_matches_materialized(tmp_path):
+    # a time-constant control is a read-only view over one slice, so its
+    # column is formatted once per table; the bytes must not depend on that
+    tg, g = TimeGrid(1.0, 300), Grid.box((3, 5))  # rows span several chunks
+    rng = np.random.default_rng(5)
+    mu, rho, xi = (Trajectory(tg, g, rng.standard_normal((301, 3, 5))) for _ in range(3))
+    profile = rng.standard_normal((3, 5))
+    profile[0, :3] = [-0.0, 1e-300, 5e-324]
+    held = Trajectory.constant_profile(tg, g, profile)
+    full = Trajectory(tg, g, np.tile(profile, (301, 1, 1)))
+    assert held.values.strides[0] == 0 and full.values.strides[0] != 0
+    sol = StateSolution(mu, rho, xi, 0.0, None)
+    cli.write_fields_csv(tmp_path / "held.csv", sol, held)
+    cli.write_fields_csv(tmp_path / "full.csv", sol, full)
+    assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
 def test_fields_csv_2d_matches_per_row_format(tmp_path):
     # several nodes and cells per axis, so every index column changes; the
     # values include -0.0, 1e-300 and a subnormal
@@ -277,6 +294,62 @@ def test_solver_failure_exit_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL + "kernel_amplitude = 1e308\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "quench resolvent bracket [(b-1)/s, b/s] is not finite" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    """Parse JSON that must hold no NaN or infinity."""
+
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+# each on top of the defaults with steps = 5
+def test_non_finite_march_exit_3(tmp_path, capsys):
+    # the chemical potential overflows in the first step
+    cfg = write_cfg(tmp_path, "steps = 5\nmu0 = constant:1e305\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: forward march: a non-finite value at time node 1 of 5")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["control = constant:1e305", "kernel_amplitude = 1e300"])
+def test_huge_finite_data_give_finite_diagnostics(tmp_path, line):
+    # the states stay finite, so must the energy residual and the L6 norm of xi
+    cfg = write_cfg(tmp_path, f"steps = 5\n{line}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    diag = _strict_json(out / "diagnostics.json")
+    assert all(np.isfinite(diag[key]) for key in DIAGNOSTICS_KEYS - {"mu_nonneg_ok"})
+    assert diag["xi_l6"] > 1e298
+
+
+def test_non_finite_adjoint_exit_3(tmp_path):
+    # rho reaches the smallest subnormal, where the log-potential curvature
+    # overflows; numpy's overflow warnings go to stderr, hence a subprocess
+    cfg = write_cfg(tmp_path, "steps = 5\nschedule = 1e-1,1e-2\nkernel_amplitude = 1e300\n")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "optimize", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "solver failure: adjoint march: a non-finite value at time node" in proc.stderr
+    assert not out.exists()
+
+
+def test_non_finite_json_value_exit_3(tmp_path, monkeypatch, capsys):
+    # the backstop: a NaN that reaches a JSON writer is a solver failure
+    checks = [CheckResult("nan_check", True, float("nan"), 1.0)]
+    monkeypatch.setattr(cli, "run_suite", lambda seed: VerificationReport(checks, 0.25))
+    cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
+    assert main(["verify", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("solver failure: verify_report.json: ")
+    assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
 def test_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):

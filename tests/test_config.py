@@ -141,6 +141,35 @@ def test_profile_values_kinds(tmp_path):
         profile_values(f"csv:{q}", g)
 
 
+def test_profile_values_reject_non_finite(tmp_path):
+    g = Grid.line(4, 1.0)
+    p = tmp_path / "prof.csv"
+    p.write_text("0.1,nan,0.3,0.4")
+    for profile in ("constant:inf", "constant:nan", "gaussian-bump:inf,0.5,0.2", f"csv:{p}"):
+        with pytest.raises(ConfigError, match="non-finite"):
+            profile_values(profile, g)
+
+
+def test_build_problem_holds_each_time_constant_input_once():
+    # control, ceiling and targets are spatial: one cells-shaped buffer each,
+    # seen read-only at every time node
+    prob = build_problem(load_config(CONFIGS / "twod.cfg"))
+    held = [
+        prob.control,
+        prob.box.ceiling,
+        prob.weights.rho_target,
+        prob.weights.mu_target,
+    ]
+    for traj in held:
+        vals = traj.values
+        assert vals.shape == (prob.tgrid.n_nodes,) + prob.grid.shape == (41, 12, 10)
+        assert vals.strides[0] == 0 and not vals.flags.writeable
+        assert vals[0].flags.c_contiguous  # so its buffer is exactly cells long
+    for i, a in enumerate(held):
+        for b in held[i + 1 :]:
+            assert not np.shares_memory(a.values, b.values)
+
+
 def test_profile_values_2d():
     g = Grid.box((3, 2), (1.0, 1.0))
     vals = profile_values("gaussian-bump:1.0,0.5,0.3", g)
