@@ -200,10 +200,16 @@ def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> Non
     vector pass, and the rows' text is written without its PAD bytes.  A
     column that repeats along the first axis (stride 0, as the cell-index
     columns and a time-constant control do) is formatted once, for one
-    slice, and its rows are looked up by row mod slice size.
+    slice, and its rows are looked up by row mod slice size.  A NaN or an
+    infinity in a float column is a SolverError, raised before the file
+    is opened, as `_write_json` does.
     """
     ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
     columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
+    for name, column in zip(header[len(ints):], columns[len(ints):]):
+        held = column[0] if column.strides[0] == 0 else column
+        if not np.isfinite(held).all():
+            raise SolverError(f"{path.name}: column {name} holds NaN or an infinity")
     total, cells = columns[0].size, columns[0][0].size
     runs = []  # (formatter, columns, text of one slice if the columns repeat, else None)
     for (is_int, held), run in itertools.groupby(
@@ -337,6 +343,15 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         model=problem.model,
         op=problem.op,
     )
+
+    for lvl, rec in enumerate(run.levels):
+        for row in rec.history:
+            for name in ("cost", "stationarity"):
+                if not np.isfinite(getattr(row, name)):
+                    raise SolverError(
+                        f"optimize: non-finite {name} {getattr(row, name)} "
+                        f"at level {lvl}, iteration {row.iteration}"
+                    )
 
     out.mkdir(parents=True, exist_ok=True)
     for lvl, rec in enumerate(run.levels):

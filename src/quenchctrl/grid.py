@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError
+from .errors import NonFiniteError, ShapeMismatchError, SolverError
 
 __all__ = [
     "Grid",
@@ -35,10 +35,11 @@ __all__ = [
     "time_h1_norm",
 ]
 
-# the 2D step solve inverts a Schur block by a 2×2 block split once its
-# half has this many rows: with OpenBLAS on 2 threads the split takes
-# 0.88 of np.linalg.inv's time at 56 rows, 0.78 at 64, but 1.0 at 48
-SPLIT_MIN_ROWS = 28
+# the 2D step solve's conjugate gradients stop at a recursive residual of
+# CG_RTOL·‖rhs‖; real marches take 4-5 iterations, random systems with
+# floor cells at most about 30, and the cap fails loudly well above that
+CG_RTOL = 1e-14
+CG_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -250,70 +251,74 @@ def _neighbour_counts(n: int) -> np.ndarray:
 def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(a) − Δ_h) x = rhs, Δ_h being `laplacian_values`.
 
-    Block Thomas elimination along the first axis with dense blocks
-    along the last one; in 1D the blocks are 1×1 and the sweep runs on
-    Python floats.  Every entry of a must be positive: the matrix is
-    then SPD, and so is each Schur complement, so the elimination needs
-    no pivoting across blocks, and each block inverse can split further
-    into SPD halves (`_spd_inverse`).  The operator is symmetric, so the
-    same call solves the transposed system.
+    Every entry of a must be positive, so that the matrix is SPD; it is
+    also symmetric, so the same call solves the transposed system.  In
+    1D a scalar Thomas sweep solves it directly (`_solve_tridiagonal`).
+    In 2D conjugate gradients solve it (Concus, Golub & O'Leary 1976),
+    preconditioned by the constant-coefficient operator mean(a)·I − Δ_h,
+    which the tensor product of the Neumann cosine modes diagonalizes
+    exactly (Lynch, Rice & Thomas 1964).  The iteration stops once the
+    recursive residual is at most CG_RTOL·‖rhs‖, and raises SolverError
+    after CG_MAX_ITERATIONS.  rhs is divided by a power of two near its
+    max first, so the norms cannot overflow and the result scales
+    bitwise with rhs under powers of two.  A non-finite a or rhs gives
+    NaNs, as a direct solve would.
     """
     if grid.dim == 1:
         return _solve_tridiagonal(grid, a, rhs)
-    nx, ny = grid.cells
-    inv_hx2, inv_hy2 = (h ** -2 for h in grid.spacing)
-    block = inv_hy2 * (
-        np.diag(_neighbour_counts(ny)) - np.eye(ny, k=1) - np.eye(ny, k=-1)
+    a = np.asarray(a, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        return np.full(grid.shape, np.nan)
+    top = float(np.max(np.abs(rhs)))
+    if top == 0.0:
+        return np.zeros(grid.shape)
+    exponent = math.frexp(top)[1]
+    r = np.ldexp(rhs, -exponent)
+
+    (vx, lx), (vy, ly) = (_cosine_modes(n, h) for n, h in zip(grid.cells, grid.spacing))
+    inv_eig = 1.0 / (float(np.mean(a)) + lx[:, None] + ly[None, :])
+
+    x = np.zeros(grid.shape)
+    r_norm0 = float(np.linalg.norm(r))
+    z = vx @ ((vx.T @ r @ vy) * inv_eig) @ vy.T
+    p = z
+    rz = float(np.vdot(r, z))
+    for _ in range(CG_MAX_ITERATIONS):
+        q = a * p - laplacian_values(grid, p)
+        step = rz / float(np.vdot(p, q))
+        x += step * p
+        r -= step * q
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= CG_RTOL * r_norm0:
+            return np.ldexp(x, exponent)
+        z = vx @ ((vx.T @ r @ vy) * inv_eig) @ vy.T
+        rz, rz_old = float(np.vdot(r, z)), rz
+        p = z + (rz / rz_old) * p
+    raise SolverError(
+        f"step solve: conjugate gradients did not converge in {CG_MAX_ITERATIONS} iterations "
+        f"(residual ratio {r_norm / r_norm0:.3e})"
     )
-    diag = np.array(a, dtype=float) + inv_hx2 * _neighbour_counts(nx)[:, None]
-    y = np.array(rhs, dtype=float)
-
-    schur = block.copy()
-    schur.reshape(-1)[:: ny + 1] += diag[0]
-    inverses = []
-    for i in range(1, nx):
-        w = _spd_inverse(schur)
-        inverses.append(w)
-        y[i] += inv_hx2 * (w @ y[i - 1])
-        # block − c²·w, summed in place: a − b == a + (−b) in IEEE arithmetic
-        schur = w * -(inv_hx2 * inv_hx2)
-        schur += block
-        schur.reshape(-1)[:: ny + 1] += diag[i]
-    x = np.empty_like(y)
-    x[-1] = np.linalg.solve(schur, y[-1])
-    for i in range(nx - 2, -1, -1):
-        x[i] = inverses[i] @ (y[i] + inv_hx2 * x[i + 1])
-    return x
 
 
-def _spd_inverse(s: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix through a symmetric 2×2 block split.
+def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors and eigenvalues of −Δ_h on n Neumann cells.
 
-    With s = [[A, B], [Bᵀ, D]] and X = A⁻¹B, the Schur complement
-    D − BᵀX is SPD and s⁻¹ = [[A⁻¹ + YXᵀ, −Y], [−Yᵀ, (D − BᵀX)⁻¹]],
-    Y = X(D − BᵀX)⁻¹ (Golub & Van Loan, Matrix Computations, ch. 4).
-    The split recurses while the leading half has at least
-    SPLIT_MIN_ROWS rows; below that np.linalg.inv is the faster one.
+    Column k of the matrix is cos(πk(j+½)/n) over the cells j, scaled to
+    unit length; its eigenvalue is 4/h²·sin²(πk/2n).
     """
-    h = len(s) // 2
-    if h < SPLIT_MIN_ROWS:
-        return np.linalg.inv(s)
-    b = s[:h, h:]
-    a_inv = _spd_inverse(s[:h, :h])
-    x = a_inv @ b
-    d_inv = _spd_inverse(s[h:, h:] - b.T @ x)
-    y = x @ d_inv
-    out = np.empty_like(s)
-    np.matmul(y, x.T, out=out[:h, :h])
-    out[:h, :h] += a_inv
-    np.negative(y, out=out[:h, h:])
-    out[h:, :h] = out[:h, h:].T
-    out[h:, h:] = d_inv
-    return out
+    k = np.arange(n)
+    modes = np.cos(np.pi / n * np.outer(k + 0.5, k)) * math.sqrt(2.0 / n)
+    modes[:, 0] = math.sqrt(1.0 / n)
+    return modes, (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
 
 
 def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The 1D case of `solve_step_system`: the same elimination, 1×1 blocks."""
+    """The 1D case of `solve_step_system`: Thomas elimination on Python floats.
+
+    The matrix is SPD and tridiagonal, so forward elimination needs no
+    pivoting and every pivot (`schur`) stays positive.
+    """
     n = grid.cells[0]
     k = grid.spacing[0] ** -2
     diag = (np.asarray(a, dtype=float) + k * _neighbour_counts(n)).tolist()

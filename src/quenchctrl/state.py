@@ -4,7 +4,8 @@ Per step, the order-parameter update is pointwise: everything smooth and
 the nonlocal term are frozen at the old node, only the monotone
 constraint term (obstacle or quench logarithm) is implicit, so the
 update is a resolvent evaluation.  The chemical-potential update then
-solves one symmetric positive definite linear system directly.  The
+solves one symmetric positive definite linear system: directly in 1D,
+by preconditioned conjugate gradients in 2D (`solve_step_system`).  The
 constraint term must be the implicit one, otherwise the iterates leave
 [0, 1].
 """
@@ -155,7 +156,7 @@ def step_mu(
     model: PotentialConfig,
     stats: dict | None = None,
 ) -> Field:
-    """One chemical-potential update: a direct solve of the SPD step system."""
+    """One chemical-potential update: one solve of the SPD step system."""
     grid = mu_n.grid
     a, clamps = mu_zeroth_coefficient(rho_np1.values, rho_n.values, tau, model)
     rhs = (1.0 + 2.0 * model.g(rho_np1.values)) * mu_n.values / tau + u_np1.values

@@ -457,6 +457,21 @@ def test_deep_quench_rate_first_order(sweep_solutions):
     assert 0.9 <= slope <= 1.1, slope
 
 
+# -- scale -------------------------------------------------------------------
+
+
+def test_twod_large_config_bounds_and_energy():
+    # the 128×128 config: forward march only, to keep the suite fast; the
+    # energy bound is criterion 3's
+    cfg = load_config(CONFIGS / "twod_large.cfg")
+    assert (cfg.dim, cfg.cells_x, cfg.cells_y) == (2, 128, 128)
+    _, sol = solve_cfg(cfg, cfg.alpha)
+    d = sol.diagnostics
+    assert 0.0 < d.min_rho and d.max_rho < 1.0, (d.min_rho, d.max_rho)
+    assert d.mu_nonneg_ok is True
+    assert d.energy_residual_max <= 0.05, d.energy_residual_max
+
+
 # -- solver effort -------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quenchctrl import cli
 from quenchctrl.cli import main, read_fields_csv
+from quenchctrl.errors import SolverError
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.state import StateSolution
 from quenchctrl.verify import CheckResult, VerificationReport
@@ -100,7 +101,7 @@ def test_reruns_byte_identical(tmp_path):
 
 
 def test_reruns_byte_identical_2d_split_blocks(tmp_path):
-    # 64-cell blocks take the 2×2 split of the step solve's block inverse
+    # a long thin box: the 2D step solve's conjugate gradients must repeat bit for bit
     cfg = write_cfg(tmp_path, "dim = 2\ncells_x = 4\ncells_y = 64\nsteps = 4\nhorizon = 0.1\n")
     runs = [tmp_path / "a", tmp_path / "b"]
     for out in runs:
@@ -313,6 +314,41 @@ def test_non_finite_march_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: forward march: a non-finite value at time node 1 of 5")
     assert not (tmp_path / "o").exists()
+
+
+def test_huge_finite_mu0_in_2d_gives_finite_diagnostics(tmp_path):
+    # the 2D step solve scales rhs by a power of two, so its norms do not overflow
+    cfg = write_cfg(tmp_path, "dim = 2\ncells_x = 4\ncells_y = 5\nsteps = 5\nmu0 = constant:1e305\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    diag = _strict_json(out / "diagnostics.json")
+    assert all(np.isfinite(diag[key]) for key in DIAGNOSTICS_KEYS - {"mu_nonneg_ok"})
+    assert diag["min_mu"] > 1e304
+
+
+def test_non_finite_cost_exit_3_writes_nothing(tmp_path):
+    # a huge finite target overflows the tracking cost; numpy's overflow
+    # warnings go to stderr, hence a subprocess
+    cfg = write_cfg(tmp_path, "steps = 5\nschedule = 1e-1,1e-2\nrho_target = constant:1e200\n")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "optimize", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "solver failure: optimize: non-finite cost inf at level 0, iteration 0" in proc.stderr
+    assert not out.exists()
+
+
+def test_csv_writer_refuses_non_finite(tmp_path):
+    # the backstop: a NaN or an infinity that reaches a CSV writer is a solver failure
+    for bad in (np.nan, np.inf):
+        path = tmp_path / "t.csv"
+        with pytest.raises(SolverError, match=r"t\.csv: column v holds NaN or an infinity"):
+            cli._write_csv(path, ["i", "v"], [np.arange(3)], [np.array([1.0, bad, 2.0])])
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("line", ["control = constant:1e305", "kernel_amplitude = 1e300"])

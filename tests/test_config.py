@@ -100,7 +100,7 @@ def test_schedule_and_sweep_parsing():
 
 def test_shipped_configs_all_build():
     paths = sorted(CONFIGS.glob("*.cfg"))
-    assert [p.stem for p in paths] == ["default", "smooth", "trivial", "twod"]
+    assert [p.stem for p in paths] == ["default", "smooth", "trivial", "twod", "twod_large"]
     for path in paths:
         cfg = load_config(path)
         prob = build_problem(cfg)

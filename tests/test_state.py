@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from quenchctrl.errors import ConfigError
+from quenchctrl import grid as grid_module
+from quenchctrl.errors import ConfigError, SolverError
 from quenchctrl.grid import (
-    SPLIT_MIN_ROWS,
     Field,
     Grid,
     TimeGrid,
     Trajectory,
     inner_product,
+    laplacian_values,
     solve_step_system,
 )
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
@@ -45,21 +46,26 @@ def test_initial_data_a2_validation():
     InitialData(Field.constant(g, 0.5), Field.constant(g, 0.0))  # boundary mu ok
 
 
-# blocks of 64 and 97 rows take the 2×2 split of the block inverse once,
-# 128 rows recurse into it; all assemble densely in under 500 cells
-SPLIT_GRIDS = [Grid.box((6, 64)), Grid.box((5, 97)), Grid.box((3, 128))]
+# long thin boxes, which assemble densely in under 500 cells
+WIDE_GRIDS = [Grid.box((6, 64)), Grid.box((5, 97)), Grid.box((3, 128))]
+
+
+def floored_system(grid, seed):
+    """Random SPD step system with every third cell at the coefficient floor."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(10.0, 400.0, grid.shape)
+    a.reshape(-1)[::3] = COEFFICIENT_FLOOR  # clamped cells, the worst-conditioned case
+    return a, rng
 
 
 @pytest.mark.parametrize(
     "grid",
     [Grid.line(1), Grid.line(64), Grid.box((7, 5)), Grid.box((1, 6)), Grid.box((6, 1))]
-    + SPLIT_GRIDS,
+    + WIDE_GRIDS,
     ids=lambda g: "x".join(map(str, g.cells)),
 )
 def test_solve_step_system_matches_dense_assembly(grid):
-    rng = np.random.default_rng(5)
-    a = rng.uniform(10.0, 400.0, grid.shape)
-    a.reshape(-1)[::3] = COEFFICIENT_FLOOR  # clamped cells, the worst-conditioned case
+    a, rng = floored_system(grid, 5)
     rhs = rng.standard_normal(grid.shape)
     x = solve_step_system(grid, a, rhs)
     mat = np.diag(a.reshape(-1)) - dense_laplacian(grid)
@@ -67,19 +73,64 @@ def test_solve_step_system_matches_dense_assembly(grid):
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
-def test_solve_step_system_symmetric_on_split_blocks(grid):
+@pytest.mark.parametrize("grid", WIDE_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_solve_step_system_symmetric(grid):
     # the exact adjoint reuses the forward solve as its transpose
-    assert grid.cells[1] // 2 >= SPLIT_MIN_ROWS  # the block inverse splits
-    rng = np.random.default_rng(6)
-    a = rng.uniform(10.0, 400.0, grid.shape)
-    a.reshape(-1)[::3] = COEFFICIENT_FLOOR
+    a, rng = floored_system(grid, 6)
     r1, r2 = rng.standard_normal((2,) + grid.shape)
     x1 = solve_step_system(grid, a, r1)
     x2 = solve_step_system(grid, a, r2)
     lhs, rhs = np.vdot(x1, r2), np.vdot(r1, x2)
     scale = np.linalg.norm(x1) * np.linalg.norm(r2) + np.linalg.norm(r1) * np.linalg.norm(x2)
     assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def test_solve_step_system_matrix_free_residual_128():
+    grid = Grid.box((128, 128))
+    a, rng = floored_system(grid, 7)
+    rhs = rng.standard_normal(grid.shape)
+    x = solve_step_system(grid, a, rhs)
+    residual = a * x - laplacian_values(grid, x) - rhs
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("grid", [Grid.box((7, 5)), Grid.box((6, 64))], ids=["7x5", "6x64"])
+def test_solve_step_system_scales_bitwise_by_powers_of_two(grid):
+    # rhs is divided by a power of two near its max before the iteration
+    a, rng = floored_system(grid, 8)
+    b = rng.standard_normal(grid.shape)
+    scaled = solve_step_system(grid, a, np.ldexp(b, 900))
+    assert np.array_equal(scaled, np.ldexp(solve_step_system(grid, a, b), 900))
+
+
+def test_solve_step_system_zero_rhs_gives_zero():
+    grid = Grid.box((7, 5))
+    a, _ = floored_system(grid, 11)
+    x = solve_step_system(grid, a, np.zeros(grid.shape))
+    assert np.array_equal(x, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("bad", ["rhs", "a"])
+def test_solve_step_system_non_finite_input_gives_nan(monkeypatch, bad):
+    # NaNs at once, as a direct solve gives: no iteration runs
+    matvecs = []
+    monkeypatch.setattr(
+        grid_module, "laplacian_values", lambda g, v: matvecs.append(1) or laplacian_values(g, v)
+    )
+    grid = Grid.box((7, 5))
+    a, rng = floored_system(grid, 9)
+    rhs = rng.standard_normal(grid.shape)
+    (rhs if bad == "rhs" else a)[3, 2] = np.nan
+    assert np.isnan(solve_step_system(grid, a, rhs)).all()
+    assert not matvecs
+
+
+def test_solve_step_system_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(grid_module, "CG_MAX_ITERATIONS", 1)
+    grid = Grid.box((7, 5))
+    a, rng = floored_system(grid, 10)
+    with pytest.raises(SolverError, match=r"in 1 iterations \(residual ratio \d\.\d{3}e[-+]\d+\)"):
+        solve_step_system(grid, a, rng.standard_normal(grid.shape))
 
 
 def test_trivial_configuration_is_exactly_stationary():
