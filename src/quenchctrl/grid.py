@@ -226,13 +226,18 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     operator is self-adjoint in the cell inner product.
     """
     out = np.zeros_like(values)
+    div = np.empty_like(values)
     for axis, h in enumerate(grid.spacing):
-        flux = np.diff(values, axis=axis) / h
         lo = [slice(None)] * values.ndim
         hi = [slice(None)] * values.ndim
+        last = [slice(None)] * values.ndim
         lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
-        div = np.zeros_like(values)
+        last[axis] = slice(-1, None)
+        flux = np.subtract(values[tuple(hi)], values[tuple(lo)])
+        flux /= h
+        # the scratch is zero wherever the flux is not written
+        div[tuple(last)] = 0.0
         div[tuple(lo)] = flux
         div[tuple(hi)] -= flux
         div /= h

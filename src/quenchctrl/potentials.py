@@ -27,9 +27,11 @@ __all__ = [
     "obstacle_resolvent",
 ]
 
-# tightest open interval of doubles inside (0, 1); resolvent outputs are
-# clipped here so that log_potential_second stays finite
-RHO_MIN = np.nextafter(0.0, 1.0)
+# resolvent outputs are clipped into [RHO_MIN, RHO_MAX] so that
+# log_potential_second stays finite: RHO_MIN is the smallest normal
+# double, whose reciprocal is finite (the smallest subnormal's is not),
+# and RHO_MAX the largest double below 1
+RHO_MIN = np.finfo(float).tiny
 RHO_MAX = np.nextafter(1.0, 0.0)
 
 # the quench resolvent stops once |residual| <= RESOLVENT_TOL·max(1, |b|)
@@ -173,46 +175,46 @@ class PotentialConfig:
         return QuenchLevel(alpha, quench_scale(alpha, self.quench_exponent))
 
 
-def _sigmoid(y: np.ndarray) -> np.ndarray:
-    # exp of -|y| only, so no branch can overflow
-    e = np.exp(-np.abs(y))
-    return np.where(y >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _solve_quench_logit(b: np.ndarray, s: float):
-    """Root of sigmoid(y) + s·y = b, the resolvent equation in the
-    variable y = log_potential_prime(rho).
+    """Root y of sigmoid(y) + s·y = b, the resolvent equation in the
+    variable y = log_potential_prime(rho); returns (y, sigmoid(y)).
 
     Working in y keeps the iteration well posed even when the root sits
-    within one ulp of 0 or 1 in the rho variable.  Safeguarded Newton:
-    the bracket [(b-1)/s, b/s] always encloses the root and any Newton
-    step leaving it falls back to bisection.  Newton starts at the root
-    of the s = 0 equation, logit(b), clipped into the bracket; that is
-    the bracket end whenever b lies outside (0, 1).  A drive too large
-    for the bracket to be finite raises at once.
+    within one ulp of 0 or 1 in the rho variable.  Plain Newton, started
+    at the root of the s = 0 equation, logit(b), clipped into the bracket
+    [(b-1)/s, b/s] that encloses the root; that is the bracket end
+    whenever b lies outside (0, 1).  No safeguard is needed: f(y) =
+    sigmoid(y) + s·y - b is increasing, convex for y <= 0 and concave for
+    y >= 0, and the start lies in the root's half-line.  If it lies
+    beyond the root, the tangent there has the sign of f(0) at 0, so the
+    first Newton step lands between the root and 0; from that side the
+    iterates move monotonically to the root.  A drive too large for the
+    bracket to be finite raises at once.  The sigmoid is formed from
+    e = exp(-|y|) only, so no branch can overflow, and its derivative
+    sigmoid·(1 - sigmoid) is e/(1 + e)² on both branches.
     """
     with np.errstate(over="ignore"):
         lo = (b - 1.0) / s
         hi = b / s
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+    if np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)) < b.size:
         raise SolverError(
             f"quench resolvent bracket [(b-1)/s, b/s] is not finite "
             f"(max |b| = {float(np.max(np.abs(b))):.3e}, s = {s:.3e})"
         )
-    r = np.clip(b, RHO_MIN, RHO_MAX)
-    y = np.clip(np.log(r) - np.log1p(-r), lo, hi)
+    r = np.minimum(np.maximum(b, RHO_MIN), RHO_MAX)
+    y = np.minimum(np.maximum(np.log(r) - np.log1p(-r), lo), hi)
     tol = RESOLVENT_TOL * np.maximum(1.0, np.abs(b))
     for _ in range(RESOLVENT_MAX_ITER):
-        sig = _sigmoid(y)
+        e = np.exp(-np.abs(y))
+        d = 1.0 / (1.0 + e)
+        ed = e * d
+        sig = np.where(y >= 0.0, d, ed)
         res = sig + s * y - b
-        done = np.abs(res) <= tol
-        if done.all():
-            return y
-        lo = np.where(res < 0.0, y, lo)
-        hi = np.where(res > 0.0, y, hi)
-        newton = y - res / (sig * (1.0 - sig) + s)
-        inside = (newton > lo) & (newton < hi)
-        y = np.where(done, y, np.where(inside, newton, 0.5 * (lo + hi)))
+        # counted, not .all(): on the few cells of a step the reduction's
+        # call costs more than the test
+        if np.count_nonzero(np.abs(res) <= tol) == b.size:
+            return y, sig
+        y = y - res / (ed * d + s)
     worst = float(np.max(np.abs(res) / tol))
     raise SolverError(
         f"quench resolvent did not converge in {RESOLVENT_MAX_ITER} iterations "
@@ -224,18 +226,19 @@ def quench_resolvent_detail(b, s: float):
     """Solve rho + s·log_potential_prime(rho) = b.
 
     Returns (rho, slope) where slope is log_potential_prime at the root,
-    computed from the logit iterate directly so it stays accurate when
-    rho saturates to within rounding of 0 or 1.  rho is monotone and
-    1-Lipschitz in b.
+    the logit iterate itself, so it stays accurate when rho saturates to
+    within rounding of 0 or 1.  rho is the sigmoid of the last iterate,
+    clipped into [RHO_MIN, RHO_MAX].  rho is monotone and 1-Lipschitz
+    in b.
     """
     if s <= 0.0:
         raise ValueError("quench resolvent needs s > 0")
     arr = np.asarray(b, dtype=float)
-    y = _solve_quench_logit(np.atleast_1d(arr).astype(float), float(s))
-    rho = np.clip(_sigmoid(y), RHO_MIN, RHO_MAX)
+    y, sig = _solve_quench_logit(np.atleast_1d(arr), float(s))
+    rho = np.minimum(np.maximum(sig, RHO_MIN), RHO_MAX)
     if arr.ndim == 0:
         return float(rho[0]), float(y[0])
-    return rho.reshape(arr.shape), y.reshape(arr.shape)
+    return rho, y
 
 
 def obstacle_resolvent(b, tau: float):

@@ -362,9 +362,18 @@ def test_huge_finite_data_give_finite_diagnostics(tmp_path, line):
     assert diag["xi_l6"] > 1e298
 
 
+def test_huge_kernel_floors_rho_at_the_smallest_normal(tmp_path):
+    # the kernel drives rho below every normal double; the floor keeps the
+    # log-potential curvature 1/(rho (1 - rho)) finite there
+    cfg = write_cfg(tmp_path, "steps = 5\nkernel_amplitude = 1e300\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert _strict_json(out / "diagnostics.json")["min_rho"] == np.finfo(float).tiny
+
+
 def test_non_finite_adjoint_exit_3(tmp_path):
-    # rho reaches the smallest subnormal, where the log-potential curvature
-    # overflows; numpy's overflow warnings go to stderr, hence a subprocess
+    # the dual march's nonlocal term overflows at this kernel amplitude;
+    # numpy's overflow warnings would go to stderr, hence a subprocess
     cfg = write_cfg(tmp_path, "steps = 5\nschedule = 1e-1,1e-2\nkernel_amplitude = 1e300\n")
     out = tmp_path / "o"
     proc = subprocess.run(

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quenchctrl import potentials
+from quenchctrl.errors import SolverError
 from quenchctrl.potentials import (
     RESOLVENT_TOL,
     RHO_MAX,
@@ -127,6 +129,24 @@ def test_quench_resolvent_saturation_stays_representable():
     assert RHO_MIN <= rho_lo < rho_hi <= RHO_MAX
     assert rho_hi < 1.0
     assert rho_lo > 0.0
+
+
+def test_quench_resolvent_contact_inputs_within_budget(monkeypatch):
+    # data that straddle both obstacles: from the logit start, Newton
+    # needs at most 6 evaluations per entry here, at every scale
+    monkeypatch.setattr(potentials, "RESOLVENT_MAX_ITER", 8)
+    b = np.linspace(-0.1, 1.1, 64)
+    for s in (5e-4, 6.25e-4, 5e-6, 5e-8, 5e-11):
+        try:
+            rho, y = quench_resolvent_detail(b, s)
+        except SolverError as exc:
+            pytest.fail(f"s = {s}: {exc}")
+        assert np.all((rho > 0.0) & (rho < 1.0)) and np.all(np.isfinite(y))
+
+
+def test_log_potential_second_finite_at_the_floor():
+    assert np.isfinite(log_potential_second(RHO_MIN))
+    assert np.isfinite(log_potential_second(RHO_MAX))
 
 
 def test_obstacle_resolvent_exact_cases():
