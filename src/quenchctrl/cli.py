@@ -22,15 +22,17 @@ import json
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
-from .optimize import ContinuationRun, deep_quench_continuation
 from .state import StateSolution, check_obstacle_signs, solve_state
-from .verify import run_suite
+
+if TYPE_CHECKING:
+    from .optimize import ContinuationRun
 
 __all__ = ["main", "write_fields_csv", "read_fields_csv", "write_control_csv"]
 
@@ -290,7 +292,9 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # commands: each runs its work on the built problem and returns its
-# invariant violations and the line to print when there are none
+# invariant violations and the line to print when there are none;
+# optimize and verify import their modules when they run, so that no
+# other command loads them
 
 
 def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
@@ -332,12 +336,14 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
 
 
 def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    tol = problem.pgd_opts.tol
+    from .optimize import PGDOptions, deep_quench_continuation
+
+    tol = problem.config.tol
     run = deep_quench_continuation(
         problem.config.schedule_values(),
         problem.weights,
         problem.box,
-        problem.pgd_opts,
+        PGDOptions(tol=tol, max_iters=problem.config.max_iters),
         u0=problem.control,
         init=problem.init,
         model=problem.model,
@@ -432,6 +438,8 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 
 
 def _cmd_verify(args, problem: Problem, out: Path) -> tuple[list[str], str]:
+    from .verify import run_suite
+
     # the problem is built only to check that the config is constructible
     report = run_suite(seed=args.seed)
     print(report.format_table())

@@ -10,9 +10,10 @@ control, ceiling) are small strings of the form
     csv:path/to/values.csv                  (one value per cell, C order)
 
 `build_problem` turns a validated record into the concrete grid,
-operators, initial data, cost, and optimizer options that the rest of
-the package consumes.  The shipped setups live in `configs/*.cfg`;
-vary a loaded config with `dataclasses.replace`.
+operators, initial data and cost that the rest of the package
+consumes; the optimizer reads its options from the record's `tol` and
+`max_iters`.  The shipped setups live in `configs/*.cfg`; vary a loaded
+config with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .costs import AdmissibleSet, CostWeights
 from .errors import ConfigError
 from .grid import Field, Grid, TimeGrid, Trajectory
 from .nonlocal_op import Kernel, NonlocalOperator
-from .optimize import PGDOptions
 from .potentials import PotentialConfig
 from .state import InitialData
 
@@ -248,7 +248,6 @@ class Problem:
     control: Trajectory
     weights: CostWeights
     box: AdmissibleSet
-    pgd_opts: PGDOptions
 
 
 def build_problem(cfg: ProblemConfig) -> Problem:
@@ -290,8 +289,6 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         mu_target=Trajectory.constant_profile(tgrid, grid, profile_values(cfg.mu_target, grid)),
     )
 
-    pgd_opts = PGDOptions(tol=cfg.tol, max_iters=cfg.max_iters)
-
     return Problem(
         config=cfg,
         grid=grid,
@@ -302,5 +299,4 @@ def build_problem(cfg: ProblemConfig) -> Problem:
         control=control,
         weights=weights,
         box=box,
-        pgd_opts=pgd_opts,
     )

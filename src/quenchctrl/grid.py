@@ -13,6 +13,7 @@ values before writing to them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -306,16 +307,21 @@ def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenvectors and eigenvalues of −Δ_h on n Neumann cells.
 
     Column k of the matrix is cos(πk(j+½)/n) over the cells j, scaled to
-    unit length; its eigenvalue is 4/h²·sin²(πk/2n).
+    unit length; its eigenvalue is 4/h²·sin²(πk/2n).  Built once per
+    (n, h) and shared by every step solve, so both arrays are read-only.
     """
     k = np.arange(n)
     modes = np.cos(np.pi / n * np.outer(k + 0.5, k)) * math.sqrt(2.0 / n)
     modes[:, 0] = math.sqrt(1.0 / n)
-    return modes, (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
+    eig = (2.0 / h * np.sin(np.pi / (2 * n) * k)) ** 2
+    modes.flags.writeable = False
+    eig.flags.writeable = False
+    return modes, eig
 
 
 def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -117,6 +117,8 @@ class PotentialConfig:
       linear              g(rho) = rho
       saturating          g(rho) = rho (2 - rho)
       zero                g ≡ 0 (degenerate, for tests)
+    A derivative that is constant in rho (F″, g″, and g′ unless g is
+    saturating) is returned as a Python float, not an array.
 
     Construction samples g on 1001 points of [0, 1] and rejects any
     family violating g ≥ 0 or concavity, naming assumption (A1).
@@ -144,7 +146,7 @@ class PotentialConfig:
         return -2.0 * self.f_strength * (2.0 * np.asarray(rho, dtype=float) - 1.0)
 
     def f_second(self, rho):
-        return np.full_like(np.asarray(rho, dtype=float), -4.0 * self.f_strength)
+        return -4.0 * self.f_strength
 
     # -- g ---------------------------------------------------------------
     def g(self, rho):
@@ -156,20 +158,14 @@ class PotentialConfig:
         return np.zeros_like(r)
 
     def g_prime(self, rho):
-        r = np.asarray(rho, dtype=float)
         if self.g_family == "linear":
-            return np.ones_like(r)
+            return 1.0
         if self.g_family == "saturating":
-            return 2.0 - 2.0 * r
-        return np.zeros_like(r)
+            return 2.0 - 2.0 * np.asarray(rho, dtype=float)
+        return 0.0
 
     def g_second(self, rho):
-        r = np.asarray(rho, dtype=float)
-        if self.g_family == "linear":
-            return np.zeros_like(r)
-        if self.g_family == "saturating":
-            return np.full_like(r, -2.0)
-        return np.zeros_like(r)
+        return -2.0 if self.g_family == "saturating" else 0.0
 
     def level(self, alpha: float) -> QuenchLevel:
         return QuenchLevel(alpha, quench_scale(alpha, self.quench_exponent))

@@ -75,7 +75,7 @@ def default_run(default_problem):
         p.config.schedule_values(),
         p.weights,
         p.box,
-        p.pgd_opts,
+        PGDOptions(tol=p.config.tol, max_iters=p.config.max_iters),
         u0=p.control,
         init=p.init,
         model=p.model,
@@ -91,7 +91,7 @@ def twod_run():
         p.config.schedule_values(),
         p.weights,
         p.box,
-        p.pgd_opts,
+        PGDOptions(tol=p.config.tol, max_iters=p.config.max_iters),
         u0=p.control,
         init=p.init,
         model=p.model,
@@ -367,7 +367,7 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
         np.polyfit(np.log([s for s, _ in usable]), np.log([c for _, c in usable]), 1)[0]
     )
 
-    tol = p.pgd_opts.tol
+    tol = p.config.tol
     ok = (
         vi_min >= -1e-6
         and proj_res <= 10.0 * tol

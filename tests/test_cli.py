@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenchctrl import cli
+from quenchctrl import cli, verify
 from quenchctrl.cli import main, read_fields_csv
 from quenchctrl.errors import SolverError
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
@@ -390,7 +390,7 @@ def test_non_finite_adjoint_exit_3(tmp_path):
 def test_non_finite_json_value_exit_3(tmp_path, monkeypatch, capsys):
     # the backstop: a NaN that reaches a JSON writer is a solver failure
     checks = [CheckResult("nan_check", True, float("nan"), 1.0)]
-    monkeypatch.setattr(cli, "run_suite", lambda seed: VerificationReport(checks, 0.25))
+    monkeypatch.setattr(verify, "run_suite", lambda seed: VerificationReport(checks, 0.25))
     cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
     assert main(["verify", "--config", cfg]) == 3
     assert capsys.readouterr().err.startswith("solver failure: verify_report.json: ")
@@ -479,7 +479,7 @@ def test_optimize_warns_on_unconverged_level(tmp_path, capsys):
 
 def test_verify_failed_check_exit_1(tmp_path, monkeypatch, capsys):
     checks = [CheckResult("fine_check", True, 0.5, 1.0), CheckResult("broken_check", False, 2.0, 1.0)]
-    monkeypatch.setattr(cli, "run_suite", lambda seed: VerificationReport(checks, 0.25))
+    monkeypatch.setattr(verify, "run_suite", lambda seed: VerificationReport(checks, 0.25))
     cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
     assert main(["verify", "--config", cfg]) == 1
     captured = capsys.readouterr()
@@ -525,3 +525,29 @@ def test_cli_import_pulls_in_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _modules_loaded(tmp_path, code):
+    """The quenchctrl modules a fresh interpreter holds after running code."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('quenchctrl'))))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_command_loads_only_its_own_modules(tmp_path):
+    forward = {"quenchctrl"} | {
+        f"quenchctrl.{m}"
+        for m in ("errors", "grid", "potentials", "nonlocal_op", "state", "costs", "config", "cli")
+    }
+    small, opt = write_cfg(tmp_path, SMALL), write_cfg(tmp_path, OPT, "opt.cfg")
+    for argv in (["simulate", "--config", small], ["sweep-alpha", "--config", small]):
+        code = f"from quenchctrl.cli import main\nassert main({argv + ['--out', 'o']!r}) == 0"
+        assert _modules_loaded(tmp_path, code) == forward
+    code = f"from quenchctrl.cli import main\nassert main(['optimize', '--config', {opt!r}, '--out', 'o']) == 0"
+    loaded = _modules_loaded(tmp_path, code)
+    assert {"quenchctrl.optimize", "quenchctrl.adjoint"} <= loaded
+    assert "quenchctrl.verify" not in loaded
+    assert _modules_loaded(tmp_path, "import quenchctrl") == {"quenchctrl"}

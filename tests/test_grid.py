@@ -9,6 +9,7 @@ from quenchctrl.grid import (
     Grid,
     TimeGrid,
     Trajectory,
+    _cosine_modes,
     inner_product,
     inner_product_spacetime,
     laplacian_values,
@@ -169,3 +170,13 @@ def test_trajectory_validation_scans_a_held_slice():
 def test_laplacian_kills_constants_any_size(n):
     g = Grid.line(n, 1.0)
     assert np.array_equal(laplacian_values(g, np.full(n, 2.5)), np.zeros(n))
+
+
+def test_cosine_modes_built_once_and_read_only():
+    modes, eig = _cosine_modes(12, 0.25)
+    again = _cosine_modes(12, 0.25)
+    assert again[0] is modes and again[1] is eig
+    assert np.allclose(modes.T @ modes, np.eye(12))
+    for array in (modes, eig):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0

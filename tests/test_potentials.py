@@ -73,6 +73,19 @@ def test_potential_config_families_and_a1():
     zero = PotentialConfig(g_family="zero")
     assert float(zero.g(0.7)) == 0.0
 
+    # derivatives that are constant in rho are Python floats, not arrays
+    rho = np.linspace(0.0, 1.0, 5)
+    for value, expected in (
+        (cfg.f_second(rho), -1.0),
+        (cfg.g_prime(rho), 1.0),
+        (cfg.g_second(rho), 0.0),
+        (sat.g_second(rho), -2.0),
+        (zero.g_prime(rho), 0.0),
+        (zero.g_second(rho), 0.0),
+    ):
+        assert isinstance(value, float) and value == expected
+    assert isinstance(sat.g_prime(rho), np.ndarray)
+
     with pytest.raises(ValueError, match=r"\(A1\)"):
         PotentialConfig(f_strength=-1.0)
     with pytest.raises(ValueError, match=r"\(A1\)"):
