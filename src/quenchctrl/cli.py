@@ -284,8 +284,6 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
         if not (d.min_rho > 0.0 and d.max_rho < 1.0):
             out.append("rho touched an obstacle on a quench run")
     else:
-        if not (d.min_rho >= 0.0 and d.max_rho <= 1.0):
-            out.append("rho left [0, 1] on an obstacle run")
         out.extend(check_obstacle_signs(sol))
     return out
 
@@ -440,6 +438,8 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 def _cmd_verify(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     from .verify import run_suite
 
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # the problem is built only to check that the config is constructible
     report = run_suite(seed=args.seed)
     print(report.format_table())
@@ -492,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, overrides)
         problem = build_problem(cfg)
         out = Path(cfg.out_dir if args.out is None else args.out)
+        # a file on the output path would make mkdir fail after the run
+        if files := [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]:
+            raise ConfigError(f"output path {out}: {files[0]} exists and is not a directory")
         violations, success_line = args.func(args, problem, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from .costs import AdmissibleSet, CostWeights
 from .errors import ConfigError
 from .grid import Field, Grid, TimeGrid, Trajectory
 from .nonlocal_op import Kernel, NonlocalOperator
-from .potentials import PotentialConfig
+from .potentials import PotentialConfig, quench_scale
 from .state import InitialData
 
 __all__ = [
@@ -104,6 +104,8 @@ class ProblemConfig:
             raise ConfigError("need a positive horizon and at least one step")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("(A1) alpha: quench parameter must lie in [0, 1] (0 = obstacle)")
+        if self.alpha > 0.0:
+            self._check_quench_steps("alpha", [self.alpha])
         if self.tol <= 0.0 or self.max_iters < 0:
             raise ConfigError("optimizer options out of range")
         # parse both quench lists now, so a bad one fails every command alike
@@ -111,13 +113,29 @@ class ProblemConfig:
         self.sweep_values()
 
     def schedule_values(self) -> list[float]:
-        levels = _quench_list("schedule", self.schedule)
+        levels = self._quench_list("schedule", self.schedule)
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("schedule: quench parameters must be strictly decreasing")
         return levels
 
     def sweep_values(self) -> list[float]:
-        return _quench_list("sweep_alphas", self.sweep_alphas)
+        return self._quench_list("sweep_alphas", self.sweep_alphas)
+
+    def _quench_list(self, key: str, text: str) -> list[float]:
+        vals = _float_list(key, text)
+        if not all(0.0 < a <= 1.0 for a in vals):
+            raise ConfigError(f"(A1) {key}: quench parameters must lie in (0, 1], got {text!r}")
+        self._check_quench_steps(key, vals)
+        return vals
+
+    def _check_quench_steps(self, key: str, alphas: list[float]) -> None:
+        # the march steps the quench resolvent at s = tau·quench_scale(alpha),
+        # which must not underflow; a nonpositive exponent is PotentialConfig's
+        tau = self.horizon / self.steps
+        for a in alphas:
+            if self.quench_exponent > 0.0 and tau * quench_scale(a, self.quench_exponent) == 0.0:
+                raise ConfigError(f"(A1) {key}: quench parameter {a!r} gives the resolvent "
+                                  "step (horizon/steps)·alpha^quench_exponent = 0")
 
 
 def _float_list(key: str, text: str) -> list[float]:
@@ -127,13 +145,6 @@ def _float_list(key: str, text: str) -> list[float]:
         raise ConfigError(f"{key}: could not parse float list {text!r}") from exc
     if not vals:
         raise ConfigError(f"{key}: empty list")
-    return vals
-
-
-def _quench_list(key: str, text: str) -> list[float]:
-    vals = _float_list(key, text)
-    if not all(0.0 < a <= 1.0 for a in vals):
-        raise ConfigError(f"(A1) {key}: quench parameters must lie in (0, 1], got {text!r}")
     return vals
 
 

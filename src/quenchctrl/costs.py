@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import (
-    Trajectory,
-    inner_product_spacetime,
-    norm_l2_spacetime,
-    time_h1_norm,
-)
+from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime
 from .state import StateSolution
 
 __all__ = [
@@ -69,12 +64,6 @@ class AdmissibleSet:
 
     def contains_box(self, u: Trajectory) -> bool:
         return bool(np.all(u.values >= 0.0) and np.all(u.values <= self.ceiling.values))
-
-    def h1_norm(self, u: Trajectory) -> float:
-        return time_h1_norm(u)
-
-    def within_budget(self, u: Trajectory) -> bool:
-        return self.h1_norm(u) <= self.h1_budget
 
 
 def tracking_misfit_sq(traj: Trajectory, target: Trajectory) -> float:

@@ -24,7 +24,7 @@ from .costs import (
     project_admissible,
     tracking_cost,
 )
-from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime
+from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel
 from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
@@ -284,14 +284,12 @@ def deep_quench_continuation(
     probe: Trajectory | None = None,
 ) -> ContinuationRun:
     """Drive the quench parameter down the schedule, re-optimizing at
-    each level, then report the obstacle-limit diagnostics."""
-    if len(schedule) == 0:
-        raise ValueError("continuation schedule is empty")
-    if any(a <= 0.0 for a in schedule):
-        raise ValueError("continuation schedule must be strictly positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("continuation schedule must be strictly decreasing")
+    each level, then report the obstacle-limit diagnostics.
 
+    The schedule comes validated from `ProblemConfig.schedule_values()`:
+    nonempty, strictly decreasing, in (0, 1], and with a nonzero
+    resolvent step tau·quench_scale(alpha) at every level.
+    """
     if probe is None:
         probe = time_ramp_probe(u0.tgrid, u0.grid)
 
@@ -317,6 +315,7 @@ def deep_quench_continuation(
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state, probe)
         plain_grad = _gradient_trajectory(u_star, result.adjoint, weights, anchor=None)
+        control_h1 = time_h1_norm(u_star)
         rec = LevelRecord(
             alpha=alpha,
             scale=level.scale,
@@ -333,8 +332,8 @@ def deep_quench_continuation(
             concentration_cross=metric.cross_check,
             projection_residual=_projection_residual(u_star, result.adjoint, weights, box),
             vi_min=variational_inequality_min(u_star, plain_grad, box),
-            control_h1=box.h1_norm(u_star),
-            within_budget=box.within_budget(u_star),
+            control_h1=control_h1,
+            within_budget=control_h1 <= box.h1_budget,
             history=result.history,
         )
         levels.append(rec)

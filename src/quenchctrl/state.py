@@ -216,7 +216,7 @@ def solve_state(
     rho_t = Trajectory(tgrid, grid, rho)
     xi_t = Trajectory(tgrid, grid, xi)
 
-    control_nonneg = bool(np.min(u.values) >= 0.0) and bool(np.min(init.mu0.values) >= 0.0)
+    control_nonneg = bool(np.min(u.values) >= 0.0)  # InitialData holds mu0 >= 0
     min_mu = float(np.min(mu))
     diag = StateDiagnostics(
         alpha=alpha,

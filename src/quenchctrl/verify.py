@@ -363,8 +363,8 @@ def run_suite(seed: int = 0) -> VerificationReport:
     checks.append(
         _bounded(
             "nonlocal_norm_bound",
-            opq.induced_norm(),
-            opq.row_sum_bound * (1.0 + 1e-12),
+            rep.induced_norm,
+            rep.row_sum_bound * (1.0 + 1e-12),
             "2-norm under row-sum cap",
         )
     )

@@ -273,12 +273,67 @@ def test_invalid_quench_flag_exit_2(tmp_path, capsys, command, extra):
 
 @pytest.mark.parametrize(
     "line",
-    ["alpha = 2", "alpha = nan", "sweep_alphas = 2", "schedule = 1e-1,2", "schedule = 1e-2,1e-1"],
+    [
+        "alpha = 2",
+        "alpha = nan",
+        "sweep_alphas = 2",
+        "schedule = 1e-1,2",
+        "schedule = 1e-2,1e-1",
+        "schedule = 1e-1,-1e-3",
+    ],
 )
 def test_invalid_quench_config_exit_2(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, SMALL + line + "\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# case: (config key, config text) of a quench parameter whose resolvent
+# step (horizon/steps)·alpha^quench_exponent underflows to 0
+UNDERFLOW = {
+    "alpha-squared": ("alpha", "alpha = 1e-200\nquench_exponent = 2\n"),
+    "alpha-short-step": ("alpha", "alpha = 1e-320\nhorizon = 1e-10\nsteps = 3\n"),
+    "schedule": ("schedule", "schedule = 1e-1,1e-200\nquench_exponent = 2\n"),
+    "sweep": ("sweep_alphas", "sweep_alphas = 1e-1,1e-200\nquench_exponent = 2\n"),
+}
+
+
+@pytest.mark.parametrize("key, text", UNDERFLOW.values(), ids=UNDERFLOW.keys())
+@pytest.mark.parametrize("command", ["simulate", "optimize", "sweep-alpha"])
+def test_quench_step_underflow_exit_2_writes_nothing(tmp_path, capsys, key, text, command):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: (A1) {key}: quench parameter ")
+    assert err.endswith("(horizon/steps)·alpha^quench_exponent = 0\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_negative_seed_exit_2_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
+    assert main(["verify", "--config", cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "sweep-alpha", "verify"])
+def test_out_path_through_a_file_exit_2_before_solving(tmp_path, monkeypatch, capsys, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    target = blocker / below
+    if command == "verify":  # verify writes to the config's out_dir
+        argv = ["verify", "--config", write_cfg(tmp_path, f"out_dir = {target}\n")]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, OPT), "--out", str(target)]
+    # nothing may run: a solve or the suite fails the test if it starts
+    for name in ("cli.solve_state", "optimize.solve_state", "verify.run_suite"):
+        monkeypatch.setattr(f"quenchctrl.{name}", lambda *a, **k: pytest.fail("ran"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: output path {target}: {blocker} exists and is not a directory\n"
+    assert blocker.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
 
 
 @pytest.mark.parametrize("line", ["resolvent_tol = 1e-13", "coefficient_floor = 1e-8"])

@@ -94,8 +94,8 @@ def test_schedule_and_sweep_parsing():
     assert cfg.sweep_values() == [0.5, 0.25]
     with pytest.raises(ConfigError):
         ProblemConfig(schedule="a,b").schedule_values()
-    with pytest.raises(ConfigError):
-        ProblemConfig(schedule=" , ").schedule_values()
+    with pytest.raises(ConfigError, match="schedule: empty list"):
+        ProblemConfig(schedule=" , ")
 
 
 def test_shipped_configs_all_build():

@@ -1,7 +1,6 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from quenchctrl.costs import AdmissibleSet, CostWeights, project_admissible
 from quenchctrl.grid import (
@@ -179,18 +178,6 @@ def test_variational_inequality_min_matches_vertex_oracle():
     # a nonnegative gradient at u = 0: v = 0 attains the minimum 0
     zero = Trajectory.zeros(tgrid, grid)
     assert variational_inequality_min(zero, Trajectory(tgrid, grid, np.abs(g.values)), box) == 0.0
-
-
-def test_continuation_schedule_validation():
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    u0 = Trajectory.zeros(tgrid, grid)
-    kw = dict(u0=u0, init=init, model=model, op=op)
-    with pytest.raises(ValueError):
-        deep_quench_continuation([], weights, box, **kw)
-    with pytest.raises(ValueError):
-        deep_quench_continuation([1e-2, 1e-1], weights, box, **kw)
-    with pytest.raises(ValueError):
-        deep_quench_continuation([1e-1, -1e-3], weights, box, **kw)
 
 
 def test_continuation_small_run_structure():

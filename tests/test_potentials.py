@@ -94,6 +94,16 @@ def test_potential_config_families_and_a1():
         PotentialConfig(quench_exponent=0.0)
 
 
+@pytest.mark.parametrize("family", potentials._G_FAMILIES)
+def test_every_g_family_is_nonnegative_and_concave(family):
+    # (A1) holds by construction of each family, so PotentialConfig does
+    # not sample it; this test is where it is checked
+    model = PotentialConfig(g_family=family)
+    rho = np.linspace(0.0, 1.0, 1001)
+    assert np.all(model.g(rho) >= 0.0)
+    assert np.all(np.broadcast_to(model.g_second(rho), rho.shape) <= 0.0)
+
+
 def test_quench_resolvent_residual_small():
     # rho-space residual is meaningful only while the root stays
     # representable, i.e. |log term| within ~36/s of the data
