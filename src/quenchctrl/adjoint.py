@@ -27,11 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostWeights
-from .errors import ConfigError, NonFiniteError, SolverError
+from .errors import ConfigError
 from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, QuenchLevel, log_potential_second
-from .state import StateSolution, mu_zeroth_coefficient
+from .state import StateSolution, mu_zeroth_coefficient, wrap_march
 
 __all__ = [
     "AdjointSolution",
@@ -118,17 +118,9 @@ def solve_adjoint(
     lam = np.zeros_like(q)
     lam[1:nt] = scale * curv * q[1:nt]
 
-    try:
-        mu_dual = Trajectory(tgrid, grid, p)
-        rho_dual = Trajectory(tgrid, grid, q)
-        multiplier = Trajectory(tgrid, grid, lam)
-    except NonFiniteError:
-        # the march runs backward, so its first non-finite node is the last one
-        finite = (np.isfinite(p) & np.isfinite(q) & np.isfinite(lam)).reshape(nt + 1, -1)
-        m = np.flatnonzero(~finite.all(axis=1))[-1]
-        raise SolverError(
-            f"adjoint march: a non-finite value at time node {m} of {nt}, marching backward"
-        ) from None
+    mu_dual, rho_dual, multiplier = wrap_march(
+        "adjoint march", tgrid, grid, (p, q, lam), backward=True
+    )
 
     return AdjointSolution(
         mu_dual=mu_dual,

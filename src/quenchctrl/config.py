@@ -19,6 +19,7 @@ config with `dataclasses.replace`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .costs import AdmissibleSet, CostWeights
 from .errors import ConfigError
-from .grid import Field, Grid, TimeGrid, Trajectory
+from .grid import Grid, TimeGrid, Trajectory
 from .nonlocal_op import Kernel, NonlocalOperator
 from .potentials import PotentialConfig, quench_scale
 from .state import InitialData
@@ -94,6 +95,12 @@ class ProblemConfig:
     seed: int = 42          # parsed but read by nothing, as noted above
 
     def __post_init__(self):
+        # NaN passes every range test below and inf most of them, so both are
+        # refused first; h1_budget = inf means no budget
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if kind == "float" and not (math.isfinite(value) or key == "h1_budget" and value > 0):
+                raise ConfigError(f"{key}: expected a finite number, got {value}")
         if self.dim not in (1, 2):
             raise ConfigError("grid dimension must be 1 or 2")
         if self.cells_x < 1 or (self.dim == 2 and self.cells_y < 1):
@@ -282,10 +289,7 @@ def build_problem(cfg: ProblemConfig) -> Problem:
     )
     op = NonlocalOperator(kernel, grid)
 
-    init = InitialData(
-        Field(grid, profile_values(cfg.rho0, grid)),
-        Field(grid, profile_values(cfg.mu0, grid)),
-    )
+    init = InitialData(grid, profile_values(cfg.rho0, grid), profile_values(cfg.mu0, grid))
     control = Trajectory.constant_profile(tgrid, grid, profile_values(cfg.control, grid))
 
     box = AdmissibleSet(

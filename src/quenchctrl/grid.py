@@ -2,13 +2,14 @@
 
 Everything downstream runs on the pair (Grid, TimeGrid): a uniform
 cell-centered mesh over an interval or a rectangle with homogeneous
-Neumann boundary, and a uniform partition of [0, T].  Field and
-Trajectory are thin wrappers around numpy arrays that pin the mesh and
-validate shape and finiteness; the solvers work on the raw arrays and
-wrap results at API boundaries.  A trajectory that does not change in
-time (`Trajectory.constant`, `zeros`, `constant_profile`) holds one
-spatial array, read-only and broadcast over every time node: copy its
-values before writing to them.
+Neumann boundary, and a uniform partition of [0, T].  Trajectory wraps
+a numpy array, pinning the space-time mesh and validating shape and
+finiteness.  The solvers march raw arrays and wrap only their finished
+results; `Field`, the same wrapper for one snapshot, is left only as
+the type of `state.step_mu`.  A trajectory that does not change in time
+(`Trajectory.constant`, `zeros`, `constant_profile`) holds one spatial
+array, read-only and broadcast over every time node: copy its values
+before writing to them.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ class Grid:
     def center_points(self) -> np.ndarray:
         """All cell centers as an (n_cells, dim) array in C order.
 
-        The row order matches values.reshape(-1) of any Field on this
-        grid, which is what the brute-force quadrature oracle relies on.
+        The row order matches values.reshape(-1) of any cell array on
+        this grid, which is what the brute-force quadrature oracle relies on.
         """
         axes = self.centers()
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -141,7 +142,8 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_nodes)
 
 
-def _validated(values, shape, what: str) -> np.ndarray:
+def validated(values, shape, what: str) -> np.ndarray:
+    """values as a float array of the given shape, every entry finite."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ShapeMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
@@ -160,16 +162,12 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _validated(self.values, self.grid.shape, "Field")
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(grid, np.full(grid.shape, float(value)))
+        self.values = validated(self.values, self.grid.shape, "Field")
 
 
 @dataclass
 class Trajectory:
-    """A Field per time node: steps + 1 snapshots."""
+    """One cell array per time node: steps + 1 snapshots."""
 
     tgrid: TimeGrid
     grid: Grid
@@ -177,7 +175,7 @@ class Trajectory:
 
     def __post_init__(self):
         shape = (self.tgrid.n_nodes,) + self.grid.shape
-        self.values = _validated(self.values, shape, "Trajectory")
+        self.values = validated(self.values, shape, "Trajectory")
 
     @classmethod
     def constant(cls, tgrid: TimeGrid, grid: Grid, value: float) -> "Trajectory":
@@ -199,18 +197,9 @@ class Trajectory:
         held[...] = profile
         return cls(tgrid, grid, np.broadcast_to(held, (tgrid.n_nodes,) + grid.shape))
 
-    def snapshot(self, n: int) -> Field:
-        """Field view of node n (shares memory with the trajectory)."""
-        return Field(self.grid, self.values[n])
-
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         _check_same_spacetime(self, other)
         return Trajectory(self.tgrid, self.grid, self.values - other.values)
-
-
-def _check_same_grid(a, b) -> None:
-    if a.grid != b.grid:
-        raise ShapeMismatchError("fields live on different grids")
 
 
 def _check_same_spacetime(a: Trajectory, b: Trajectory) -> None:
@@ -348,9 +337,9 @@ def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return np.array(x)
 
 
-def inner_product(f: Field, g: Field) -> float:
-    _check_same_grid(f, g)
-    return float(np.sum(f.values * g.values) * f.grid.cell_volume)
+def inner_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product of two cell arrays on grid."""
+    return float(np.sum(a * b) * grid.cell_volume)
 
 
 def trapezoid_weights(n_nodes: int) -> np.ndarray:

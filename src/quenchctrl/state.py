@@ -20,9 +20,11 @@ from .errors import ConfigError, NonFiniteError, SolverError
 from .grid import (
     Field,
     Grid,
+    TimeGrid,
     Trajectory,
     norm_lp_spacetime,
     solve_step_system,
+    validated,
 )
 from .nonlocal_op import NonlocalOperator
 from .potentials import (
@@ -39,6 +41,7 @@ __all__ = [
     "StateSolution",
     "step_rho",
     "step_mu",
+    "wrap_march",
     "solve_state",
     "energy_residual_profile",
     "energy_residual",
@@ -52,27 +55,24 @@ COEFFICIENT_FLOOR = 1e-8
 
 @dataclass
 class InitialData:
-    """Initial order parameter and chemical potential.
+    """Initial order parameter and chemical potential, as cell arrays on grid.
 
-    The order parameter must start strictly inside (0, 1) and the
-    chemical potential must be nonnegative; both are requirements of the
-    well-posedness assumptions, rejected under the (A2) tag.
+    Both must have the grid's shape and be finite.  The well-posedness
+    assumptions, rejected under the (A2) tag, also need rho strictly
+    inside (0, 1) and mu nonnegative.
     """
 
-    rho0: Field
-    mu0: Field
+    grid: Grid
+    rho0: np.ndarray
+    mu0: np.ndarray
 
     def __post_init__(self):
-        if self.rho0.grid != self.mu0.grid:
-            raise ConfigError("(A2) initial fields live on different grids")
-        if np.min(self.rho0.values) <= 0.0 or np.max(self.rho0.values) >= 1.0:
+        self.rho0 = validated(self.rho0, self.grid.shape, "InitialData rho0")
+        self.mu0 = validated(self.mu0, self.grid.shape, "InitialData mu0")
+        if np.min(self.rho0) <= 0.0 or np.max(self.rho0) >= 1.0:
             raise ConfigError("(A2) initial rho must lie strictly inside (0, 1)")
-        if np.min(self.mu0.values) < 0.0:
+        if np.min(self.mu0) < 0.0:
             raise ConfigError("(A2) initial mu must be nonnegative")
-
-    @property
-    def grid(self) -> Grid:
-        return self.rho0.grid
 
 
 @dataclass
@@ -125,26 +125,27 @@ def mu_zeroth_coefficient(
 
 
 def step_rho(
-    rho_n: Field,
-    mu_n: Field,
+    rho_n: np.ndarray,
+    mu_n: np.ndarray,
     level: QuenchLevel | None,
     tau: float,
     model: PotentialConfig,
     op: NonlocalOperator,
-) -> tuple[Field, Field]:
-    """One order-parameter update; level None means the obstacle problem."""
-    drive = (
-        mu_n.values * model.g_prime(rho_n.values)
-        - model.f_prime(rho_n.values)
-        - op.apply_values(rho_n.values)
-    )
-    b = rho_n.values + tau * drive
+) -> tuple[np.ndarray, np.ndarray]:
+    """One order-parameter update on raw arrays, returning (rho, xi);
+    level None means the obstacle problem."""
+    b = rho_n + tau * (mu_n * model.g_prime(rho_n) - model.f_prime(rho_n) - op.apply_values(rho_n))
     if level is None:
-        rho, xi = obstacle_resolvent(b, tau)
-    else:
-        rho, slope = quench_resolvent_detail(b, tau * level.scale)
-        xi = level.scale * slope
-    return Field(rho_n.grid, rho), Field(rho_n.grid, xi)
+        return obstacle_resolvent(b, tau)
+    rho, slope = quench_resolvent_detail(b, tau * level.scale)
+    return rho, level.scale * slope
+
+
+def _mu_update(grid: Grid, mu_n, rho_n, rho_np1, u_np1, tau: float, model: PotentialConfig):
+    """`step_mu` on raw arrays; returns the new mu and the clamp count."""
+    a, clamps = mu_zeroth_coefficient(rho_np1, rho_n, tau, model)
+    rhs = (1.0 + 2.0 * model.g(rho_np1)) * mu_n / tau + u_np1
+    return solve_step_system(grid, a, rhs), clamps
 
 
 def step_mu(
@@ -154,15 +155,34 @@ def step_mu(
     u_np1: Field,
     tau: float,
     model: PotentialConfig,
-    stats: dict | None = None,
 ) -> Field:
-    """One chemical-potential update: one solve of the SPD step system."""
+    """One chemical-potential update, one solve of the SPD step system, on
+    Fields: the single-step entry point around the march's `_mu_update`."""
     grid = mu_n.grid
-    a, clamps = mu_zeroth_coefficient(rho_np1.values, rho_n.values, tau, model)
-    rhs = (1.0 + 2.0 * model.g(rho_np1.values)) * mu_n.values / tau + u_np1.values
-    if stats is not None:
-        stats["clamp_events"] = stats.get("clamp_events", 0) + clamps
-    return Field(grid, solve_step_system(grid, a, rhs))
+    mu, _ = _mu_update(grid, mu_n.values, rho_n.values, rho_np1.values, u_np1.values, tau, model)
+    return Field(grid, mu)
+
+
+def wrap_march(
+    march: str, tgrid: TimeGrid, grid: Grid, arrays: tuple[np.ndarray, ...], backward: bool = False
+) -> list[Trajectory]:
+    """A finished march's arrays (time along axis 0) as Trajectories.
+
+    Their validation is the march's one finiteness check.  When it fails,
+    SolverError names the node where the march first met a non-finite
+    value: the lowest such node marching forward, the highest backward.
+    """
+    try:
+        return [Trajectory(tgrid, grid, a) for a in arrays]
+    except NonFiniteError:
+        finite = np.ones(tgrid.n_nodes, dtype=bool)
+        for a in arrays:
+            finite &= np.isfinite(a).reshape(len(a), -1).all(axis=1)
+        bad = np.flatnonzero(~finite)
+        node, way = (bad[-1], ", marching backward") if backward else (bad[0], "")
+        raise SolverError(
+            f"{march}: a non-finite value at time node {node} of {tgrid.steps}{way}"
+        ) from None
 
 
 def solve_state(
@@ -175,7 +195,10 @@ def solve_state(
     """March the coupled system over the whole time grid.
 
     u supplies the source of the chemical-potential equation; the step
-    from node n to n+1 consumes u at node n+1.
+    from node n to n+1 consumes u at node n+1.  Each step, on raw arrays,
+    is `step_rho` (level None: the obstacle problem), then the mu solve.
+    The march stops at the first node whose mu is non-finite, and
+    `wrap_march` names the first non-finite node.
     """
     tgrid = u.tgrid
     grid = u.grid
@@ -187,8 +210,8 @@ def solve_state(
     rho = np.empty((nodes,) + grid.shape)
     mu = np.empty_like(rho)
     xi = np.empty_like(rho)
-    rho[0] = init.rho0.values
-    mu[0] = init.mu0.values
+    rho[0] = init.rho0
+    mu[0] = init.mu0
     if level is None:
         xi[0] = 0.0  # interior start, multiplier inactive at t = 0
         alpha = 0.0
@@ -196,25 +219,18 @@ def solve_state(
         xi[0] = level.scale * log_potential_prime(rho[0])
         alpha = level.alpha
 
-    stats: dict = {}
-    rho_f = Field(grid, rho[0])
-    mu_f = Field(grid, mu[0])
+    clamp_events = 0
     for n in range(tgrid.steps):
-        try:
-            rho_next, xi_next = step_rho(rho_f, mu_f, level, tau, model, op)
-            mu_next = step_mu(mu_f, rho_f, rho_next, u.snapshot(n + 1), tau, model, stats)
-        except NonFiniteError as exc:
-            raise SolverError(
-                f"forward march: a non-finite value at time node {n + 1} of {tgrid.steps} ({exc})"
-            ) from None
-        rho[n + 1] = rho_next.values
-        xi[n + 1] = xi_next.values
-        mu[n + 1] = mu_next.values
-        rho_f, mu_f = rho_next, mu_next
-
-    mu_t = Trajectory(tgrid, grid, mu)
-    rho_t = Trajectory(tgrid, grid, rho)
-    xi_t = Trajectory(tgrid, grid, xi)
+        rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], level, tau, model, op)
+        mu[n + 1], clamps = _mu_update(
+            grid, mu[n], rho[n], rho[n + 1], u.values[n + 1], tau, model
+        )
+        clamp_events += clamps
+        if not np.isfinite(mu[n + 1]).all():
+            # stop: this mu would fail the next quench resolvent and hide the
+            # node; the unwritten later nodes lie past the one wrap_march names
+            break
+    mu_t, rho_t, xi_t = wrap_march("forward march", tgrid, grid, (mu, rho, xi))
 
     control_nonneg = bool(np.min(u.values) >= 0.0)  # InitialData holds mu0 >= 0
     min_mu = float(np.min(mu))
@@ -225,7 +241,7 @@ def solve_state(
         max_rho=float(np.max(rho)),
         xi_l6=norm_lp_spacetime(xi_t, 6.0),
         energy_residual_max=0.0,
-        clamp_events=stats.get("clamp_events", 0),
+        clamp_events=clamp_events,
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,
     )
     sol = StateSolution(mu=mu_t, rho=rho_t, xi=xi_t, alpha=alpha, diagnostics=diag)

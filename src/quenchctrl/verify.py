@@ -304,7 +304,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
         worst_cons = max(worst_cons, abs(float(np.sum(lf1)) * g.cell_volume))
         worst_sym = max(
             worst_sym,
-            abs(inner_product(Field(g, lf1), Field(g, f2)) - inner_product(Field(g, f1), Field(g, lf2))),
+            abs(inner_product(g, lf1, f2) - inner_product(g, f1, lf2)),
         )
         dense = dense_laplacian(g) @ f1.reshape(-1)
         worst_dense = max(worst_dense, float(np.max(np.abs(lf1.reshape(-1) - dense))))
@@ -328,8 +328,8 @@ def run_suite(seed: int = 0) -> VerificationReport:
         worst_adj = max(
             worst_adj,
             abs(
-                inner_product(Field(g, op.apply_values(fq)), Field(g, hq))
-                - inner_product(Field(g, fq), Field(g, op.apply_adjoint_values(hq)))
+                inner_product(g, op.apply_values(fq), hq)
+                - inner_product(g, fq, op.apply_adjoint_values(hq))
             ),
         )
     checks.append(
@@ -462,7 +462,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     zero_model = PotentialConfig(g_family="zero")
     g_triv = Grid.line(12, 1.0)
     t_triv = TimeGrid(0.4, 16)
-    triv_init = InitialData(Field.constant(g_triv, 0.5), Field.constant(g_triv, 0.0))
+    triv_init = InitialData(g_triv, np.full(g_triv.shape, 0.5), np.zeros(g_triv.shape))
     triv_op = NonlocalOperator(Kernel.zero(), g_triv)
     triv = solve_state(
         Trajectory.zeros(t_triv, g_triv), zero_model.level(0.5), triv_init, zero_model, triv_op
@@ -477,7 +477,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     g32 = Grid.line(32, 1.0)
     t50 = TimeGrid(1.0, 50)
     op32 = NonlocalOperator(Kernel.gaussian(1.0, 0.1), g32)
-    init32 = InitialData(Field.constant(g32, 0.5), Field.constant(g32, 1.0))
+    init32 = InitialData(g32, np.full(g32.shape, 0.5), np.ones(g32.shape))
     u_one = Trajectory.constant(t50, g32, 1.0)
     quenched = solve_state(u_one, model.level(1e-3), init32, model, op32)
     obstacle = solve_state(u_one, None, init32, model, op32)
@@ -512,7 +512,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     ref_rk4 = rk4_scalar_relaxation(0.8, 0.5, model.f_strength, 0.5, 20000)
     cell = Grid.line(1, 1.0)
     cell_op = NonlocalOperator(Kernel.zero(), cell)
-    cell_init = InitialData(Field.constant(cell, 0.8), Field.constant(cell, 0.0))
+    cell_init = InitialData(cell, np.full(cell.shape, 0.8), np.zeros(cell.shape))
     errs_cell = []
     for nt in (100, 200, 400):
         tg = TimeGrid(0.5, nt)
@@ -539,9 +539,7 @@ def run_suite(seed: int = 0) -> VerificationReport:
     ts = TimeGrid(0.5, 30)
     ops = NonlocalOperator(Kernel.gaussian(0.5, 0.25), gs)
     x = gs.centers()[0]
-    init_s = InitialData(
-        Field(gs, 0.5 + 0.2 * np.cos(2.0 * np.pi * x)), Field(gs, 1.0 + 0.5 * np.cos(np.pi * x))
-    )
+    init_s = InitialData(gs, 0.5 + 0.2 * np.cos(2.0 * np.pi * x), 1.0 + 0.5 * np.cos(np.pi * x))
     weights_s = CostWeights(
         rho_weight=1.0,
         mu_weight=0.1,

@@ -6,7 +6,7 @@ import pytest
 from quenchctrl.adjoint import concentration_metric, solve_adjoint, time_ramp_probe
 from quenchctrl.config import build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
-from quenchctrl.grid import Field, Grid, TimeGrid, Trajectory
+from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.optimize import reduced_gradient
 from quenchctrl.potentials import PotentialConfig
@@ -21,7 +21,7 @@ def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
     tgrid = TimeGrid(1.0, steps)
     model = PotentialConfig(f_strength=0.25, g_family=g_family)
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     level = model.level(alpha)
     sol = solve_state(u, level, init, model, op)

@@ -288,6 +288,36 @@ def test_invalid_quench_config_exit_2(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
+# every float key of ProblemConfig: NaN passes a range test, and inf most
+# of them, so each is refused first; only h1_budget = inf (no budget) is valid
+FLOAT_KEYS = (
+    "length_x", "length_y", "horizon", "kernel_amplitude", "kernel_width",
+    "kernel_core_radius", "kernel_radius", "f_strength", "quench_exponent", "alpha",
+    "rho_weight", "mu_weight", "control_weight", "h1_budget", "tol",
+)
+NON_FINITE_KEYS = (
+    [(key, "nan", "simulate") for key in FLOAT_KEYS]
+    + [(key, "inf", "simulate") for key in FLOAT_KEYS if key != "h1_budget"]
+    + [("h1_budget", "-inf", "simulate"), ("tol", "nan", "optimize"), ("tol", "inf", "optimize")]
+)
+
+
+@pytest.mark.parametrize("key, value, command", NON_FINITE_KEYS)
+def test_non_finite_float_key_exit_2_writes_nothing(tmp_path, capsys, key, value, command):
+    text = f"cells_x = 4\nsteps = 3\nmax_iters = 3\nschedule = 1e-1,1e-2\n{key} = {value}\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {key}: expected a finite number, got {value}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_infinite_h1_budget_is_no_budget(tmp_path):
+    text = "cells_x = 4\nsteps = 3\nmax_iters = 3\nschedule = 1e-1,1e-2\nh1_budget = inf\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 # case: (config key, config text) of a quench parameter whose resolvent
 # step (horizon/steps)·alpha^quench_exponent underflows to 0
 UNDERFLOW = {
@@ -369,6 +399,30 @@ def test_non_finite_march_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver failure: forward march: a non-finite value at time node 1 of 5")
     assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_obstacle_march_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "steps = 5\nmu0 = constant:1e305\n")
+    assert main(["simulate", "--config", cfg, "--alpha", "0", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: forward march: a non-finite value at time node 1 of 5")
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_march_in_2d_exit_3(tmp_path):
+    # numpy's overflow warning would go to stderr, hence a subprocess
+    text = "dim = 2\ncells_x = 4\ncells_y = 5\nsteps = 5\nmu0 = constant:1e308\nalpha = 0\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "solver failure: forward march: a non-finite value at time node 1 of 5" in proc.stderr
+    assert not out.exists()
 
 
 def test_huge_finite_mu0_in_2d_gives_finite_diagnostics(tmp_path):

@@ -27,7 +27,7 @@ def test_defaults_build():
     assert prob.grid.n_cells == 64
     assert prob.tgrid.steps == 200
     assert prob.box.contains_box(prob.control)
-    assert np.all(prob.init.mu0.values == 1.0)
+    assert np.all(prob.init.mu0 == 1.0)
 
 
 def test_parse_config_text_round_trip():

@@ -12,7 +12,7 @@ from quenchctrl.costs import (
     tracking_cost,
     tracking_misfit_sq,
 )
-from quenchctrl.grid import Field, Grid, TimeGrid, Trajectory, time_h1_norm
+from quenchctrl.grid import Grid, TimeGrid, Trajectory, time_h1_norm
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import InitialData, solve_state
@@ -71,7 +71,7 @@ def test_tracking_cost_frozen_value():
     tg = TimeGrid(1.0, 10)
     model = PotentialConfig(f_strength=0.0, g_family="zero")
     op = NonlocalOperator(Kernel.zero(), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 0.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tg, grid)
     sol = solve_state(u, model.level(1.0), init, model, op)
     w = make_weights(tg, grid, rw=2.0, mw=4.0, cw=6.0, rho_t=0.75, mu_t=0.5)
@@ -87,7 +87,7 @@ def test_anchored_cost_reduces_to_plain_at_anchor():
     tg = TimeGrid(1.0, 8)
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tg, grid, 0.7)
     sol = solve_state(u, model.level(1e-2), init, model, op)
     w = make_weights(tg, grid)

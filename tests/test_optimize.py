@@ -4,7 +4,6 @@ import numpy as np
 
 from quenchctrl.costs import AdmissibleSet, CostWeights, project_admissible
 from quenchctrl.grid import (
-    Field,
     Grid,
     TimeGrid,
     Trajectory,
@@ -28,7 +27,7 @@ def small_problem(n=12, steps=15, rw=1.0, mw=0.5, cw=2.0, rho_t=0.8, mu_t=1.0):
     tgrid = TimeGrid(1.0, steps)
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     weights = CostWeights(
         rho_weight=rw,
         mu_weight=mw,

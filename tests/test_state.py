@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quenchctrl import grid as grid_module
-from quenchctrl.errors import ConfigError, SolverError
+from quenchctrl import state as state_module
+from quenchctrl.errors import ConfigError, NonFiniteError, ShapeMismatchError, SolverError
 from quenchctrl.grid import (
     Field,
     Grid,
@@ -23,6 +24,7 @@ from quenchctrl.state import (
     mu_zeroth_coefficient,
     solve_state,
     step_mu,
+    wrap_march,
 )
 from quenchctrl.verify import dense_laplacian, dense_mu_step, rk4_scalar_relaxation
 
@@ -37,13 +39,17 @@ def make_setup(n=16, steps=20, g_family="linear", f_strength=0.25, kernel=None, 
 
 def test_initial_data_a2_validation():
     g = Grid.line(4, 1.0)
+    with pytest.raises(ShapeMismatchError):
+        InitialData(g, np.full(5, 0.5), np.ones(g.shape))
+    with pytest.raises(NonFiniteError):
+        InitialData(g, np.full(g.shape, 0.5), np.array([1.0, np.inf, 1.0, 1.0]))
     with pytest.raises(ConfigError, match=r"\(A2\)"):
-        InitialData(Field.constant(g, 0.0), Field.constant(g, 1.0))
+        InitialData(g, np.zeros(g.shape), np.ones(g.shape))
     with pytest.raises(ConfigError, match=r"\(A2\)"):
-        InitialData(Field.constant(g, 1.0), Field.constant(g, 1.0))
+        InitialData(g, np.ones(g.shape), np.ones(g.shape))
     with pytest.raises(ConfigError, match=r"\(A2\)"):
-        InitialData(Field.constant(g, 0.5), Field.constant(g, -0.1))
-    InitialData(Field.constant(g, 0.5), Field.constant(g, 0.0))  # boundary mu ok
+        InitialData(g, np.full(g.shape, 0.5), np.full(g.shape, -0.1))
+    InitialData(g, np.full(g.shape, 0.5), np.zeros(g.shape))  # boundary mu ok
 
 
 # long thin boxes, which assemble densely in under 500 cells
@@ -139,7 +145,7 @@ def test_trivial_configuration_is_exactly_stationary():
     grid, tgrid, model, op = make_setup(
         n=8, steps=30, f_strength=0.0, kernel=Kernel.zero()
     )
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 0.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
     for level in (model.level(1.0), model.level(1e-3), None):
         sol = solve_state(u, level, init, model, op)
@@ -184,7 +190,7 @@ def test_single_cell_against_rk4():
     tgrid = TimeGrid(0.5, 400)
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.zero(), grid)
-    init = InitialData(Field.constant(grid, 0.3), Field.constant(grid, 0.0))
+    init = InitialData(grid, np.full(grid.shape, 0.3), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
     level = model.level(0.5)
     sol = solve_state(u, level, init, model, op)
@@ -195,10 +201,7 @@ def test_single_cell_against_rk4():
 def test_state_bounds_and_nonnegativity():
     grid, tgrid, model, op = make_setup(n=32, steps=100)
     x = grid.centers()[0]
-    init = InitialData(
-        Field(grid, 0.4 + 0.2 * np.sin(2 * np.pi * x)),
-        Field.constant(grid, 1.0),
-    )
+    init = InitialData(grid, 0.4 + 0.2 * np.sin(2 * np.pi * x), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     for level in (model.level(1e-1), model.level(1e-3)):
         sol = solve_state(u, level, init, model, op)
@@ -216,7 +219,7 @@ def test_state_bounds_and_nonnegativity():
 def test_obstacle_contact_produces_active_set():
     # strong persistent forcing drives rho onto the upper obstacle
     grid, tgrid, model, op = make_setup(n=64, steps=200)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, None, init, model, op)
     assert sol.diagnostics.max_rho == 1.0
@@ -226,7 +229,7 @@ def test_obstacle_contact_produces_active_set():
 
 def test_sign_check_rejects_quench_runs():
     grid, tgrid, model, op = make_setup(n=8, steps=5)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 0.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
     sol = solve_state(u, model.level(0.5), init, model, op)
     with pytest.raises(ValueError):
@@ -237,7 +240,7 @@ def test_energy_residual_first_order_in_tau():
     grid = Grid.line(64, 1.0)
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     residuals = []
     for steps in (100, 200, 400):
         tgrid = TimeGrid(1.0, steps)
@@ -270,7 +273,7 @@ def energy_residual_profile_loop(sol, u, model):
         for axis, h in enumerate(grid.spacing):
             d = np.diff(mu_n, axis=axis) / h
             dissip[n] += float(np.sum(d * d) * grid.cell_volume)
-        source[n] = inner_product(u.snapshot(n), sol.mu.snapshot(n))
+        source[n] = inner_product(grid, u.values[n], sol.mu.values[n])
 
     res = np.zeros(nodes)
     cum_d = 0.0
@@ -290,13 +293,13 @@ def test_energy_residual_profile_matches_node_loop():
     # each profile entry is already a defect relative to the balance-law
     # terms, so 1e-12 absolute on it is 1e-12 relative to those terms
     grid, tgrid, model, op = make_setup(n=32, steps=60, g_family="saturating")
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, model.level(1e-2), init, model, op)
     grid2 = Grid.box((6, 5), (1.0, 0.8))
     tgrid2 = TimeGrid(0.25, 20)
     op2 = NonlocalOperator(Kernel.gaussian(1.0, 0.15), grid2)
-    init2 = InitialData(Field.constant(grid2, 0.5), Field.constant(grid2, 1.0))
+    init2 = InitialData(grid2, np.full(grid2.shape, 0.5), np.ones(grid2.shape))
     u2 = Trajectory.constant(tgrid2, grid2, 1.0)
     sol2 = solve_state(u2, model.level(1e-3), init2, model, op2)
     for s, v in ((sol, u), (sol2, u2)):
@@ -309,7 +312,7 @@ def test_energy_residual_profile_matches_node_loop():
 
 def test_solver_is_deterministic():
     grid, tgrid, model, op = make_setup(n=24, steps=50)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     a = solve_state(u, model.level(1e-2), init, model, op)
     b = solve_state(u, model.level(1e-2), init, model, op)
@@ -321,7 +324,7 @@ def test_solver_is_deterministic():
 def test_grid_mismatch_rejected():
     grid, tgrid, model, op = make_setup(n=8, steps=5)
     other = Grid.line(9, 1.0)
-    init = InitialData(Field.constant(other, 0.5), Field.constant(other, 0.0))
+    init = InitialData(other, np.full(other.shape, 0.5), np.zeros(other.shape))
     u = Trajectory.zeros(tgrid, grid)
     with pytest.raises(ConfigError, match=r"\(A2\)"):
         solve_state(u, model.level(0.5), init, model, op)
@@ -332,9 +335,51 @@ def test_two_dimensional_run_smoke():
     tgrid = TimeGrid(0.5, 20)
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.15), grid)
-    init = InitialData(Field.constant(grid, 0.5), Field.constant(grid, 1.0))
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, model.level(1e-2), init, model, op)
     assert sol.rho.values.shape == (21, 8, 6)
     assert sol.diagnostics.min_mu >= -1e-10
     assert 0.0 < sol.diagnostics.min_rho <= sol.diagnostics.max_rho < 1.0
+
+
+def test_march_builds_no_field(monkeypatch):
+    built = []
+    post_init = Field.__post_init__
+    monkeypatch.setattr(Field, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for grid in (Grid.line(8, 1.0), Grid.box((4, 5), (1.0, 1.0))):
+        tgrid = TimeGrid(0.5, 6)
+        op = NonlocalOperator(Kernel.gaussian(1.0, 0.15), grid)
+        model = PotentialConfig()
+        init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+        u = Trajectory.constant(tgrid, grid, 1.0)
+        for level in (model.level(1e-2), None):
+            solve_state(u, level, init, model, op)
+    assert built == []
+    Field(grid, np.zeros(grid.shape))  # the counter sees a construction
+    assert built == [1]
+
+
+def test_march_stops_at_the_first_non_finite_mu(monkeypatch):
+    # mu overflows in the first obstacle step, so no later step is taken
+    grid, tgrid, model, op = make_setup(n=64, steps=5)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.full(grid.shape, 1e305))
+    calls = []
+    step_rho = state_module.step_rho
+    monkeypatch.setattr(state_module, "step_rho", lambda *a: calls.append(1) or step_rho(*a))
+    with pytest.raises(SolverError, match=r"^forward march: a non-finite value at time node 1 of 5$"):
+        solve_state(Trajectory.constant(tgrid, grid, 1.0), None, init, model, op)
+    assert len(calls) == 1
+
+
+def test_wrap_march_names_the_first_node_reached():
+    grid, tgrid = Grid.line(3, 1.0), TimeGrid(1.0, 4)
+    a = np.zeros((5, 3))
+    b = np.zeros((5, 3))
+    assert [t.values.shape for t in wrap_march("m", tgrid, grid, (a, b))] == [(5, 3)] * 2
+    a[1, 2] = np.nan
+    b[3, 0] = np.inf
+    with pytest.raises(SolverError, match=r"^m: a non-finite value at time node 1 of 4$"):
+        wrap_march("m", tgrid, grid, (a, b))
+    with pytest.raises(SolverError, match=r"node 3 of 4, marching backward$"):
+        wrap_march("m", tgrid, grid, (a, b), backward=True)
