@@ -14,9 +14,10 @@ the same time a consistent discretization of the continuous dual system.
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
 freedom, which mirrors the fact that admissible probe functions vanish
-at t = 0.  Only quench levels are supported; the obstacle problem has
-no differentiable control-to-state map, its optimality system is
-reached through the continuation instead.
+at t = 0.  The quench level is the state's alpha, which must be
+positive: the obstacle problem (alpha = 0) has no differentiable
+control-to-state map, its optimality system is reached through the
+continuation instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .costs import CostWeights
 from .errors import ConfigError
 from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
-from .potentials import PotentialConfig, QuenchLevel, log_potential_second
+from .potentials import PotentialConfig, log_potential_second, quench_scale
 from .state import StateSolution, mu_zeroth_coefficient, wrap_march
 
 __all__ = [
@@ -51,27 +52,23 @@ class AdjointSolution:
     mu_dual: Trajectory
     rho_dual: Trajectory
     multiplier: Trajectory
-    alpha: float
     scale: float
     pairing_value: float
 
 
 def solve_adjoint(
-    level: QuenchLevel,
     state: StateSolution,
     weights: CostWeights,
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> AdjointSolution:
-    """Backward march over the stored state trajectories.
+    """Backward march over the stored state trajectories, at the state's
+    quench level: scale = quench_scale(state.alpha, quench_exponent).
 
-    Requires a quench level (alpha > 0) and a state solved at the same
-    level.
+    An obstacle state (alpha = 0) raises ValueError.
     """
-    if level is None or level.alpha <= 0.0:
+    if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
-    if state.alpha != level.alpha:
-        raise ValueError("state was not solved at the given quench level")
     rho = state.rho.values
     mu = state.mu.values
     tgrid = state.rho.tgrid
@@ -80,7 +77,7 @@ def solve_adjoint(
         raise ConfigError("(A4) target does not match the state discretization")
     tau = tgrid.tau
     nt = tgrid.steps
-    scale = level.scale
+    scale = quench_scale(state.alpha, model.quench_exponent)
 
     p = np.zeros_like(rho)
     q = np.zeros_like(rho)
@@ -126,8 +123,7 @@ def solve_adjoint(
         mu_dual=mu_dual,
         rho_dual=rho_dual,
         multiplier=multiplier,
-        alpha=level.alpha,
-        scale=level.scale,
+        scale=scale,
         pairing_value=inner_product_spacetime(multiplier, rho_dual),
     )
 

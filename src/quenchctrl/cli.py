@@ -296,9 +296,9 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
 
 
 def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    alpha = problem.config.alpha
-    level = None if alpha == 0.0 else problem.model.level(alpha)
-    sol = solve_state(problem.control, level, problem.init, problem.model, problem.op)
+    sol = solve_state(
+        problem.control, problem.config.alpha, problem.init, problem.model, problem.op
+    )
 
     out.mkdir(parents=True, exist_ok=True)
     write_fields_csv(out / "fields.csv", sol, problem.control)
@@ -399,17 +399,11 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     alphas = problem.config.sweep_values()
 
-    base = solve_state(problem.control, None, problem.init, problem.model, problem.op)
+    base = solve_state(problem.control, 0.0, problem.init, problem.model, problem.op)
     rows = []
     solutions = [base]
     for alpha in alphas:
-        sol = solve_state(
-            problem.control,
-            problem.model.level(alpha),
-            problem.init,
-            problem.model,
-            problem.op,
-        )
+        sol = solve_state(problem.control, alpha, problem.init, problem.model, problem.op)
         solutions.append(sol)
         rows.append(
             (

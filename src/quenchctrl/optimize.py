@@ -26,14 +26,13 @@ from .costs import (
 )
 from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
 from .nonlocal_op import NonlocalOperator
-from .potentials import PotentialConfig, QuenchLevel
+from .potentials import PotentialConfig
 from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
 
 __all__ = [
     "PGDOptions",
     "HistoryRow",
     "PGDResult",
-    "reduced_gradient",
     "projected_gradient_descent",
     "LevelRecord",
     "ContinuationRun",
@@ -86,35 +85,16 @@ def _gradient_trajectory(
     return Trajectory(u.tgrid, u.grid, vals)
 
 
-def reduced_gradient(
-    u: Trajectory,
-    level: QuenchLevel,
-    weights: CostWeights,
-    anchor: Trajectory | None,
-    init: InitialData,
-    model: PotentialConfig,
-    op: NonlocalOperator,
-) -> Trajectory:
-    """Gradient of the (optionally anchored) reduced cost at u.
-
-    One forward and one backward solve; the result is the exact gradient
-    of the discrete cost up to the inner solver tolerances.
-    """
-    state = solve_state(u, level, init, model, op)
-    adj = solve_adjoint(level, state, weights, model, op)
-    return _gradient_trajectory(u, adj, weights, anchor)
-
-
 def _cost_of(
     u: Trajectory,
-    level: QuenchLevel,
+    alpha: float,
     weights: CostWeights,
     anchor: Trajectory | None,
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> tuple[float, StateSolution]:
-    state = solve_state(u, level, init, model, op)
+    state = solve_state(u, alpha, init, model, op)
     if anchor is None:
         return tracking_cost(state, u, weights), state
     return anchored_tracking_cost(state, u, weights, anchor), state
@@ -122,7 +102,7 @@ def _cost_of(
 
 def projected_gradient_descent(
     u0: Trajectory,
-    level: QuenchLevel,
+    alpha: float,
     weights: CostWeights,
     box: AdmissibleSet,
     opts: PGDOptions = PGDOptions(),
@@ -132,7 +112,8 @@ def projected_gradient_descent(
     op: NonlocalOperator,
     anchor: Trajectory | None = None,
 ) -> PGDResult:
-    """Armijo projected gradient on the reduced cost at one quench level.
+    """Armijo projected gradient on the reduced cost at one quench level
+    alpha > 0.
 
     The stationarity residual is ‖u - P(u - s0·g)‖ with the fixed
     reference step s0 = 1/control_weight (1 if that weight is 0).  The
@@ -150,8 +131,8 @@ def projected_gradient_descent(
     first_trial = step0 if anchor is None else 1.0 / (weights.control_weight + 1.0)
 
     u = project_admissible(u0, box)
-    cost, state = _cost_of(u, level, weights, anchor, init, model, op)
-    adj = solve_adjoint(level, state, weights, model, op)
+    cost, state = _cost_of(u, alpha, weights, anchor, init, model, op)
+    adj = solve_adjoint(state, weights, model, op)
     grad = _gradient_trajectory(u, adj, weights, anchor)
 
     history: list[HistoryRow] = []
@@ -182,7 +163,7 @@ def projected_gradient_descent(
             move_sq = norm_l2_spacetime(u - trial) ** 2
             if move_sq == 0.0:
                 break  # projection pinned every coordinate; stationary
-            trial_cost, trial_state = _cost_of(trial, level, weights, anchor, init, model, op)
+            trial_cost, trial_state = _cost_of(trial, alpha, weights, anchor, init, model, op)
             if cost - trial_cost >= ARMIJO_SIGMA * move_sq / s:
                 accepted = True
                 break
@@ -192,7 +173,7 @@ def projected_gradient_descent(
             break
 
         u, cost, state = trial, trial_cost, trial_state
-        adj = solve_adjoint(level, state, weights, model, op)
+        adj = solve_adjoint(state, weights, model, op)
         grad = _gradient_trajectory(u, adj, weights, anchor)
         iterations = it + 1
 
@@ -299,10 +280,9 @@ def deep_quench_continuation(
     result: PGDResult | None = None
 
     for alpha in schedule:
-        level = model.level(alpha)
         result = projected_gradient_descent(
             u,
-            level,
+            alpha,
             weights,
             box,
             opts,
@@ -318,7 +298,7 @@ def deep_quench_continuation(
         control_h1 = time_h1_norm(u_star)
         rec = LevelRecord(
             alpha=alpha,
-            scale=level.scale,
+            scale=result.adjoint.scale,
             control=u_star,
             cost=result.cost,
             cost_plain=tracking_cost(result.state, u_star, weights),
@@ -340,7 +320,7 @@ def deep_quench_continuation(
         anchor = u_star
         u = u_star
 
-    obstacle_state = solve_state(u, None, init, model, op)
+    obstacle_state = solve_state(u, 0.0, init, model, op)
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,

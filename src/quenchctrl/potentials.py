@@ -21,7 +21,6 @@ __all__ = [
     "log_potential_prime",
     "log_potential_second",
     "quench_scale",
-    "QuenchLevel",
     "PotentialConfig",
     "quench_resolvent_detail",
     "obstacle_resolvent",
@@ -81,28 +80,17 @@ def log_potential_second(rho):
 def quench_scale(alpha: float, exponent: float = 1.0) -> float:
     """Scale factor alpha**exponent multiplying the logarithmic term.
 
-    Strictly positive for alpha in (0, 1] and tending to zero with
-    alpha, which is all the continuation relies on.
+    Owns the quench level's range check: alpha must lie in (0, 1], so
+    the obstacle's alpha = 0 (and NaN) raise here.  The value tends to
+    zero with alpha, which is all the continuation relies on.  For a
+    tiny alpha it may underflow to 0; `solve_state` rejects that, and
+    `ProblemConfig` rejects a config whose resolvent step would.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("quench parameter alpha must lie in (0, 1]")
     if exponent <= 0.0:
         raise ValueError("quench exponent must be positive")
     return float(alpha) ** float(exponent)
-
-
-@dataclass(frozen=True)
-class QuenchLevel:
-    """One level of the regularization path: alpha and its scale factor."""
-
-    alpha: float
-    scale: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("quench parameter alpha must lie in (0, 1]")
-        if self.scale <= 0.0:
-            raise ValueError("quench scale must be positive at alpha > 0")
 
 
 _G_FAMILIES = ("linear", "saturating", "zero")
@@ -122,7 +110,9 @@ class PotentialConfig:
 
     Each family is nonnegative and concave on [0, 1], as (A1) asks, so
     construction checks only the family name, the strength and the
-    quench exponent, each under the (A1) tag.
+    quench exponent, each under the (A1) tag.  The quench level itself
+    is a plain alpha; `quench_scale(alpha, quench_exponent)` checks its
+    range and gives the factor of the logarithmic term.
     """
 
     f_strength: float = 0.25
@@ -162,9 +152,6 @@ class PotentialConfig:
 
     def g_second(self, rho):
         return -2.0 if self.g_family == "saturating" else 0.0
-
-    def level(self, alpha: float) -> QuenchLevel:
-        return QuenchLevel(alpha, quench_scale(alpha, self.quench_exponent))
 
 
 def _solve_quench_logit(b: np.ndarray, s: float):

@@ -29,10 +29,10 @@ from .grid import (
 from .nonlocal_op import NonlocalOperator
 from .potentials import (
     PotentialConfig,
-    QuenchLevel,
     log_potential_prime,
     obstacle_resolvent,
     quench_resolvent_detail,
+    quench_scale,
 )
 
 __all__ = [
@@ -127,18 +127,20 @@ def mu_zeroth_coefficient(
 def step_rho(
     rho_n: np.ndarray,
     mu_n: np.ndarray,
-    level: QuenchLevel | None,
+    scale: float,
     tau: float,
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One order-parameter update on raw arrays, returning (rho, xi);
-    level None means the obstacle problem."""
+    """One order-parameter update on raw arrays, returning (rho, xi).
+
+    scale is the march's quench_scale(alpha, quench_exponent); scale 0
+    is the obstacle problem, alpha = 0."""
     b = rho_n + tau * (mu_n * model.g_prime(rho_n) - model.f_prime(rho_n) - op.apply_values(rho_n))
-    if level is None:
+    if scale == 0.0:
         return obstacle_resolvent(b, tau)
-    rho, slope = quench_resolvent_detail(b, tau * level.scale)
-    return rho, level.scale * slope
+    rho, slope = quench_resolvent_detail(b, tau * scale)
+    return rho, scale * slope
 
 
 def _mu_update(grid: Grid, mu_n, rho_n, rho_np1, u_np1, tau: float, model: PotentialConfig):
@@ -187,18 +189,22 @@ def wrap_march(
 
 def solve_state(
     u: Trajectory,
-    level: QuenchLevel | None,
+    alpha: float,
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> StateSolution:
-    """March the coupled system over the whole time grid.
+    """March the coupled system over the whole time grid at quench
+    parameter alpha; alpha = 0 is the obstacle problem, as in the config.
 
     u supplies the source of the chemical-potential equation; the step
     from node n to n+1 consumes u at node n+1.  Each step, on raw arrays,
-    is `step_rho` (level None: the obstacle problem), then the mu solve.
-    The march stops at the first node whose mu is non-finite, and
-    `wrap_march` names the first non-finite node.
+    is `step_rho` at the scale quench_scale(alpha, quench_exponent), 0 on
+    the obstacle problem, then the mu solve.  An alpha outside [0, 1],
+    or NaN, raises ValueError (from quench_scale), and so does an
+    alpha > 0 whose scale underflows to 0: that march must not run as
+    the obstacle problem.  The march stops at the first node whose mu is
+    non-finite, and `wrap_march` names the first non-finite node.
     """
     tgrid = u.tgrid
     grid = u.grid
@@ -212,16 +218,18 @@ def solve_state(
     xi = np.empty_like(rho)
     rho[0] = init.rho0
     mu[0] = init.mu0
-    if level is None:
+    if alpha == 0.0:
+        scale = 0.0
         xi[0] = 0.0  # interior start, multiplier inactive at t = 0
-        alpha = 0.0
     else:
-        xi[0] = level.scale * log_potential_prime(rho[0])
-        alpha = level.alpha
+        scale = quench_scale(alpha, model.quench_exponent)
+        if scale == 0.0:
+            raise ValueError(f"quench scale at alpha = {alpha:g} underflows to 0")
+        xi[0] = scale * log_potential_prime(rho[0])
 
     clamp_events = 0
     for n in range(tgrid.steps):
-        rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], level, tau, model, op)
+        rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], scale, tau, model, op)
         mu[n + 1], clamps = _mu_update(
             grid, mu[n], rho[n], rho[n + 1], u.values[n + 1], tau, model
         )

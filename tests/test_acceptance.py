@@ -22,7 +22,6 @@ from quenchctrl.grid import Trajectory, inner_product, norm_l2_spacetime
 from quenchctrl.optimize import (
     PGDOptions,
     deep_quench_continuation,
-    reduced_gradient,
     variational_inequality_min,
 )
 from quenchctrl.potentials import (
@@ -43,8 +42,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def solve_cfg(cfg: ProblemConfig, alpha: float):
     prob = build_problem(cfg)
-    level = None if alpha == 0.0 else prob.model.level(alpha)
-    sol = solve_state(prob.control, level, prob.init, prob.model, prob.op)
+    sol = solve_state(prob.control, alpha, prob.init, prob.model, prob.op)
     return prob, sol
 
 
@@ -60,10 +58,10 @@ def default_problem():
 def sweep_solutions(default_problem):
     """Obstacle base plus quench solves at the five sweep levels, default config."""
     p = default_problem
-    base = solve_state(p.control, None, p.init, p.model, p.op)
+    base = solve_state(p.control, 0.0, p.init, p.model, p.op)
     quench = {}
     for alpha in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        quench[alpha] = solve_state(p.control, p.model.level(alpha), p.init, p.model, p.op)
+        quench[alpha] = solve_state(p.control, alpha, p.init, p.model, p.op)
     return base, quench
 
 
@@ -238,17 +236,24 @@ def test_criterion_05_resolvent_correctness():
 
 def test_criterion_06_gradient_taylor(default_problem):
     p = default_problem
-    level = p.model.level(p.config.alpha)
+    alpha = p.config.alpha
     u = p.control
     rng = np.random.default_rng(2)
     v = Trajectory(u.tgrid, u.grid, rng.uniform(-1.0, 1.0, u.values.shape))
 
     def cost_at(w: Trajectory) -> float:
-        sol = solve_state(w, level, p.init, p.model, p.op)
+        sol = solve_state(w, alpha, p.init, p.model, p.op)
         return tracking_cost(sol, w, p.weights)
 
-    j0 = cost_at(u)
-    grad = reduced_gradient(u, level, p.weights, None, p.init, p.model, p.op)
+    sol_0 = solve_state(u, alpha, p.init, p.model, p.op)
+
+    def gradient(weights: CostWeights) -> Trajectory:
+        """The reduced gradient at u: control_weight·u + mu_dual."""
+        adj = solve_adjoint(sol_0, weights, p.model, p.op)
+        return Trajectory(u.tgrid, u.grid, weights.control_weight * u.values + adj.mu_dual.values)
+
+    j0 = tracking_cost(sol_0, u, p.weights)
+    grad = gradient(p.weights)
     from quenchctrl.grid import inner_product_spacetime
 
     slope_dir = inner_product_spacetime(grad, v)
@@ -267,14 +272,13 @@ def test_criterion_06_gradient_taylor(default_problem):
         rho_target=Trajectory.zeros(u.tgrid, u.grid),
         mu_target=Trajectory.zeros(u.tgrid, u.grid),
     )
-    g0 = reduced_gradient(u, level, w0, None, p.init, p.model, p.op)
+    g0 = gradient(w0)
     exact_grad = np.array_equal(g0.values, 2.0 * u.values)
     e = 1e-2
     sol_e = solve_state(
-        Trajectory(u.tgrid, u.grid, u.values + e * v.values), level, p.init, p.model, p.op
+        Trajectory(u.tgrid, u.grid, u.values + e * v.values), alpha, p.init, p.model, p.op
     )
     j_e = tracking_cost(sol_e, Trajectory(u.tgrid, u.grid, u.values + e * v.values), w0)
-    sol_0 = solve_state(u, level, p.init, p.model, p.op)
     j_0 = tracking_cost(sol_0, u, w0)
     remainder = abs(j_e - j_0 - e * inner_product_spacetime(g0, v))
     analytic = 0.5 * 2.0 * e * e * norm_l2_spacetime(v) ** 2
@@ -347,9 +351,8 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     p = default_problem
     final = default_run.levels[-1]
     u_star = final.control
-    level = p.model.level(final.alpha)
-    state = solve_state(u_star, level, p.init, p.model, p.op)
-    adj = solve_adjoint(level, state, p.weights, p.model, p.op)
+    state = solve_state(u_star, final.alpha, p.init, p.model, p.op)
+    adj = solve_adjoint(state, p.weights, p.model, p.op)
     plain_grad = Trajectory(
         u_star.tgrid, u_star.grid, p.weights.control_weight * u_star.values + adj.mu_dual.values
     )
@@ -405,13 +408,7 @@ def test_criterion_11_determinism(tmp_path):
 
     fields = read_fields_csv(a / "fields.csv")
     prob = build_problem(load_config(cfg))
-    sol = solve_state(
-        prob.control,
-        prob.model.level(prob.config.alpha),
-        prob.init,
-        prob.model,
-        prob.op,
-    )
+    sol = solve_state(prob.control, prob.config.alpha, prob.init, prob.model, prob.op)
     round_trip = (
         np.array_equal(fields["rho"], sol.rho.values)
         and np.array_equal(fields["mu"], sol.mu.values)
@@ -487,7 +484,7 @@ def test_anchored_levels_take_few_pgd_iterations(default_run):
 
 # -- the obstacle limit itself -------------------------------------------------
 # The obstacle control-to-state map has no adjoint, but its cost
-# J0(u) = tracking_cost(solve_state(u, None, ...)) can be probed directly: at
+# J0(u) = tracking_cost(solve_state(u, 0.0, ...)) can be probed directly: at
 # a minimizer over the box, every one-sided difference quotient along an
 # admissible direction d = v - u* is nonnegative.  Bounds were fixed before
 # the first run.
@@ -500,7 +497,7 @@ def obstacle_quotients(p, u_star: Trajectory, seed: int) -> dict:
     vertex, a random box point, the ceiling and zero."""
 
     def j0(u: Trajectory) -> float:
-        return tracking_cost(solve_state(u, None, p.init, p.model, p.op), u, p.weights)
+        return tracking_cost(solve_state(u, 0.0, p.init, p.model, p.op), u, p.weights)
 
     rng = np.random.default_rng(seed)
     ceiling = p.box.ceiling.values

@@ -8,7 +8,6 @@ from quenchctrl.config import build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
-from quenchctrl.optimize import reduced_gradient
 from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import InitialData, solve_state
 from quenchctrl.verify import taylor_remainder_slope
@@ -23,8 +22,7 @@ def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    level = model.level(alpha)
-    sol = solve_state(u, level, init, model, op)
+    sol = solve_state(u, alpha, init, model, op)
     weights = CostWeights(
         rho_weight=1.0,
         mu_weight=0.5,
@@ -32,12 +30,12 @@ def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
         rho_target=Trajectory.constant(tgrid, grid, 0.8),
         mu_target=Trajectory.constant(tgrid, grid, 1.0),
     )
-    return grid, tgrid, model, op, level, sol, weights, u
+    return grid, tgrid, model, op, sol, weights, u
 
 
 def test_terminal_and_initial_duals_exactly_zero():
-    _, _, model, op, level, sol, weights, _ = make_problem()
-    adj = solve_adjoint(level, sol, weights, model, op)
+    _, _, model, op, sol, weights, _ = make_problem()
+    adj = solve_adjoint(sol, weights, model, op)
     assert np.array_equal(adj.mu_dual.values[-1], np.zeros_like(adj.mu_dual.values[-1]))
     assert np.array_equal(adj.rho_dual.values[-1], np.zeros_like(adj.rho_dual.values[-1]))
     assert np.array_equal(adj.mu_dual.values[0], np.zeros_like(adj.mu_dual.values[0]))
@@ -45,7 +43,7 @@ def test_terminal_and_initial_duals_exactly_zero():
 
 
 def test_zero_tracking_weights_give_zero_duals():
-    grid, tgrid, model, op, level, sol, _, _ = make_problem()
+    grid, tgrid, model, op, sol, _, _ = make_problem()
     w0 = CostWeights(
         rho_weight=0.0,
         mu_weight=0.0,
@@ -53,33 +51,32 @@ def test_zero_tracking_weights_give_zero_duals():
         rho_target=Trajectory.zeros(tgrid, grid),
         mu_target=Trajectory.zeros(tgrid, grid),
     )
-    adj = solve_adjoint(level, sol, w0, model, op)
+    adj = solve_adjoint(sol, w0, model, op)
     assert np.array_equal(adj.mu_dual.values, np.zeros_like(adj.mu_dual.values))
     assert np.array_equal(adj.rho_dual.values, np.zeros_like(adj.rho_dual.values))
     assert adj.pairing_value == 0.0
 
 
-def test_adjoint_requires_matching_level():
-    _, _, model, op, level, sol, weights, _ = make_problem()
-    other = model.level(0.5)
-    with pytest.raises(ValueError):
-        solve_adjoint(other, sol, weights, model, op)
-    with pytest.raises(ValueError):
-        solve_adjoint(None, sol, weights, model, op)
+def test_adjoint_rejects_an_obstacle_state():
+    # the dual system needs a quench level; an obstacle state (alpha = 0)
+    # has no differentiable control-to-state map
+    _, _, model, op, sol, weights, _ = make_problem(alpha=0.0)
+    with pytest.raises(ValueError, match=r"alpha > 0"):
+        solve_adjoint(sol, weights, model, op)
 
 
 def test_pairing_value_nonnegative():
     for alpha in (1e-1, 1e-2, 1e-3):
-        _, _, model, op, level, sol, weights, _ = make_problem(alpha=alpha)
-        adj = solve_adjoint(level, sol, weights, model, op)
+        _, _, model, op, sol, weights, _ = make_problem(alpha=alpha)
+        adj = solve_adjoint(sol, weights, model, op)
         assert adj.pairing_value >= 0.0
 
 
 def test_multiplier_identity():
     # multiplier = scale * h''(rho) * rho_dual holds pointwise by
     # construction; check it numerically anyway
-    _, _, model, op, level, sol, weights, _ = make_problem()
-    adj = solve_adjoint(level, sol, weights, model, op)
+    _, _, model, op, sol, weights, _ = make_problem()
+    adj = solve_adjoint(sol, weights, model, op)
     rho = sol.rho.values
     expect = adj.scale * (1.0 / (rho * (1.0 - rho))) * adj.rho_dual.values
     inner = slice(1, -1)
@@ -87,8 +84,8 @@ def test_multiplier_identity():
 
 
 def test_concentration_identity_and_probe_validation():
-    _, tgrid, model, op, level, sol, weights, _ = make_problem()
-    adj = solve_adjoint(level, sol, weights, model, op)
+    _, tgrid, model, op, sol, weights, _ = make_problem()
+    adj = solve_adjoint(sol, weights, model, op)
     probe = time_ramp_probe(tgrid, sol.rho.grid)
     metric = concentration_metric(adj, sol, probe)
     # multiplier*rho(1-rho) = scale*rho_dual pointwise, so the two
@@ -103,8 +100,8 @@ def test_concentration_identity_and_probe_validation():
 def test_concentration_shrinks_with_scale():
     values = []
     for alpha in (1e-1, 1e-2, 1e-3):
-        _, tgrid, model, op, level, sol, weights, _ = make_problem(alpha=alpha)
-        adj = solve_adjoint(level, sol, weights, model, op)
+        _, tgrid, model, op, sol, weights, _ = make_problem(alpha=alpha)
+        adj = solve_adjoint(sol, weights, model, op)
         probe = time_ramp_probe(tgrid, sol.rho.grid)
         values.append(abs(concentration_metric(adj, sol, probe).value))
     assert values[0] > values[1] > values[2]
@@ -119,8 +116,8 @@ def test_probe_ramp_shape():
 
 
 def test_adjoint_diagnostics_finite():
-    _, _, model, op, level, sol, weights, _ = make_problem(g_family="saturating")
-    adj = solve_adjoint(level, sol, weights, model, op)
+    _, _, model, op, sol, weights, _ = make_problem(g_family="saturating")
+    adj = solve_adjoint(sol, weights, model, op)
     assert np.isfinite(adj.pairing_value)
 
 
@@ -128,16 +125,19 @@ def test_gradient_taylor_slope_2d():
     # the adjoint must be the exact gradient of the discrete cost in 2D
     # too: the first-order Taylor remainder decays with slope two
     prob = build_problem(load_config(CONFIGS / "twod.cfg"))
-    level = prob.model.level(prob.config.alpha)
+    alpha = prob.config.alpha
     u = prob.control
     v = Trajectory(
         u.tgrid, u.grid, np.random.default_rng(6).uniform(-1.0, 1.0, u.values.shape)
     )
 
     def cost_at(w):
-        sol = solve_state(w, level, prob.init, prob.model, prob.op)
+        sol = solve_state(w, alpha, prob.init, prob.model, prob.op)
         return tracking_cost(sol, w, prob.weights)
 
-    grad = reduced_gradient(u, level, prob.weights, None, prob.init, prob.model, prob.op)
+    adj = solve_adjoint(
+        solve_state(u, alpha, prob.init, prob.model, prob.op), prob.weights, prob.model, prob.op
+    )
+    grad = Trajectory(u.tgrid, u.grid, prob.weights.control_weight * u.values + adj.mu_dual.values)
     _, slope = taylor_remainder_slope(cost_at, u, grad, v, [1e-1, 1e-2, 1e-3, 1e-4])
     assert 1.8 <= slope <= 2.2

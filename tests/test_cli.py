@@ -84,7 +84,7 @@ def test_fields_csv_round_trip_bit_exact(tmp_path):
 
     c = load_config(cfg)
     prob = build_problem(c)
-    sol = solve_state(prob.control, prob.model.level(c.alpha), prob.init, prob.model, prob.op)
+    sol = solve_state(prob.control, c.alpha, prob.init, prob.model, prob.op)
     assert np.array_equal(fields["rho"], sol.rho.values)
     assert np.array_equal(fields["mu"], sol.mu.values)
     assert np.array_equal(fields["xi"], sol.xi.values)

@@ -73,7 +73,7 @@ def test_tracking_cost_frozen_value():
     op = NonlocalOperator(Kernel.zero(), grid)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tg, grid)
-    sol = solve_state(u, model.level(1.0), init, model, op)
+    sol = solve_state(u, 1.0, init, model, op)
     w = make_weights(tg, grid, rw=2.0, mw=4.0, cw=6.0, rho_t=0.75, mu_t=0.5)
     # rho stays 0.5, mu stays 0: misfits are (0.25)^2 and (0.5)^2 over
     # unit space-time measure with the left-endpoint rule exact for
@@ -89,7 +89,7 @@ def test_anchored_cost_reduces_to_plain_at_anchor():
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tg, grid, 0.7)
-    sol = solve_state(u, model.level(1e-2), init, model, op)
+    sol = solve_state(u, 1e-2, init, model, op)
     w = make_weights(tg, grid)
     plain = tracking_cost(sol, u, w)
     assert anchored_tracking_cost(sol, u, w, u) == plain

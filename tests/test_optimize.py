@@ -15,7 +15,6 @@ from quenchctrl.optimize import (
     PGDOptions,
     deep_quench_continuation,
     projected_gradient_descent,
-    reduced_gradient,
     variational_inequality_min,
 )
 from quenchctrl.potentials import PotentialConfig
@@ -52,31 +51,12 @@ def test_pure_control_cost_collapses_to_zero():
     )
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     res = projected_gradient_descent(
-        u0, model.level(1e-2), weights, box,
+        u0, 1e-2, weights, box,
         PGDOptions(tol=1e-10), init=init, model=model, op=op,
     )
     assert res.converged
     assert res.iterations <= 2
     assert norm_l2_spacetime(res.control) <= 1e-12
-
-
-def test_reduced_gradient_decoupled_exact():
-    # zero tracking weights decouple the adjoint: gradient = cw*u (+ the
-    # anchor pull), bit-for-bit
-    grid, tgrid, model, op, init, _, box = small_problem()
-    weights = CostWeights(
-        rho_weight=0.0,
-        mu_weight=0.0,
-        control_weight=3.0,
-        rho_target=Trajectory.zeros(tgrid, grid),
-        mu_target=Trajectory.zeros(tgrid, grid),
-    )
-    u = Trajectory.constant(tgrid, grid, 0.7)
-    g = reduced_gradient(u, model.level(1e-2), weights, None, init, model, op)
-    assert np.array_equal(g.values, 3.0 * u.values)
-    anchor = Trajectory.constant(tgrid, grid, 0.2)
-    g2 = reduced_gradient(u, model.level(1e-2), weights, anchor, init, model, op)
-    assert np.array_equal(g2.values, 3.0 * u.values + 0.5)
 
 
 def test_anchored_step_lands_on_projection_formula():
@@ -92,7 +72,7 @@ def test_anchored_step_lands_on_projection_formula():
         mu_target=Trajectory.zeros(tgrid, grid),
     )
     res = projected_gradient_descent(
-        Trajectory.constant(tgrid, grid, 0.7), model.level(1e-2), weights, box,
+        Trajectory.constant(tgrid, grid, 0.7), 1e-2, weights, box,
         PGDOptions(tol=1e-10), init=init, model=model, op=op,
         anchor=Trajectory.constant(tgrid, grid, 0.2),
     )
@@ -106,7 +86,7 @@ def test_history_costs_nonincreasing():
     grid, tgrid, model, op, init, weights, box = small_problem()
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     res = projected_gradient_descent(
-        u0, model.level(1e-2), weights, box,
+        u0, 1e-2, weights, box,
         PGDOptions(tol=1e-6, max_iters=60), init=init, model=model, op=op,
     )
     costs = [row.cost for row in res.history]
@@ -120,7 +100,7 @@ def test_history_records_accepted_step_and_backtracks():
     # the tracking curvature, so some iterations halve it before acceptance
     grid, tgrid, model, op, init, weights, box = small_problem(rw=5.0, cw=0.02)
     res = projected_gradient_descent(
-        Trajectory.constant(tgrid, grid, 1.0), model.level(1e-2), weights, box,
+        Trajectory.constant(tgrid, grid, 1.0), 1e-2, weights, box,
         PGDOptions(tol=1e-6, max_iters=60), init=init, model=model, op=op,
     )
     assert res.converged
@@ -133,12 +113,12 @@ def test_stationary_start_returns_immediately():
     grid, tgrid, model, op, init, weights, box = small_problem()
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     first = projected_gradient_descent(
-        u0, model.level(1e-2), weights, box,
+        u0, 1e-2, weights, box,
         PGDOptions(tol=1e-8, max_iters=100), init=init, model=model, op=op,
     )
     assert first.converged
     again = projected_gradient_descent(
-        first.control, model.level(1e-2), weights, box,
+        first.control, 1e-2, weights, box,
         PGDOptions(tol=1e-8, max_iters=100), init=init, model=model, op=op,
     )
     assert again.converged
@@ -150,7 +130,7 @@ def test_initial_point_is_projected():
     grid, tgrid, model, op, init, weights, box = small_problem()
     wild = Trajectory.constant(tgrid, grid, 50.0)
     res = projected_gradient_descent(
-        wild, model.level(1e-1), weights, box,
+        wild, 1e-1, weights, box,
         PGDOptions(tol=1e-5, max_iters=5), init=init, model=model, op=op,
     )
     assert np.max(res.control.values) <= 2.0

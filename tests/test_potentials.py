@@ -10,7 +10,6 @@ from quenchctrl.potentials import (
     RHO_MAX,
     RHO_MIN,
     PotentialConfig,
-    QuenchLevel,
     log_potential,
     log_potential_prime,
     log_potential_second,
@@ -52,9 +51,7 @@ def test_quench_scale_and_level_validation():
     with pytest.raises(ValueError):
         quench_scale(1.5)
     with pytest.raises(ValueError):
-        QuenchLevel(0.1, 0.0)
-    with pytest.raises(ValueError):
-        QuenchLevel(0.0, 0.1)
+        quench_scale(float("nan"))
 
 
 def test_potential_config_families_and_a1():

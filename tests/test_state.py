@@ -147,8 +147,8 @@ def test_trivial_configuration_is_exactly_stationary():
     )
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
-    for level in (model.level(1.0), model.level(1e-3), None):
-        sol = solve_state(u, level, init, model, op)
+    for alpha in (1.0, 1e-3, 0.0):
+        sol = solve_state(u, alpha, init, model, op)
         assert np.max(np.abs(sol.rho.values - 0.5)) <= 1e-14
         assert np.max(np.abs(sol.mu.values)) <= 1e-14
 
@@ -192,8 +192,7 @@ def test_single_cell_against_rk4():
     op = NonlocalOperator(Kernel.zero(), grid)
     init = InitialData(grid, np.full(grid.shape, 0.3), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
-    level = model.level(0.5)
-    sol = solve_state(u, level, init, model, op)
+    sol = solve_state(u, 0.5, init, model, op)
     ref = rk4_scalar_relaxation(0.3, 0.5, 0.25, 0.5, 20000)
     assert abs(float(sol.rho.values[-1, 0]) - ref) <= 5e-4
 
@@ -203,13 +202,13 @@ def test_state_bounds_and_nonnegativity():
     x = grid.centers()[0]
     init = InitialData(grid, 0.4 + 0.2 * np.sin(2 * np.pi * x), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    for level in (model.level(1e-1), model.level(1e-3)):
-        sol = solve_state(u, level, init, model, op)
+    for alpha in (1e-1, 1e-3):
+        sol = solve_state(u, alpha, init, model, op)
         assert sol.diagnostics.min_mu >= -1e-10
         assert sol.diagnostics.mu_nonneg_ok
         assert 0.0 < sol.diagnostics.min_rho
         assert sol.diagnostics.max_rho < 1.0
-    sol0 = solve_state(u, None, init, model, op)
+    sol0 = solve_state(u, 0.0, init, model, op)
     assert sol0.diagnostics.min_mu >= -1e-10
     assert 0.0 <= sol0.diagnostics.min_rho
     assert sol0.diagnostics.max_rho <= 1.0
@@ -221,7 +220,7 @@ def test_obstacle_contact_produces_active_set():
     grid, tgrid, model, op = make_setup(n=64, steps=200)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    sol = solve_state(u, None, init, model, op)
+    sol = solve_state(u, 0.0, init, model, op)
     assert sol.diagnostics.max_rho == 1.0
     assert sol.diagnostics.xi_l6 > 0.1
     assert check_obstacle_signs(sol) == []
@@ -231,7 +230,7 @@ def test_sign_check_rejects_quench_runs():
     grid, tgrid, model, op = make_setup(n=8, steps=5)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
     u = Trajectory.zeros(tgrid, grid)
-    sol = solve_state(u, model.level(0.5), init, model, op)
+    sol = solve_state(u, 0.5, init, model, op)
     with pytest.raises(ValueError):
         check_obstacle_signs(sol)
 
@@ -245,7 +244,7 @@ def test_energy_residual_first_order_in_tau():
     for steps in (100, 200, 400):
         tgrid = TimeGrid(1.0, steps)
         u = Trajectory.constant(tgrid, grid, 1.0)
-        sol = solve_state(u, model.level(1e-3), init, model, op)
+        sol = solve_state(u, 1e-3, init, model, op)
         residuals.append(energy_residual(sol, u, model))
     assert residuals[1] <= 0.05
     ratio = residuals[0] / residuals[1]
@@ -295,13 +294,13 @@ def test_energy_residual_profile_matches_node_loop():
     grid, tgrid, model, op = make_setup(n=32, steps=60, g_family="saturating")
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    sol = solve_state(u, model.level(1e-2), init, model, op)
+    sol = solve_state(u, 1e-2, init, model, op)
     grid2 = Grid.box((6, 5), (1.0, 0.8))
     tgrid2 = TimeGrid(0.25, 20)
     op2 = NonlocalOperator(Kernel.gaussian(1.0, 0.15), grid2)
     init2 = InitialData(grid2, np.full(grid2.shape, 0.5), np.ones(grid2.shape))
     u2 = Trajectory.constant(tgrid2, grid2, 1.0)
-    sol2 = solve_state(u2, model.level(1e-3), init2, model, op2)
+    sol2 = solve_state(u2, 1e-3, init2, model, op2)
     for s, v in ((sol, u), (sol2, u2)):
         ref = energy_residual_profile_loop(s, v, model)
         fast = energy_residual_profile(s, v, model)
@@ -314,8 +313,8 @@ def test_solver_is_deterministic():
     grid, tgrid, model, op = make_setup(n=24, steps=50)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    a = solve_state(u, model.level(1e-2), init, model, op)
-    b = solve_state(u, model.level(1e-2), init, model, op)
+    a = solve_state(u, 1e-2, init, model, op)
+    b = solve_state(u, 1e-2, init, model, op)
     assert np.array_equal(a.rho.values, b.rho.values)
     assert np.array_equal(a.mu.values, b.mu.values)
     assert np.array_equal(a.xi.values, b.xi.values)
@@ -327,7 +326,31 @@ def test_grid_mismatch_rejected():
     init = InitialData(other, np.full(other.shape, 0.5), np.zeros(other.shape))
     u = Trajectory.zeros(tgrid, grid)
     with pytest.raises(ConfigError, match=r"\(A2\)"):
-        solve_state(u, model.level(0.5), init, model, op)
+        solve_state(u, 0.5, init, model, op)
+
+
+def test_solve_state_checks_alpha_and_never_runs_an_underflowed_level(monkeypatch):
+    grid, tgrid, model, op = make_setup(n=8, steps=5)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+    u = Trajectory.constant(tgrid, grid, 1.0)
+    for alpha in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            solve_state(u, alpha, init, model, op)
+    # 1e-200 ** 2 underflows to a zero scale, the step rule of the
+    # obstacle problem; a positive alpha must raise instead
+    obstacle_calls = []
+    obstacle_resolvent = state_module.obstacle_resolvent
+    monkeypatch.setattr(
+        state_module,
+        "obstacle_resolvent",
+        lambda *a: obstacle_calls.append(1) or obstacle_resolvent(*a),
+    )
+    deep = PotentialConfig(quench_exponent=2.0)
+    with pytest.raises(ValueError, match=r"underflows to 0"):
+        solve_state(u, 1e-200, init, deep, op)
+    assert obstacle_calls == []
+    solve_state(u, 0.0, init, deep, op)  # the counter sees an obstacle march
+    assert len(obstacle_calls) == tgrid.steps
 
 
 def test_two_dimensional_run_smoke():
@@ -337,7 +360,7 @@ def test_two_dimensional_run_smoke():
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.15), grid)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
-    sol = solve_state(u, model.level(1e-2), init, model, op)
+    sol = solve_state(u, 1e-2, init, model, op)
     assert sol.rho.values.shape == (21, 8, 6)
     assert sol.diagnostics.min_mu >= -1e-10
     assert 0.0 < sol.diagnostics.min_rho <= sol.diagnostics.max_rho < 1.0
@@ -353,8 +376,8 @@ def test_march_builds_no_field(monkeypatch):
         model = PotentialConfig()
         init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
         u = Trajectory.constant(tgrid, grid, 1.0)
-        for level in (model.level(1e-2), None):
-            solve_state(u, level, init, model, op)
+        for alpha in (1e-2, 0.0):
+            solve_state(u, alpha, init, model, op)
     assert built == []
     Field(grid, np.zeros(grid.shape))  # the counter sees a construction
     assert built == [1]
@@ -368,7 +391,7 @@ def test_march_stops_at_the_first_non_finite_mu(monkeypatch):
     step_rho = state_module.step_rho
     monkeypatch.setattr(state_module, "step_rho", lambda *a: calls.append(1) or step_rho(*a))
     with pytest.raises(SolverError, match=r"^forward march: a non-finite value at time node 1 of 5$"):
-        solve_state(Trajectory.constant(tgrid, grid, 1.0), None, init, model, op)
+        solve_state(Trajectory.constant(tgrid, grid, 1.0), 0.0, init, model, op)
     assert len(calls) == 1
 
 
