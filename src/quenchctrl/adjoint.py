@@ -88,7 +88,7 @@ def solve_adjoint(
     curv = log_potential_second(rho[1:nt])
 
     for m in range(nt - 1, 0, -1):
-        a_m, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
+        a_m, _, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
         gp_m = model.g_prime(rho[m])
         rhs = (
             (1.0 + 2.0 * model.g(rho[m + 1])) * p[m + 1] / tau

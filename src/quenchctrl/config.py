@@ -107,12 +107,23 @@ class ProblemConfig:
             raise ConfigError("cell counts must be positive")
         if self.length_x <= 0.0 or (self.dim == 2 and self.length_y <= 0.0):
             raise ConfigError("domain lengths must be positive")
+        # the step solve's stencil weighs each cell by h^-2, which a float
+        # power overflows (h tiny) or cannot form (h rounded to 0) with an error
+        for key, cells in (("length_x", self.cells_x), ("length_y", self.cells_y))[: self.dim]:
+            h = getattr(self, key) / cells
+            try:
+                h**-2
+            except (OverflowError, ZeroDivisionError):
+                raise ConfigError(f"{key}: the cell size {h:g} has no finite h^-2") from None
         if self.horizon <= 0.0 or self.steps < 1:
             raise ConfigError("need a positive horizon and at least one step")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("(A1) alpha: quench parameter must lie in [0, 1] (0 = obstacle)")
         if self.alpha > 0.0:
             self._check_quench_steps("alpha", [self.alpha])
+        # the optimizer's reference step is 1/control_weight
+        if self.control_weight > 0.0 and not math.isfinite(1.0 / self.control_weight):
+            raise ConfigError(f"control_weight: {self.control_weight!r} has no finite reciprocal")
         if self.tol <= 0.0 or self.max_iters < 0:
             raise ConfigError("optimizer options out of range")
         # parse both quench lists now, so a bad one fails every command alike

@@ -86,7 +86,7 @@ class Grid:
             n *= c
         return n
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(l / n for l, n in zip(self.lengths, self.cells))
 
@@ -235,20 +235,13 @@ def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbour_counts(n: int) -> np.ndarray:
-    """Interior faces per cell along an axis of n cells (Neumann ends)."""
-    deg = np.full(n, 2.0)
-    deg[0] -= 1.0
-    deg[-1] -= 1.0
-    return deg
-
-
 def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (diag(a) − Δ_h) x = rhs, Δ_h being `laplacian_values`.
 
     Every entry of a must be positive, so that the matrix is SPD; it is
     also symmetric, so the same call solves the transposed system.  In
-    1D a scalar Thomas sweep solves it directly (`_solve_tridiagonal`).
+    1D a scalar Thomas sweep solves it directly (`_solve_tridiagonal`),
+    and raises SolverError if its last pivot cancels to a nonpositive one.
     In 2D conjugate gradients solve it (Concus, Golub & O'Leary 1976),
     preconditioned by the constant-coefficient operator mean(a)·I − Δ_h,
     which the tensor product of the Neumann cosine modes diagonalizes
@@ -313,15 +306,35 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return modes, eig
 
 
+@functools.lru_cache(maxsize=8)
+def _line_stencil(n: int, h: float) -> tuple[float, np.ndarray]:
+    """k = h⁻² and k times the interior faces of each cell (Neumann
+    ends), on a line of n cells.  Built once per (n, h) and shared by
+    every 1D step solve, so the array is read-only."""
+    k = h**-2
+    faces = np.full(n, 2.0)
+    faces[0] -= 1.0
+    faces[-1] -= 1.0
+    off = k * faces
+    off.flags.writeable = False
+    return k, off
+
+
 def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The 1D case of `solve_step_system`: Thomas elimination on Python floats.
 
     The matrix is SPD and tridiagonal, so forward elimination needs no
-    pivoting and every pivot (`schur`) stays positive.
+    pivoting and every pivot (`schur`) is positive in exact arithmetic.
+    The interior pivots stay near k = h⁻², but the last one is the
+    difference of two terms near k: on cells so small that a is lost
+    next to k it cancels, and SolverError is raised when it is not
+    positive.
     """
     n = grid.cells[0]
-    k = grid.spacing[0] ** -2
-    diag = (np.asarray(a, dtype=float) + k * _neighbour_counts(n)).tolist()
+    h = grid.spacing[0]
+    k, off = _line_stencil(n, h)
+    kk = k * k
+    diag = (np.asarray(a, dtype=float) + off).tolist()
     y = np.asarray(rhs, dtype=float).tolist()
     inverses = [0.0] * n
     schur = diag[0]
@@ -329,7 +342,12 @@ def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray
         w = 1.0 / schur
         inverses[i - 1] = w
         y[i] += k * w * y[i - 1]
-        schur = diag[i] - k * k * w
+        schur = diag[i] - kk * w
+    if schur <= 0.0:
+        raise SolverError(
+            f"step solve: the last pivot of the Thomas sweep is {schur!r}, not positive; "
+            f"the cell size {h:g} is too small for the step system's coefficients"
+        )
     x = [0.0] * n
     x[-1] = y[-1] / schur
     for i in range(n - 2, -1, -1):

@@ -10,6 +10,7 @@ are computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,22 +168,25 @@ def _solve_quench_logit(b: np.ndarray, s: float):
     y >= 0, and the start lies in the root's half-line.  If it lies
     beyond the root, the tangent there has the sign of f(0) at 0, so the
     first Newton step lands between the root and 0; from that side the
-    iterates move monotonically to the root.  A drive too large for the
-    bracket to be finite raises at once.  The sigmoid is formed from
+    iterates move monotonically to the root.  A drive so large that
+    (max|b| + 1)/s, a bound on both bracket ends, is not finite raises at
+    once.  The sigmoid is formed from
     e = exp(-|y|) only, so no branch can overflow, and its derivative
     sigmoid·(1 - sigmoid) is e/(1 + e)² on both branches.
     """
-    with np.errstate(over="ignore"):
-        lo = (b - 1.0) / s
-        hi = b / s
-    if np.count_nonzero(np.isfinite(lo) & np.isfinite(hi)) < b.size:
+    abs_b = np.abs(b)
+    top = float(abs_b.max())
+    # (max|b| + 1)/s bounds every |(b - 1)/s| and |b/s|; NaN fails it too
+    if not math.isfinite((top + 1.0) / s):
         raise SolverError(
             f"quench resolvent bracket [(b-1)/s, b/s] is not finite "
-            f"(max |b| = {float(np.max(np.abs(b))):.3e}, s = {s:.3e})"
+            f"(max |b| = {top:.3e}, s = {s:.3e})"
         )
+    lo = (b - 1.0) / s
+    hi = b / s
     r = np.minimum(np.maximum(b, RHO_MIN), RHO_MAX)
     y = np.minimum(np.maximum(np.log(r) - np.log1p(-r), lo), hi)
-    tol = RESOLVENT_TOL * np.maximum(1.0, np.abs(b))
+    tol = RESOLVENT_TOL * np.maximum(1.0, abs_b)
     for _ in range(RESOLVENT_MAX_ITER):
         e = np.exp(-np.abs(y))
         d = 1.0 / (1.0 + e)

@@ -107,21 +107,24 @@ def mu_zeroth_coefficient(
     rho_old: np.ndarray,
     tau: float,
     model: PotentialConfig,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Zeroth-order coefficient of the chemical-potential solve.
 
     (1 + 2 g(rho_new) + g'(rho_new)(rho_new - rho_old)) / tau, clamped
-    below at COEFFICIENT_FLOOR so the system stays positive definite;
-    the clamp count is reported.  The backward solve reuses this
-    function verbatim so that its operator is the exact transpose of
-    the forward one.
+    below at COEFFICIENT_FLOOR so the system stays positive definite.
+    Returns the coefficient, the clamp count and the weight
+    1 + 2 g(rho_new) it was formed from, which the forward step's
+    right-hand side reuses.  The backward solve reuses this function
+    verbatim so that its operator is the exact transpose of the forward
+    one.
     """
-    c = (1.0 + 2.0 * model.g(rho_new) + model.g_prime(rho_new) * (rho_new - rho_old)) / tau
+    weight = 1.0 + 2.0 * model.g(rho_new)
+    c = (weight + model.g_prime(rho_new) * (rho_new - rho_old)) / tau
     clamped = c < COEFFICIENT_FLOOR
     n = int(np.count_nonzero(clamped))
     if n:
         c = np.where(clamped, COEFFICIENT_FLOOR, c)
-    return c, n
+    return c, n, weight
 
 
 def step_rho(
@@ -145,8 +148,8 @@ def step_rho(
 
 def _mu_update(grid: Grid, mu_n, rho_n, rho_np1, u_np1, tau: float, model: PotentialConfig):
     """`step_mu` on raw arrays; returns the new mu and the clamp count."""
-    a, clamps = mu_zeroth_coefficient(rho_np1, rho_n, tau, model)
-    rhs = (1.0 + 2.0 * model.g(rho_np1)) * mu_n / tau + u_np1
+    a, clamps, weight = mu_zeroth_coefficient(rho_np1, rho_n, tau, model)
+    rhs = weight * mu_n / tau + u_np1
     return solve_step_system(grid, a, rhs), clamps
 
 
@@ -228,13 +231,16 @@ def solve_state(
         xi[0] = scale * log_potential_prime(rho[0])
 
     clamp_events = 0
+    cells = grid.n_cells
     for n in range(tgrid.steps):
         rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], scale, tau, model, op)
         mu[n + 1], clamps = _mu_update(
             grid, mu[n], rho[n], rho[n + 1], u.values[n + 1], tau, model
         )
         clamp_events += clamps
-        if not np.isfinite(mu[n + 1]).all():
+        # counted, not .all(): on the few cells of a step the reduction's
+        # call costs more than the test
+        if np.count_nonzero(np.isfinite(mu[n + 1])) < cells:
             # stop: this mu would fail the next quench resolvent and hide the
             # node; the unwritten later nodes lie past the one wrap_march names
             break

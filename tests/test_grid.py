@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchctrl.errors import ShapeMismatchError
+from quenchctrl.errors import ShapeMismatchError, SolverError
 from quenchctrl.grid import (
     Field,
     Grid,
     TimeGrid,
     Trajectory,
     _cosine_modes,
+    _line_stencil,
     inner_product,
     inner_product_spacetime,
     laplacian_values,
     norm_l2_spacetime,
     norm_lp_spacetime,
+    solve_step_system,
     time_h1_norm,
     trapezoid_weights,
 )
@@ -177,3 +179,25 @@ def test_cosine_modes_built_once_and_read_only():
     for array in (modes, eig):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+def test_line_stencil_built_once_and_read_only():
+    grid = Grid.line(5, 2.0)
+    k, off = _line_stencil(5, grid.spacing[0])
+    assert grid.spacing is grid.spacing  # formed once per grid
+    assert _line_stencil(5, grid.spacing[0])[1] is off
+    assert k == 0.4**-2
+    assert off.tolist() == [k, 2.0 * k, 2.0 * k, 2.0 * k, k]
+    with pytest.raises(ValueError, match="read-only"):
+        off[0] = 1.0
+
+
+def test_step_solve_raises_when_the_last_pivot_cancels():
+    # a = 200 is lost next to h^-2 = 4.1e19, and the last pivot cancels to 0
+    grid = Grid.line(64, 1e-8)
+    with pytest.raises(SolverError, match=r"last pivot of the Thomas sweep is 0\.0, not positive"):
+        solve_step_system(grid, np.full(64, 200.0), np.ones(64))
+    # on a unit line the same system solves to rounding
+    unit = Grid.line(64, 1.0)
+    x = solve_step_system(unit, np.full(64, 200.0), np.ones(64))
+    assert np.max(np.abs(200.0 * x - laplacian_values(unit, x) - 1.0)) <= 1e-13

@@ -140,7 +140,11 @@ def test_refinement_toward_fine_reference():
 def test_row_sum_bound_dominates_induced_norm():
     g = Grid.line(20, 1.0)
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.15), g)
-    assert op.induced_norm() <= op.row_sum_bound * (1.0 + 1e-12)
+    rep = check_a3(op, TimeGrid(1.0, 1), np.random.default_rng(0), n_pairs=1)
+    assert rep.induced_norm <= rep.row_sum_bound * (1.0 + 1e-12)
+    table = op.matrix()
+    assert rep.induced_norm == float(np.linalg.norm(table, 2))
+    assert rep.row_sum_bound == float(np.max(np.sum(np.abs(table), axis=1)))
 
 
 def test_check_a3_report_consistent():

@@ -172,12 +172,13 @@ def test_mu_coefficient_floor_counts_clamps():
     model = PotentialConfig(f_strength=0.0, g_family="linear")
     tau = 1.0
     # 1 + 2*0.1 + 1*(0.1-0.9) = 0.4 stays positive: no clamp here
-    a, clamps = mu_zeroth_coefficient(np.full(4, 0.1), np.full(4, 0.9), tau, model)
+    a, clamps, weight = mu_zeroth_coefficient(np.full(4, 0.1), np.full(4, 0.9), tau, model)
     assert clamps == 0
     assert np.allclose(a, 0.4)
+    assert np.all(weight == 1.0 + 2.0 * 0.1)  # 1 + 2 g, which the step's rhs reuses
     # saturating g: 1 + 2*g(0.05) + g'(0.05)*(0.05-0.999) < 0 triggers the floor
     sat = PotentialConfig(f_strength=0.0, g_family="saturating")
-    a2, clamps2 = mu_zeroth_coefficient(np.full(4, 0.05), np.full(4, 0.999), tau, sat)
+    a2, clamps2, _ = mu_zeroth_coefficient(np.full(4, 0.05), np.full(4, 0.999), tau, sat)
     assert clamps2 == 4
     assert np.all(a2 == COEFFICIENT_FLOOR)
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quenchctrl.verify import (
     CheckResult,
@@ -34,6 +35,24 @@ def test_bisection_root_is_a_root():
     for b, s in ((0.3, 0.2), (1.2, 0.5), (-0.4, 1.0), (0.5, 0.05)):
         rho = bisection_quench_root(b, s)
         assert abs(rho + s * log_potential_prime(rho) - b) < 1e-9
+
+
+def test_bisection_of_an_array_matches_each_offset_alone():
+    # the suite bisects the 41 offsets of one s at once; each must get the
+    # root that bisecting it alone gives, bit for bit
+    bs = np.linspace(-0.5, 1.5, 41)
+    for s in np.geomspace(0.05, 1.0, 13):
+        together = bisection_quench_root(bs, float(s))
+        alone = [bisection_quench_root(float(b), float(s)) for b in bs]
+        assert all(type(r) is float for r in alone)
+        assert together.tolist() == alone
+
+
+def test_rk4_reference_at_500_steps_matches_20000():
+    # the suite's single-cell reference takes 500 steps; 1.2e-15 was measured
+    coarse = rk4_scalar_relaxation(0.8, 0.5, 0.25, 0.5, 500)
+    fine = rk4_scalar_relaxation(0.8, 0.5, 0.25, 0.5, 20000)
+    assert abs(coarse - fine) <= 1e-13
 
 
 def test_rk4_is_self_consistent_under_refinement():
@@ -80,3 +99,10 @@ def test_run_suite_all_pass_and_deterministic():
     assert rep.as_dict() == rep2.as_dict()
     # elapsed time stays out of the comparable payload
     assert "elapsed" not in str(sorted(rep.as_dict()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_suite_passes_at_other_seeds(seed):
+    # seed 0 is covered above; the benchmark runs the suite at other seeds
+    failing = [c.name for c in run_suite(seed=seed).checks if not c.passed]
+    assert failing == []
