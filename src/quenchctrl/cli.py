@@ -193,31 +193,37 @@ def _column_text(fmt, values: list[np.ndarray]) -> np.ndarray:
     return fmt(np.stack(values, axis=1).ravel()).reshape(len(values[0]), -1)
 
 
-def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> None:
-    """Write equally shaped (or broadcastable) columns as one CSV table.
-
-    Integer columns come first as %d, float columns follow as %.17g, rows
-    end in CRLF; the columns are read in C order.  _CHUNK_ROWS rows at a
-    time, each run of neighbouring columns of one kind is formatted in one
-    vector pass, and the rows' text is written without its PAD bytes.  A
-    column that repeats along the first axis (stride 0, as the cell-index
-    columns and a time-constant control do) is formatted once, for one
-    slice, and its rows are looked up by row mod slice size.  A NaN or an
-    infinity in a float column is a SolverError, raised before the file
-    is opened, as `_write_json` does.
-    """
+def _csv_columns(name: str, header: list[str], int_columns, float_columns) -> list[np.ndarray]:
+    """The columns of the CSV table `name`, broadcast to one shape:
+    integers first as int64, then floats.  A NaN or an infinity in a float
+    column is a SolverError, so that a command can check every table
+    before it creates its output directory."""
     ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
     columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
-    for name, column in zip(header[len(ints):], columns[len(ints):]):
+    for label, column in zip(header[len(ints):], columns[len(ints):]):
         held = column[0] if column.strides[0] == 0 else column
         if not np.isfinite(held).all():
-            raise SolverError(f"{path.name}: column {name} holds NaN or an infinity")
+            raise SolverError(f"{name}: column {label} holds NaN or an infinity")
+    return columns
+
+
+def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write columns from `_csv_columns` as one CSV table.
+
+    Integer columns print as %d, float columns as %.17g, rows end in CRLF;
+    the columns are read in C order.  _CHUNK_ROWS rows at a time, each run
+    of neighbouring columns of one kind is formatted in one vector pass,
+    and the rows' text is written without its PAD bytes.  A column that
+    repeats along the first axis (stride 0, as the cell-index columns and
+    a time-constant control do) is formatted once, for one slice, and its
+    rows are looked up by row mod slice size.
+    """
     total, cells = columns[0].size, columns[0][0].size
     runs = []  # (formatter, columns, text of one slice if the columns repeat, else None)
     for (is_int, held), run in itertools.groupby(
-        enumerate(columns), key=lambda ic: (ic[0] < len(ints), ic[1].strides[0] == 0)
+        columns, key=lambda c: (c.dtype == np.int64, c.strides[0] == 0)
     ):
-        run = [c for _, c in run]
+        run = list(run)
         fmt = _int_text if is_int else _float_text
         runs.append((fmt, run, _column_text(fmt, [c[0].reshape(-1) for c in run]) if held else None))
     with open(path, "wb") as fh:
@@ -235,6 +241,12 @@ def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> Non
             lines = np.concatenate(parts, axis=1)
             lines[:, -2] = ord("\r")  # in place of the last comma
             fh.write(lines.tobytes().translate(None, bytes([_PAD])))
+
+
+def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> None:
+    """Check and write one CSV table; a NaN or an infinity in a float
+    column raises SolverError before the file is opened."""
+    _write_columns(path, header, _csv_columns(path.name, header, int_columns, float_columns))
 
 
 def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
@@ -266,12 +278,19 @@ def write_control_csv(path: Path, u: Trajectory) -> None:
     _write_csv(path, _INDEX_HEADER[: len(shape)] + ["u"], np.indices(shape, sparse=True), [u.values])
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_text(name: str, payload: dict) -> str:
+    """The text of the JSON file `name`; a NaN or an infinity, which JSON
+    has no literal for, is a SolverError."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # NaN or an infinity, which JSON has no literal for
-        raise SolverError(f"{path.name}: {exc}") from None
-    path.write_text(text + "\n")
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SolverError(f"{name}: {exc}") from None
+
+
+def _write_json(path: Path, text: str) -> None:
+    """Write a text from `_json_text`; perfbench's tracer times the JSON
+    writes by this name."""
+    path.write_text(text)
 
 
 def _state_invariant_violations(sol: StateSolution) -> list[str]:
@@ -292,7 +311,10 @@ def _state_invariant_violations(sol: StateSolution) -> list[str]:
 # commands: each runs its work on the built problem and returns its
 # invariant violations and the line to print when there are none;
 # optimize and verify import their modules when they run, so that no
-# other command loads them
+# other command loads them.  Each forms and checks every JSON text and
+# every table of derived values before it creates the output directory,
+# so that a failed check writes nothing; field and control tables hold
+# trajectories, which are finite by construction.
 
 
 def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
@@ -300,9 +322,10 @@ def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         problem.control, problem.config.alpha, problem.init, problem.model, problem.op
     )
 
+    diagnostics = _json_text("diagnostics.json", asdict(sol.diagnostics))
     out.mkdir(parents=True, exist_ok=True)
     write_fields_csv(out / "fields.csv", sol, problem.control)
-    _write_json(out / "diagnostics.json", asdict(sol.diagnostics))
+    _write_json(out / "diagnostics.json", diagnostics)
     return (
         _state_invariant_violations(sol),
         f"wrote {out / 'fields.csv'} and {out / 'diagnostics.json'}",
@@ -357,21 +380,25 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
                         f"at level {lvl}, iteration {row.iteration}"
                     )
 
-    out.mkdir(parents=True, exist_ok=True)
-    for lvl, rec in enumerate(run.levels):
-        write_control_csv(out / f"control_{lvl}.csv", rec.control)
     history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
+    history_header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]
     # backtracks sits between float columns; %.17g prints a whole number as %d does
-    _write_csv(
-        out / "history.csv",
-        ["level", "iteration", "step", "backtracks", "cost", "stationarity"],
+    history_columns = _csv_columns(
+        "history.csv",
+        history_header,
         [[lvl for lvl, _ in history], [row.iteration for _, row in history]],
         [
             [getattr(row, name) for _, row in history]
             for name in ("step", "backtracks", "cost", "stationarity")
         ],
     )
-    _write_json(out / "limit_report.json", _continuation_report(run, tol))
+    report = _json_text("limit_report.json", _continuation_report(run, tol))
+
+    out.mkdir(parents=True, exist_ok=True)
+    for lvl, rec in enumerate(run.levels):
+        write_control_csv(out / f"control_{lvl}.csv", rec.control)
+    _write_columns(out / "history.csv", history_header, history_columns)
+    _write_json(out / "limit_report.json", report)
 
     violations: list[str] = []
     for lvl, rec in enumerate(run.levels):
@@ -418,13 +445,10 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         (0.0, 0.0, 0.0, base.diagnostics.xi_l6, base.diagnostics.energy_residual_max)
     )
 
+    header = ["alpha", "rho_distance", "mu_distance", "xi_l6", "energy_residual"]
+    columns = _csv_columns("sweep.csv", header, [], np.array(rows).T)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "sweep.csv",
-        ["alpha", "rho_distance", "mu_distance", "xi_l6", "energy_residual"],
-        [],
-        np.array(rows).T,
-    )
+    _write_columns(out / "sweep.csv", header, columns)
     violations = [v for sol in solutions for v in _state_invariant_violations(sol)]
     return violations, f"wrote {out / 'sweep.csv'} ({len(rows)} rows)"
 
@@ -437,8 +461,9 @@ def _cmd_verify(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     # the problem is built only to check that the config is constructible
     report = run_suite(seed=args.seed)
     print(report.format_table())
+    text = _json_text("verify_report.json", report.as_dict())
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify_report.json", report.as_dict())
+    _write_json(out / "verify_report.json", text)
     violations = [f"verify check {c.name} failed" for c in report.checks if not c.passed]
     return violations, f"wrote {out / 'verify_report.json'}"
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,9 +384,11 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
     """L^p norm over space-time, trapezoidal in time.
 
     Where the p-th powers of the values would overflow or underflow, the
-    values are divided by their max first, so that finite data give a
-    finite norm; elsewhere they are not, so that their bits stay as they
-    are.
+    values are divided by their max first; where the weighted sum times
+    the quadrature weight tau·cell_volume leaves the normal range, the
+    p-th roots of the sum, tau and cell_volume are taken one by one.  So
+    finite data give a finite norm wherever the norm itself is a finite
+    double, and elsewhere the bits stay as they are.
     """
     x = np.abs(a.values)
     top = float(np.max(x))
@@ -394,7 +397,11 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
         x /= scale
     w = trapezoid_weights(a.tgrid.n_nodes)
     per_node = np.sum(x**p, axis=tuple(range(1, x.ndim)))
-    return scale * float((np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume) ** (1.0 / p))
+    total = float(np.sum(w * per_node))
+    weighted = total * a.tgrid.tau * a.grid.cell_volume
+    if total > 0.0 and not sys.float_info.min <= weighted < math.inf:
+        return scale * math.prod(f ** (1.0 / p) for f in (total, a.tgrid.tau, a.grid.cell_volume))
+    return scale * weighted ** (1.0 / p)
 
 
 def time_h1_norm(a: Trajectory) -> float:

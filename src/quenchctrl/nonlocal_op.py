@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, Trajectory, norm_l2_spacetime
+from .grid import Grid
 
-__all__ = ["Kernel", "NonlocalOperator", "A3Report", "check_a3"]
+__all__ = ["Kernel", "NonlocalOperator"]
 
 _VARIANTS = ("gaussian", "newtonian", "tophat", "zero")
 
@@ -132,54 +132,3 @@ class NonlocalOperator:
         eye = np.eye(self.grid.n_cells)
         cols = [self.apply_values(e.reshape(self.grid.shape)).reshape(-1) for e in eye]
         return np.stack(cols, axis=1)
-
-
-@dataclass
-class A3Report:
-    """Empirical Lipschitz constant of the discrete operator.
-
-    `lipschitz_sampled` is the smallest constant consistent with the
-    drawn trajectory pairs; `induced_norm` is the exact table norm and
-    `row_sum_bound` the cheap a-priori cap.  The operator acts snapshot
-    by snapshot, so it is trivially causal in time.
-    """
-
-    lipschitz_sampled: float
-    induced_norm: float
-    row_sum_bound: float
-
-    @property
-    def consistent(self) -> bool:
-        slack = 1.0 + 1e-10
-        return (
-            self.lipschitz_sampled <= self.induced_norm * slack
-            and self.induced_norm <= self.row_sum_bound * slack
-        )
-
-
-def check_a3(
-    op: NonlocalOperator,
-    tgrid,
-    rng: np.random.Generator,
-    n_pairs: int = 20,
-) -> A3Report:
-    """Sample random trajectory pairs and report operator constants.
-
-    The exact 2-norm and the max absolute row sum (an upper bound on
-    it) are both read from one assembly of the dense table."""
-    shape = (tgrid.n_nodes,) + op.grid.shape
-    lip = 0.0
-    for _ in range(n_pairs):
-        v = Trajectory(tgrid, op.grid, rng.standard_normal(shape))
-        w = Trajectory(tgrid, op.grid, rng.standard_normal(shape))
-        bv = Trajectory(tgrid, op.grid, np.stack([op.apply_values(s) for s in v.values]))
-        bw = Trajectory(tgrid, op.grid, np.stack([op.apply_values(s) for s in w.values]))
-        gap = norm_l2_spacetime(v - w)
-        if gap > 0:
-            lip = max(lip, norm_l2_spacetime(bv - bw) / gap)
-    table = op.matrix()
-    return A3Report(
-        lipschitz_sampled=lip,
-        induced_norm=float(np.linalg.norm(table, 2)),
-        row_sum_bound=float(np.max(np.sum(np.abs(table), axis=1))),
-    )

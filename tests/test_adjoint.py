@@ -33,30 +33,6 @@ def make_problem(n=16, steps=25, alpha=1e-2, g_family="linear"):
     return grid, tgrid, model, op, sol, weights, u
 
 
-def test_terminal_and_initial_duals_exactly_zero():
-    _, _, model, op, sol, weights, _ = make_problem()
-    adj = solve_adjoint(sol, weights, model, op)
-    assert np.array_equal(adj.mu_dual.values[-1], np.zeros_like(adj.mu_dual.values[-1]))
-    assert np.array_equal(adj.rho_dual.values[-1], np.zeros_like(adj.rho_dual.values[-1]))
-    assert np.array_equal(adj.mu_dual.values[0], np.zeros_like(adj.mu_dual.values[0]))
-    assert np.array_equal(adj.rho_dual.values[0], np.zeros_like(adj.rho_dual.values[0]))
-
-
-def test_zero_tracking_weights_give_zero_duals():
-    grid, tgrid, model, op, sol, _, _ = make_problem()
-    w0 = CostWeights(
-        rho_weight=0.0,
-        mu_weight=0.0,
-        control_weight=1.0,
-        rho_target=Trajectory.zeros(tgrid, grid),
-        mu_target=Trajectory.zeros(tgrid, grid),
-    )
-    adj = solve_adjoint(sol, w0, model, op)
-    assert np.array_equal(adj.mu_dual.values, np.zeros_like(adj.mu_dual.values))
-    assert np.array_equal(adj.rho_dual.values, np.zeros_like(adj.rho_dual.values))
-    assert adj.pairing_value == 0.0
-
-
 def test_adjoint_rejects_an_obstacle_state():
     # the dual system needs a quench level; an obstacle state (alpha = 0)
     # has no differentiable control-to-state map

@@ -68,14 +68,6 @@ def test_field_validation():
         Field(g, np.array([1.0, np.nan, 0.0, 0.0]))
 
 
-def test_laplacian_frozen_ramp():
-    # unit spacing; interior of a linear ramp is flat, ends feel the
-    # zero-flux mirror
-    g = Grid.line(5, 5.0)
-    out = laplacian_values(g, np.arange(5.0))
-    assert np.array_equal(out, np.array([1.0, 0.0, 0.0, 0.0, -1.0]))
-
-
 def test_laplacian_constant_is_zero():
     g = Grid.box((6, 4), (1.0, 2.0))
     out = laplacian_values(g, np.full(g.shape, 3.7))
@@ -102,6 +94,14 @@ def test_norms_frozen_values():
     # constant 3 over a domain of measure 2 and unit horizon
     assert norm_l2_spacetime(traj) == pytest.approx(3.0 * np.sqrt(2.0))
     assert norm_lp_spacetime(traj, 6.0) == pytest.approx(3.0 * 2.0 ** (1.0 / 6.0))
+
+
+@pytest.mark.parametrize("extent", [1e300, 1e-300])
+def test_lp_norm_finite_where_the_quadrature_weight_leaves_the_range(extent):
+    # tau·cell_volume is 1.7e599 or 1.7e-601, but the norm, (horizon·length)^(1/6)
+    # for a unit constant, is 1e100 or 1e-100
+    traj = Trajectory.constant(TimeGrid(extent, 2), Grid.line(3, extent), 1.0)
+    assert norm_lp_spacetime(traj, 6.0) == pytest.approx(extent ** (1.0 / 3.0), rel=1e-13)
 
 
 def test_trapezoid_weights():

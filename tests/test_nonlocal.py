@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchctrl.grid import Grid, TimeGrid, inner_product
-from quenchctrl.nonlocal_op import Kernel, NonlocalOperator, check_a3
+from quenchctrl.grid import Grid, inner_product
+from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.verify import convolution_quadrature_oracle, kernel_value_reference
 
 
@@ -51,17 +51,6 @@ def test_tophat_on_constant_counts_neighbours():
     op = NonlocalOperator(Kernel.tophat(2.0, 5.0), g)
     out = op.apply_values(np.ones(8))
     assert np.allclose(out, 2.0, rtol=0, atol=1e-15)
-
-
-def test_operator_matches_double_loop_oracle():
-    rng = np.random.default_rng(7)
-    for g in (Grid.line(19, 1.7), Grid.box((6, 5), (1.0, 1.5))):
-        k = Kernel.gaussian(1.1, 0.3)
-        op = NonlocalOperator(k, g)
-        f = rng.standard_normal(g.shape)
-        fast = op.apply_values(f)
-        slow = convolution_quadrature_oracle(k, g, f).reshape(g.shape)
-        assert np.allclose(fast, slow, rtol=0, atol=1e-12)
 
 
 def test_adjoint_identity_exact_scale():
@@ -135,25 +124,6 @@ def test_refinement_toward_fine_reference():
     assert errs[0] > errs[1] > errs[2]
     order = np.log2(errs[0] / errs[2]) / 2.0
     assert 1.5 < order < 2.5
-
-
-def test_row_sum_bound_dominates_induced_norm():
-    g = Grid.line(20, 1.0)
-    op = NonlocalOperator(Kernel.gaussian(1.0, 0.15), g)
-    rep = check_a3(op, TimeGrid(1.0, 1), np.random.default_rng(0), n_pairs=1)
-    assert rep.induced_norm <= rep.row_sum_bound * (1.0 + 1e-12)
-    table = op.matrix()
-    assert rep.induced_norm == float(np.linalg.norm(table, 2))
-    assert rep.row_sum_bound == float(np.max(np.sum(np.abs(table), axis=1)))
-
-
-def test_check_a3_report_consistent():
-    g = Grid.line(10, 1.0)
-    tg = TimeGrid(1.0, 5)
-    op = NonlocalOperator(Kernel.gaussian(1.0, 0.2), g)
-    rep = check_a3(op, tg, np.random.default_rng(5), n_pairs=10)
-    assert rep.consistent
-    assert rep.lipschitz_sampled <= rep.induced_norm * (1.0 + 1e-10)
 
 
 def test_derivative_is_anchor_independent():

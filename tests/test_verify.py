@@ -1,12 +1,18 @@
+from collections import Counter
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from quenchctrl import verify
 from quenchctrl.verify import (
+    ENTRIES,
     CheckResult,
     VerificationReport,
     bisection_quench_root,
     dense_laplacian,
     rk4_scalar_relaxation,
+    run_entry,
     run_suite,
     taylor_remainder_slope,
 )
@@ -90,19 +96,51 @@ def test_check_result_bookkeeping():
     assert "thing" in table and "other" in table
 
 
-def test_run_suite_all_pass_and_deterministic():
-    rep = run_suite(seed=0)
-    failing = [c.name for c in rep.checks if not c.passed]
+# the report's check names, in table order
+CHECK_NAMES = [
+    "laplacian_frozen_stencil", "laplacian_conservation", "laplacian_self_adjoint",
+    "laplacian_dense_match", "nonlocal_matches_quadrature", "nonlocal_adjoint_identity",
+    "nonlocal_tophat_constant", "nonlocal_lipschitz_consistent", "nonlocal_norm_bound",
+    "quench_resolvent_residual", "quench_resolvent_vs_bisection", "quench_resolvent_monotone",
+    "obstacle_resolvent_cases", "quench_obstacle_gap", "potential_reference_values",
+    "mu_step_dense_solve", "mu_coefficient_formula", "state_trivial_stationary",
+    "state_bounds", "obstacle_sign_structure", "state_energy_identity",
+    "state_single_cell_reference", "state_scheme_first_order", "adjoint_terminal_zero",
+    "adjoint_zero_tracking_zero", "gradient_taylor_slope", "gradient_central_difference",
+    "adjoint_pairing_nonnegative", "concentration_identity", "projection_box_idempotent",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(ENTRIES))
+def test_entry_passes(name, seed):
+    failing = [c.name for c in run_entry(name, seed) if not c.passed]
     assert failing == []
-    assert len(rep.checks) >= 25
-    rep2 = run_suite(seed=0)
-    assert rep.as_dict() == rep2.as_dict()
+
+
+def test_run_suite_is_the_table_in_order_and_deterministic():
+    rep = run_suite(seed=2)
+    assert [c.name for c in rep.checks] == CHECK_NAMES
+    assert rep.as_dict() == run_suite(seed=2).as_dict()
     # elapsed time stays out of the comparable payload
     assert "elapsed" not in str(sorted(rep.as_dict()))
+    # each entry, run alone and out of order, gives its slice of the suite
+    alone = {name: run_entry(name, seed=2) for name in reversed(ENTRIES)}
+    assert [asdict(c) for name in ENTRIES for c in alone[name]] == rep.as_dict()["checks"]
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_run_suite_passes_at_other_seeds(seed):
-    # seed 0 is covered above; the benchmark runs the suite at other seeds
-    failing = [c.name for c in run_suite(seed=seed).checks if not c.passed]
-    assert failing == []
+def test_run_suite_solve_count(monkeypatch):
+    # 12 forward and 2 adjoint solves, plus the two of the central difference
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_state", "solve_adjoint"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    run_suite(seed=0)
+    assert counts == {"solve_state": 14, "solve_adjoint": 2}
