@@ -34,7 +34,7 @@ from .state import StateSolution, check_obstacle_signs, solve_state
 if TYPE_CHECKING:
     from .optimize import ContinuationRun
 
-__all__ = ["main", "write_fields_csv", "read_fields_csv", "write_control_csv"]
+__all__ = ["main", "write_fields_csv", "write_control_csv"]
 
 
 _INDEX_HEADER = ["t_index", "cell_index", "cell_index_y"]
@@ -196,15 +196,22 @@ def _column_text(fmt, values: list[np.ndarray]) -> np.ndarray:
 def _csv_columns(name: str, header: list[str], int_columns, float_columns) -> list[np.ndarray]:
     """The columns of the CSV table `name`, broadcast to one shape:
     integers first as int64, then floats.  A NaN or an infinity in a float
-    column is a SolverError, so that a command can check every table
-    before it creates its output directory."""
+    column is a SolverError naming the first bad row by its integer
+    columns, so that a command can check every table before it creates
+    its output directory."""
     ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
     columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
-    for label, column in zip(header[len(ints):], columns[len(ints):]):
-        held = column[0] if column.strides[0] == 0 else column
-        if not np.isfinite(held).all():
-            raise SolverError(f"{name}: column {label} holds NaN or an infinity")
-    return columns
+    floats = columns[len(ints):]
+    if all(np.isfinite(c[0] if c.strides[0] == 0 else c).all() for c in floats):
+        return columns
+    bad = np.stack([~np.isfinite(c.reshape(-1)) for c in floats])
+    row = int(np.argmax(bad.any(axis=0)))
+    col = int(np.argmax(bad[:, row]))
+    at = ", ".join(f"{label} {c.flat[row]}" for label, c in zip(header, columns[: len(ints)]))
+    raise SolverError(
+        f"{name}: column {header[len(ints) + col]} holds NaN or an infinity "
+        f"({floats[col].flat[row]} at {at or f'row {row}'})"
+    )
 
 
 def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -257,20 +264,6 @@ def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
         np.indices(shape, sparse=True),
         [sol.mu.values, sol.rho.values, sol.xi.values, u.values],
     )
-
-
-def read_fields_csv(path: Path) -> dict[str, np.ndarray]:
-    """Read fields.csv back into arrays keyed by column name.
-
-    Shapes are inferred from the index columns; parsing the 17-digit
-    decimals reproduces the written float64 values exactly.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n_idx = sum(name in _INDEX_HEADER for name in header)
-    shape = tuple(int(table[:, i].max()) + 1 for i in range(n_idx))
-    return {name: table[:, n_idx + k].reshape(shape) for k, name in enumerate(header[n_idx:])}
 
 
 def write_control_csv(path: Path, u: Trajectory) -> None:
@@ -370,15 +363,6 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         model=problem.model,
         op=problem.op,
     )
-
-    for lvl, rec in enumerate(run.levels):
-        for row in rec.history:
-            for name in ("cost", "stationarity"):
-                if not np.isfinite(getattr(row, name)):
-                    raise SolverError(
-                        f"optimize: non-finite {name} {getattr(row, name)} "
-                        f"at level {lvl}, iteration {row.iteration}"
-                    )
 
     history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
     history_header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]

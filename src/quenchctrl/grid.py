@@ -242,7 +242,7 @@ def solve_step_system(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Every entry of a must be positive, so that the matrix is SPD; it is
     also symmetric, so the same call solves the transposed system.  In
     1D a scalar Thomas sweep solves it directly (`_solve_tridiagonal`),
-    and raises SolverError if its last pivot cancels to a nonpositive one.
+    on the pivots' excess over h⁻², so that small cells lose no digits.
     In 2D conjugate gradients solve it (Concus, Golub & O'Leary 1976),
     preconditioned by the constant-coefficient operator mean(a)·I − Δ_h,
     which the tensor product of the Neumann cosine modes diagonalizes
@@ -307,53 +307,35 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return modes, eig
 
 
-@functools.lru_cache(maxsize=8)
-def _line_stencil(n: int, h: float) -> tuple[float, np.ndarray]:
-    """k = h⁻² and k times the interior faces of each cell (Neumann
-    ends), on a line of n cells.  Built once per (n, h) and shared by
-    every 1D step solve, so the array is read-only."""
-    k = h**-2
-    faces = np.full(n, 2.0)
-    faces[0] -= 1.0
-    faces[-1] -= 1.0
-    off = k * faces
-    off.flags.writeable = False
-    return k, off
-
-
 def _solve_tridiagonal(grid: Grid, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The 1D case of `solve_step_system`: Thomas elimination on Python floats.
 
     The matrix is SPD and tridiagonal, so forward elimination needs no
-    pivoting and every pivot (`schur`) is positive in exact arithmetic.
-    The interior pivots stay near k = h⁻², but the last one is the
-    difference of two terms near k: on cells so small that a is lost
-    next to k it cancels, and SolverError is raised when it is not
-    positive.
+    pivoting.  It is carried on each pivot's excess e over k = h⁻²:
+    e_0 = a_0, then with c_i = k/(k + e_{i−1}) in (0, 1] the sweep adds
+    c_i·y_{i−1} to y_i and sets e_i = a_i + c_i·e_{i−1}.  The interior
+    pivots are k + e_i and the last is e_{n−1} ≥ a_{n−1}, so for positive
+    a every term is positive: nothing cancels on cells so small that a is
+    lost next to k, and no product forms k² or k·x, which could overflow.
     """
-    n = grid.cells[0]
-    h = grid.spacing[0]
-    k, off = _line_stencil(n, h)
-    kk = k * k
-    diag = (np.asarray(a, dtype=float) + off).tolist()
+    k = grid.spacing[0] ** -2
+    a = np.asarray(a, dtype=float).tolist()
     y = np.asarray(rhs, dtype=float).tolist()
-    inverses = [0.0] * n
-    schur = diag[0]
+    n = len(a)
+    ratios = [0.0] * n
+    e = a[0]
+    carried = y[0]
     for i in range(1, n):
-        w = 1.0 / schur
-        inverses[i - 1] = w
-        y[i] += k * w * y[i - 1]
-        schur = diag[i] - kk * w
-    if schur <= 0.0:
-        raise SolverError(
-            f"step solve: the last pivot of the Thomas sweep is {schur!r}, not positive; "
-            f"the cell size {h:g} is too small for the step system's coefficients"
-        )
-    x = [0.0] * n
-    x[-1] = y[-1] / schur
+        w = 1.0 / (k + e)
+        ratios[i - 1] = c = k * w
+        y[i - 1] = w * carried  # the eliminated row over its pivot
+        carried = y[i] + c * carried
+        e = a[i] + c * e
+    # back substitution in place: x_i = y_i/(k + e_i) + c_{i+1}·x_{i+1}
+    x = y[-1] = carried / e
     for i in range(n - 2, -1, -1):
-        x[i] = inverses[i] * (y[i] + k * x[i + 1])
-    return np.array(x)
+        x = y[i] = y[i] + ratios[i] * x
+    return np.array(y)
 
 
 def inner_product(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

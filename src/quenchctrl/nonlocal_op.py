@@ -67,10 +67,6 @@ class Kernel:
         return cls("gaussian", amplitude=amplitude, width=width)
 
     @classmethod
-    def newtonian(cls, strength: float, core_radius: float) -> "Kernel":
-        return cls("newtonian", amplitude=strength, core_radius=core_radius)
-
-    @classmethod
     def tophat(cls, amplitude: float, radius: float) -> "Kernel":
         return cls("tophat", amplitude=amplitude, radius=radius)
 
@@ -125,10 +121,3 @@ class NonlocalOperator:
         return out[:n1, :n2]
 
     apply_adjoint_values = apply_values
-
-    def matrix(self) -> np.ndarray:
-        """The dense n_cells × n_cells table, assembled by applying the
-        operator to unit vectors; meant for the small grids of checks."""
-        eye = np.eye(self.grid.n_cells)
-        cols = [self.apply_values(e.reshape(self.grid.shape)).reshape(-1) for e in eye]
-        return np.stack(cols, axis=1)

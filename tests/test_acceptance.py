@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from quenchctrl.adjoint import solve_adjoint
-from quenchctrl.cli import main, read_fields_csv
+from quenchctrl.cli import main
 from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, project_admissible, tracking_cost
 from quenchctrl.grid import Trajectory, inner_product, norm_l2_spacetime
@@ -31,6 +31,8 @@ from quenchctrl.potentials import (
 )
 from quenchctrl.state import check_obstacle_signs, energy_residual, solve_state
 from quenchctrl.verify import bisection_quench_root, convolution_quadrature_oracle
+
+from fields_csv import read_fields_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -1,16 +1,17 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchctrl.errors import ShapeMismatchError, SolverError
+from quenchctrl.errors import ShapeMismatchError
 from quenchctrl.grid import (
     Field,
     Grid,
     TimeGrid,
     Trajectory,
     _cosine_modes,
-    _line_stencil,
     inner_product,
     inner_product_spacetime,
     laplacian_values,
@@ -181,23 +182,34 @@ def test_cosine_modes_built_once_and_read_only():
             array[0] = 1.0
 
 
-def test_line_stencil_built_once_and_read_only():
-    grid = Grid.line(5, 2.0)
-    k, off = _line_stencil(5, grid.spacing[0])
-    assert grid.spacing is grid.spacing  # formed once per grid
-    assert _line_stencil(5, grid.spacing[0])[1] is off
-    assert k == 0.4**-2
-    assert off.tolist() == [k, 2.0 * k, 2.0 * k, 2.0 * k, k]
-    with pytest.raises(ValueError, match="read-only"):
-        off[0] = 1.0
+def _exact_line_solve(grid, a, rhs):
+    """(diag(a) − Δ_h) x = rhs on a line, by Thomas elimination in exact
+    rational arithmetic on the float inputs, rounded once at the end."""
+    k = Fraction(grid.spacing[0]) ** -2
+    n = len(a)
+    diag = [Fraction(ai) + k * (2 - (i == 0) - (i == n - 1)) for i, ai in enumerate(a.tolist())]
+    y = [Fraction(r) for r in rhs.tolist()]
+    for i in range(1, n):
+        m = k / diag[i - 1]
+        y[i] += m * y[i - 1]
+        diag[i] -= m * k
+    x = [y[-1] / diag[-1]]
+    for i in range(n - 2, -1, -1):
+        x.append((y[i] + k * x[-1]) / diag[i])
+    return np.array([float(v) for v in reversed(x)])
 
 
-def test_step_solve_raises_when_the_last_pivot_cancels():
-    # a = 200 is lost next to h^-2 = 4.1e19, and the last pivot cancels to 0
-    grid = Grid.line(64, 1e-8)
-    with pytest.raises(SolverError, match=r"last pivot of the Thomas sweep is 0\.0, not positive"):
-        solve_step_system(grid, np.full(64, 200.0), np.ones(64))
-    # on a unit line the same system solves to rounding
-    unit = Grid.line(64, 1.0)
-    x = solve_step_system(unit, np.full(64, 200.0), np.ones(64))
-    assert np.max(np.abs(200.0 * x - laplacian_values(unit, x) - 1.0)) <= 1e-13
+@pytest.mark.parametrize("length", [1.0, 1e-3, 1e-5, 1e-7, 1e-8])
+def test_line_step_solve_matches_exact_elimination_on_small_cells(length):
+    # h^-2 runs from 4.1e3 to 4.1e19, so a (about 200) is lost next to it
+    # from length 1e-7 on; the solve must keep its digits all the same
+    grid = Grid.line(64, length)
+    rng = np.random.default_rng(7)
+    systems = [
+        (rng.uniform(150.0, 250.0, 64), rng.standard_normal(64)),
+        (np.full(64, 200.0), np.ones(64)),
+    ]
+    for a, rhs in systems:
+        exact = _exact_line_solve(grid, a, rhs)
+        got = solve_step_system(grid, a, rhs)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))

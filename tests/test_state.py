@@ -385,14 +385,15 @@ def test_march_builds_no_field(monkeypatch):
 
 
 def test_march_stops_at_the_first_non_finite_mu(monkeypatch):
-    # mu overflows in the first obstacle step, so no later step is taken
-    grid, tgrid, model, op = make_setup(n=64, steps=5)
-    init = InitialData(grid, np.full(grid.shape, 0.5), np.full(grid.shape, 1e305))
+    # mu, about u·tau/(1 + 2g) ≈ 1e305·2e4/2, overflows in the first
+    # obstacle step, so no later step is taken
+    grid, tgrid, model, op = make_setup(n=64, steps=5, horizon=1e5)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     calls = []
     step_rho = state_module.step_rho
     monkeypatch.setattr(state_module, "step_rho", lambda *a: calls.append(1) or step_rho(*a))
     with pytest.raises(SolverError, match=r"^forward march: a non-finite value at time node 1 of 5$"):
-        solve_state(Trajectory.constant(tgrid, grid, 1.0), 0.0, init, model, op)
+        solve_state(Trajectory.constant(tgrid, grid, 1e305), 0.0, init, model, op)
     assert len(calls) == 1
 
 
