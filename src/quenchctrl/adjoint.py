@@ -142,21 +142,16 @@ def time_ramp_probe(tgrid, grid) -> Trajectory:
     return Trajectory(tgrid, grid, vals)
 
 
-def concentration_metric(
-    adj: AdjointSolution, state: StateSolution, probe: Trajectory
-) -> ConcentrationMetric:
-    """Pair multiplier·rho(1-rho) with a probe vanishing at t = 0.
+def concentration_metric(adj: AdjointSolution, state: StateSolution) -> ConcentrationMetric:
+    """Pair multiplier·rho(1-rho) with the probe t/T of `time_ramp_probe`.
 
     The pointwise identity multiplier·rho(1-rho) = scale·rho_dual makes
     value and cross_check agree to rounding; across quench levels the
     metric shrinks linearly with the scale factor.
     """
-    if np.any(probe.values[0] != 0.0):
-        raise ValueError("probe must vanish at t = 0")
+    probe = time_ramp_probe(state.rho.tgrid, state.rho.grid)
     rho = state.rho.values
-    weighted = Trajectory(
-        probe.tgrid, probe.grid, adj.multiplier.values * rho * (1.0 - rho)
-    )
+    weighted = Trajectory(probe.tgrid, probe.grid, adj.multiplier.values * rho * (1.0 - rho))
     value = inner_product_spacetime(weighted, probe)
     cross = adj.scale * inner_product_spacetime(adj.rho_dual, probe)
     return ConcentrationMetric(value=value, cross_check=cross)

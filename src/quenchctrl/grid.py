@@ -6,10 +6,10 @@ Neumann boundary, and a uniform partition of [0, T].  Trajectory wraps
 a numpy array, pinning the space-time mesh and validating shape and
 finiteness.  The solvers march raw arrays and wrap only their finished
 results; `Field`, the same wrapper for one snapshot, is left only as
-the type of `state.step_mu`.  A trajectory that does not change in time
-(`Trajectory.constant`, `zeros`, `constant_profile`) holds one spatial
-array, read-only and broadcast over every time node: copy its values
-before writing to them.
+the type of `state.step_mu`, which no command calls.  A trajectory
+that does not change in time (`Trajectory.constant`, `zeros`,
+`constant_profile`) holds one spatial array, read-only and broadcast
+over every time node: copy its values before writing to them.
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def validated(values, shape, what: str) -> np.ndarray:
 
 @dataclass
 class Field:
-    """One value per cell of a Grid."""
+    """One value per cell of a Grid: the type of `state.step_mu`, built only
+    by the benchmark's per-step probe (perfbench/child.py) and unit tests."""
 
     grid: Grid
     values: np.ndarray

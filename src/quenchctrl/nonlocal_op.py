@@ -75,17 +75,15 @@ class Kernel:
         return cls("zero", amplitude=0.0)
 
     def evaluate(self, r):
-        """k(r) for scalar or array r ≥ 0; always finite."""
+        """k(r), elementwise for r ≥ 0; always finite."""
         r = np.asarray(r, dtype=float)
         if self.variant == "gaussian":
-            out = self.amplitude * np.exp(-(r * r) / (2.0 * self.width**2))
-        elif self.variant == "newtonian":
-            out = self.amplitude / np.maximum(r, self.core_radius)
-        elif self.variant == "tophat":
-            out = np.where(r <= self.radius, self.amplitude, 0.0)
-        else:
-            out = np.zeros_like(r)
-        return float(out) if out.ndim == 0 else out
+            return self.amplitude * np.exp(-(r * r) / (2.0 * self.width**2))
+        if self.variant == "newtonian":
+            return self.amplitude / np.maximum(r, self.core_radius)
+        if self.variant == "tophat":
+            return np.where(r <= self.radius, self.amplitude, 0.0)
+        return np.zeros_like(r)
 
 
 class NonlocalOperator:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import AdjointSolution, concentration_metric, solve_adjoint, time_ramp_probe
+from .adjoint import AdjointSolution, concentration_metric, solve_adjoint
 from .costs import (
     AdmissibleSet,
     CostWeights,
@@ -262,7 +262,6 @@ def deep_quench_continuation(
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
-    probe: Trajectory | None = None,
 ) -> ContinuationRun:
     """Drive the quench parameter down the schedule, re-optimizing at
     each level, then report the obstacle-limit diagnostics.
@@ -271,9 +270,6 @@ def deep_quench_continuation(
     nonempty, strictly decreasing, in (0, 1], and with a nonzero
     resolvent step tau·quench_scale(alpha) at every level.
     """
-    if probe is None:
-        probe = time_ramp_probe(u0.tgrid, u0.grid)
-
     levels: list[LevelRecord] = []
     u = project_admissible(u0, box)
     anchor: Trajectory | None = None
@@ -293,7 +289,7 @@ def deep_quench_continuation(
         )
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
-        metric = concentration_metric(result.adjoint, result.state, probe)
+        metric = concentration_metric(result.adjoint, result.state)
         plain_grad = _gradient_trajectory(u_star, result.adjoint, weights, anchor=None)
         control_h1 = time_h1_norm(u_star)
         rec = LevelRecord(

@@ -5,7 +5,8 @@ The order parameter is confined to [0, 1] either by the double obstacle
 a logarithmic potential rho·ln(rho) + (1-rho)·ln(1-rho) scaled by a
 factor that vanishes with the quench parameter alpha.  Both constraint
 mechanisms enter the time stepping only through their resolvents, which
-are computed here.
+are computed here; the logarithmic potential itself enters only through
+its first two derivatives.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, SolverError
 
 __all__ = [
-    "log_potential",
     "log_potential_prime",
     "log_potential_second",
     "quench_scale",
@@ -40,42 +40,23 @@ RESOLVENT_TOL = 1e-13
 RESOLVENT_MAX_ITER = 200
 
 
-def _domain_check(rho: np.ndarray, closed: bool, what: str) -> None:
-    if closed:
-        bad = np.any(rho < 0.0) or np.any(rho > 1.0)
-        dom = "[0, 1]"
-    else:
-        bad = np.any(rho <= 0.0) or np.any(rho >= 1.0)
-        dom = "(0, 1)"
-    if bad:
-        raise ValueError(f"{what} requires rho in {dom}")
-
-
-def log_potential(rho):
-    """rho·ln(rho) + (1-rho)·ln(1-rho), extended by 0 at the endpoints."""
-    r = np.asarray(rho, dtype=float)
-    _domain_check(r, closed=True, what="log_potential")
-    out = np.zeros_like(r)
-    inner = (r > 0.0) & (r < 1.0)
-    ri = r[inner]
-    out[inner] = ri * np.log(ri) + (1.0 - ri) * np.log1p(-ri)
-    return float(out) if out.ndim == 0 else out
+def _domain_check(rho: np.ndarray, what: str) -> None:
+    if np.any(rho <= 0.0) or np.any(rho >= 1.0):
+        raise ValueError(f"{what} requires rho in (0, 1)")
 
 
 def log_potential_prime(rho):
     """ln(rho / (1-rho)) on the open interval."""
     r = np.asarray(rho, dtype=float)
-    _domain_check(r, closed=False, what="log_potential_prime")
-    out = np.log(r) - np.log1p(-r)
-    return float(out) if out.ndim == 0 else out
+    _domain_check(r, "log_potential_prime")
+    return np.log(r) - np.log1p(-r)
 
 
 def log_potential_second(rho):
     """1 / (rho (1-rho)), strictly positive on the open interval."""
     r = np.asarray(rho, dtype=float)
-    _domain_check(r, closed=False, what="log_potential_second")
-    out = 1.0 / (r * (1.0 - r))
-    return float(out) if out.ndim == 0 else out
+    _domain_check(r, "log_potential_second")
+    return 1.0 / (r * (1.0 - r))
 
 
 def quench_scale(alpha: float, exponent: float = 1.0) -> float:
@@ -216,12 +197,8 @@ def quench_resolvent_detail(b, s: float):
     """
     if s <= 0.0:
         raise ValueError("quench resolvent needs s > 0")
-    arr = np.asarray(b, dtype=float)
-    y, sig = _solve_quench_logit(np.atleast_1d(arr), float(s))
-    rho = np.minimum(np.maximum(sig, RHO_MIN), RHO_MAX)
-    if arr.ndim == 0:
-        return float(rho[0]), float(y[0])
-    return rho, y
+    y, sig = _solve_quench_logit(np.asarray(b, dtype=float), float(s))
+    return np.minimum(np.maximum(sig, RHO_MIN), RHO_MAX), y
 
 
 def obstacle_resolvent(b, tau: float):
@@ -235,7 +212,4 @@ def obstacle_resolvent(b, tau: float):
         raise ValueError("obstacle resolvent needs tau > 0")
     arr = np.asarray(b, dtype=float)
     rho = np.clip(arr, 0.0, 1.0)
-    xi = (arr - rho) / tau
-    if arr.ndim == 0:
-        return float(rho), float(xi)
-    return rho, xi
+    return rho, (arr - rho) / tau

