@@ -2,14 +2,16 @@
 
 The dual pair (mu_dual, rho_dual) marches backward with the time mirror
 of the forward scheme: the mu_dual update solves the same SPD operator
-the forward chemical-potential step used at that node (conservative
-form of the (1+2g) time derivative), and the rho_dual update is
-pointwise with the quench curvature term implicit and all couplings
-taken one-sided, consistent with the backward march.  These lag choices
-make the march the exact transpose of the forward stepping, so
-mu_dual + control_weight·u is the exact gradient of the discrete cost
-(in 2D, exact to the step solve's 1e-14 relative tolerance); it is at
-the same time a consistent discretization of the continuous dual system.
+the forward chemical-potential step used at that node, and the rho_dual
+update is pointwise with the quench curvature term implicit and all
+couplings taken one-sided.  Before the march, every coefficient that
+reads only the state is formed once over all nodes, the operator and
+its 1 + 2g weight by the forward step's own `mu_zeroth_coefficient`.
+These lag choices make the march the exact transpose of the forward
+stepping, so `tracking_gradient`, control_weight·u + mu_dual, is the
+exact gradient of the discrete cost (in 2D, exact to the step solve's
+1e-14 relative tolerance) and a consistent discretization of the
+continuous dual system.
 
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
@@ -37,6 +39,7 @@ from .state import StateSolution, mu_zeroth_coefficient, wrap_march
 __all__ = [
     "AdjointSolution",
     "solve_adjoint",
+    "tracking_gradient",
     "ConcentrationMetric",
     "concentration_metric",
     "time_ramp_probe",
@@ -69,48 +72,39 @@ def solve_adjoint(
     """
     if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
-    rho = state.rho.values
-    mu = state.mu.values
-    tgrid = state.rho.tgrid
-    grid = state.rho.grid
+    rho, mu = state.rho.values, state.mu.values
+    tgrid, grid = state.rho.tgrid, state.rho.grid
     if weights.rho_target.values.shape != rho.shape or weights.mu_target.values.shape != mu.shape:
         raise ConfigError("(A4) target does not match the state discretization")
-    tau = tgrid.tau
-    nt = tgrid.steps
+    tau, nt = tgrid.tau, tgrid.steps
     scale = quench_scale(state.alpha, model.quench_exponent)
+
+    # each state-only coefficient once over the stacked nodes, in one node's
+    # operation order; g' gets a row per node even where it is a float
+    a, _, weight = mu_zeroth_coefficient(rho[1:], rho[:-1], tau, model)
+    gp = np.broadcast_to(model.g_prime(rho), rho.shape)
+    g2 = model.g_second(rho)
+    mu_misfit = weights.mu_weight * (mu - weights.mu_target.values)
+    rho_misfit = weights.rho_weight * (rho - weights.rho_target.values)
+    q_coef = model.f_second(rho) - mu * g2
+    gp_mu = gp * mu
+    p_coef = 2.0 * gp[1:] * (mu[1:] - mu[:-1]) + g2 * (rho[1:] - rho[:-1]) * mu[1:] + gp_mu[1:]
+    curv = log_potential_second(rho[1:nt])
+    den = 1.0 + tau * scale * curv
 
     p = np.zeros_like(rho)
     q = np.zeros_like(rho)
-    b1 = weights.rho_weight
-    b2 = weights.mu_weight
-    rho_tgt = weights.rho_target.values
-    mu_tgt = weights.mu_target.values
-    curv = log_potential_second(rho[1:nt])
-
     for m in range(nt - 1, 0, -1):
-        a_m, _, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
-        gp_m = model.g_prime(rho[m])
-        rhs = (
-            (1.0 + 2.0 * model.g(rho[m + 1])) * p[m + 1] / tau
-            + gp_m * q[m + 1]
-            + b2 * (mu[m] - mu_tgt[m])
-        )
-        p[m] = solve_step_system(grid, a_m, rhs)
-
+        rhs = weight[m] * p[m + 1] / tau + gp[m] * q[m + 1] + mu_misfit[m]
+        p[m] = solve_step_system(grid, a[m - 1], rhs)
         source = (
-            b1 * (rho[m] - rho_tgt[m])
-            - (model.f_second(rho[m]) - mu[m] * model.g_second(rho[m])) * q[m + 1]
+            rho_misfit[m]
+            - q_coef[m] * q[m + 1]
             - op.apply_adjoint_values(q[m + 1])
-            - (
-                2.0 * gp_m * (mu[m] - mu[m - 1])
-                + model.g_second(rho[m]) * (rho[m] - rho[m - 1]) * mu[m]
-                + gp_m * mu[m]
-            )
-            * p[m]
-            / tau
-            + model.g_prime(rho[m + 1]) * mu[m + 1] * p[m + 1] / tau
+            - p_coef[m - 1] * p[m] / tau
+            + gp_mu[m + 1] * p[m + 1] / tau
         )
-        q[m] = (q[m + 1] + tau * source) / (1.0 + tau * scale * curv[m - 1])
+        q[m] = (q[m + 1] + tau * source) / den[m - 1]
 
     lam = np.zeros_like(q)
     lam[1:nt] = scale * curv * q[1:nt]
@@ -126,6 +120,12 @@ def solve_adjoint(
         scale=scale,
         pairing_value=inner_product_spacetime(multiplier, rho_dual),
     )
+
+
+def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> Trajectory:
+    """control_weight·u + mu_dual, the reduced gradient of the tracking cost at
+    u from the adjoint of u's state: what PGD descends along and verify checks."""
+    return Trajectory(u.tgrid, u.grid, weights.control_weight * u.values + adj.mu_dual.values)
 
 
 class ConcentrationMetric(NamedTuple):

@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -485,26 +486,31 @@ def main(argv: list[str] | None = None) -> int:
     p_ver.set_defaults(func=_cmd_verify, out=None)  # writes to the config's out_dir
 
     args = parser.parse_args(argv)
-    try:
-        # --alpha and --alphas replace config keys and are validated as such
-        overrides = {
-            key: getattr(args, key)
-            for key in ("alpha", "sweep_alphas")
-            if getattr(args, key, None) is not None
-        }
-        cfg = load_config(args.config, overrides)
-        problem = build_problem(cfg)
-        out = Path(cfg.out_dir if args.out is None else args.out)
-        # a file on the output path would make mkdir fail after the run
-        if files := [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]:
-            raise ConfigError(f"output path {out}: {files[0]} exists and is not a directory")
-        violations, success_line = args.func(args, problem, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+    # warnings are shown once the run ends in exit 0 or 1, so exit 2 and 3 print
+    # one line; the filters act when a warning occurs, so "error" raises there
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            # --alpha and --alphas replace config keys and are validated as such
+            overrides = {
+                key: getattr(args, key)
+                for key in ("alpha", "sweep_alphas")
+                if getattr(args, key, None) is not None
+            }
+            cfg = load_config(args.config, overrides)
+            problem = build_problem(cfg)
+            out = Path(cfg.out_dir if args.out is None else args.out)
+            # a file on the output path would make mkdir fail after the run
+            if files := [p for p in (out, *out.parents) if p.exists() and not p.is_dir()]:
+                raise ConfigError(f"output path {out}: {files[0]} exists and is not a directory")
+            violations, success_line = args.func(args, problem, out)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 3
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     for v in violations:
         print(f"invariant violation: {v}", file=sys.stderr)
     if violations:

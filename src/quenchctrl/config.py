@@ -301,18 +301,18 @@ def build_problem(cfg: ProblemConfig) -> Problem:
     op = NonlocalOperator(kernel, grid)
 
     init = InitialData(grid, profile_values(cfg.rho0, grid), profile_values(cfg.mu0, grid))
-    control = Trajectory.constant_profile(tgrid, grid, profile_values(cfg.control, grid))
+    control = Trajectory.constant(tgrid, grid, profile_values(cfg.control, grid))
 
     box = AdmissibleSet(
-        Trajectory.constant_profile(tgrid, grid, profile_values(cfg.ceiling, grid)),
+        Trajectory.constant(tgrid, grid, profile_values(cfg.ceiling, grid)),
         h1_budget=cfg.h1_budget,
     )
     weights = CostWeights(
         rho_weight=cfg.rho_weight,
         mu_weight=cfg.mu_weight,
         control_weight=cfg.control_weight,
-        rho_target=Trajectory.constant_profile(tgrid, grid, profile_values(cfg.rho_target, grid)),
-        mu_target=Trajectory.constant_profile(tgrid, grid, profile_values(cfg.mu_target, grid)),
+        rho_target=Trajectory.constant(tgrid, grid, profile_values(cfg.rho_target, grid)),
+        mu_target=Trajectory.constant(tgrid, grid, profile_values(cfg.mu_target, grid)),
     )
 
     return Problem(

@@ -7,9 +7,9 @@ a numpy array, pinning the space-time mesh and validating shape and
 finiteness.  The solvers march raw arrays and wrap only their finished
 results; `Field`, the same wrapper for one snapshot, is left only as
 the type of `state.step_mu`, which no command calls.  A trajectory
-that does not change in time (`Trajectory.constant`, `zeros`,
-`constant_profile`) holds one spatial array, read-only and broadcast
-over every time node: copy its values before writing to them.
+that does not change in time (`Trajectory.constant`) holds one spatial
+array, read-only and broadcast over every time node: copy its values
+before writing to them.
 """
 
 from __future__ import annotations
@@ -180,16 +180,9 @@ class Trajectory:
         self.values = validated(self.values, shape, "Trajectory")
 
     @classmethod
-    def constant(cls, tgrid: TimeGrid, grid: Grid, value: float) -> "Trajectory":
-        return cls.constant_profile(tgrid, grid, float(value))
-
-    @classmethod
-    def zeros(cls, tgrid: TimeGrid, grid: Grid) -> "Trajectory":
-        return cls.constant_profile(tgrid, grid, 0.0)
-
-    @classmethod
-    def constant_profile(cls, tgrid: TimeGrid, grid: Grid, profile: np.ndarray) -> "Trajectory":
-        """Hold one spatial snapshot fixed over every time node.
+    def constant(cls, tgrid: TimeGrid, grid: Grid, profile: float | np.ndarray) -> "Trajectory":
+        """Hold one spatial snapshot, a scalar or a cell array, fixed over
+        every time node.
 
         The values are a read-only view, broadcast over the time axis, of
         one private copy of the profile: memory is O(cells), whatever the

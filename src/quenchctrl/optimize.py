@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import AdjointSolution, concentration_metric, solve_adjoint
+from .adjoint import AdjointSolution, concentration_metric, solve_adjoint, tracking_gradient
 from .costs import (
     AdmissibleSet,
     CostWeights,
@@ -79,10 +79,10 @@ class PGDResult:
 def _gradient_trajectory(
     u: Trajectory, adj: AdjointSolution, w: CostWeights, anchor: Trajectory | None
 ) -> Trajectory:
-    vals = w.control_weight * u.values + adj.mu_dual.values
-    if anchor is not None:
-        vals = vals + (u.values - anchor.values)
-    return Trajectory(u.tgrid, u.grid, vals)
+    grad = tracking_gradient(u, adj, w)
+    if anchor is None:
+        return grad
+    return Trajectory(u.tgrid, u.grid, grad.values + (u.values - anchor.values))
 
 
 def _cost_of(
@@ -290,7 +290,7 @@ def deep_quench_continuation(
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state)
-        plain_grad = _gradient_trajectory(u_star, result.adjoint, weights, anchor=None)
+        plain_grad = tracking_gradient(u_star, result.adjoint, weights)
         control_h1 = time_h1_norm(u_star)
         rec = LevelRecord(
             alpha=alpha,

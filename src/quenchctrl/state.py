@@ -114,9 +114,9 @@ def mu_zeroth_coefficient(
     below at COEFFICIENT_FLOOR so the system stays positive definite.
     Returns the coefficient, the clamp count and the weight
     1 + 2 g(rho_new) it was formed from, which the forward step's
-    right-hand side reuses.  The backward solve reuses this function
-    verbatim so that its operator is the exact transpose of the forward
-    one.
+    right-hand side reuses.  The backward solve calls it once on all
+    nodes stacked, elementwise the same bits, so that its operator and
+    weight are the forward ones and it is the exact transpose.
     """
     weight = 1.0 + 2.0 * model.g(rho_new)
     c = (weight + model.g_prime(rho_new) * (rho_new - rho_old)) / tau

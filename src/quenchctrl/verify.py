@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adjoint import concentration_metric, solve_adjoint
+from .adjoint import concentration_metric, solve_adjoint, tracking_gradient
 from .costs import AdmissibleSet, CostWeights, project_admissible, tracking_cost
 from .grid import (
     Grid,
@@ -483,7 +483,7 @@ def _mu_coefficient(rng: np.random.Generator) -> list[CheckResult]:
 def _state_trivial(rng: np.random.Generator) -> list[CheckResult]:
     g = Grid.line(12, 1.0)
     init = InitialData(g, np.full(g.shape, 0.5), np.zeros(g.shape))
-    u = Trajectory.zeros(TimeGrid(0.4, 16), g)
+    u = Trajectory.constant(TimeGrid(0.4, 16), g, 0.0)
     op = NonlocalOperator(Kernel.zero(), g)
     sol = solve_state(u, 0.5, init, PotentialConfig(g_family="zero"), op)
     dev = max(
@@ -530,7 +530,7 @@ def _single_cell(rng: np.random.Generator) -> list[CheckResult]:
     errs = []
     for nt in (100, 200, 400):
         tg = TimeGrid(0.5, nt)
-        got = solve_state(Trajectory.zeros(tg, cell), 0.5, init, zero_model, op)
+        got = solve_state(Trajectory.constant(tg, cell, 0.0), 0.5, init, zero_model, op)
         errs.append(abs(float(got.rho.values[-1, 0]) - ref))
     ratio = errs[0] / errs[1]
     return [
@@ -557,7 +557,7 @@ def _adjoint(rng: np.random.Generator) -> list[CheckResult]:
     x = gs.centers()[0]
     t = ts.times() / ts.horizon
     init = InitialData(gs, 0.5 + 0.2 * np.cos(2.0 * np.pi * x), 1.0 + 0.5 * np.cos(np.pi * x))
-    zeros = Trajectory.zeros(ts, gs)
+    zeros = Trajectory.constant(ts, gs, 0.0)
     weights = CostWeights(
         rho_weight=1.0,
         mu_weight=0.1,
@@ -574,7 +574,7 @@ def _adjoint(rng: np.random.Generator) -> list[CheckResult]:
     duals_zero = (adj_zero.mu_dual, adj_zero.rho_dual, adj_zero.multiplier)
 
     # the reduced gradient at u, from the adjoint already solved there
-    grad = Trajectory(ts, gs, weights.control_weight * u.values + adj.mu_dual.values)
+    grad = tracking_gradient(u, adj, weights)
     v = Trajectory(ts, gs, np.cos(np.pi * x)[None, :] * (0.5 + 0.5 * np.sin(np.pi * t))[:, None])
 
     def cost_fn(w):

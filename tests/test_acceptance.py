@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchctrl.adjoint import solve_adjoint
+from quenchctrl.adjoint import solve_adjoint, tracking_gradient
 from quenchctrl.cli import main
 from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, project_admissible, tracking_cost
@@ -252,7 +252,7 @@ def test_criterion_06_gradient_taylor(default_problem):
     def gradient(weights: CostWeights) -> Trajectory:
         """The reduced gradient at u: control_weight·u + mu_dual."""
         adj = solve_adjoint(sol_0, weights, p.model, p.op)
-        return Trajectory(u.tgrid, u.grid, weights.control_weight * u.values + adj.mu_dual.values)
+        return tracking_gradient(u, adj, weights)
 
     j0 = tracking_cost(sol_0, u, p.weights)
     grad = gradient(p.weights)
@@ -271,8 +271,8 @@ def test_criterion_06_gradient_taylor(default_problem):
         rho_weight=0.0,
         mu_weight=0.0,
         control_weight=2.0,
-        rho_target=Trajectory.zeros(u.tgrid, u.grid),
-        mu_target=Trajectory.zeros(u.tgrid, u.grid),
+        rho_target=Trajectory.constant(u.tgrid, u.grid, 0.0),
+        mu_target=Trajectory.constant(u.tgrid, u.grid, 0.0),
     )
     g0 = gradient(w0)
     exact_grad = np.array_equal(g0.values, 2.0 * u.values)
@@ -301,8 +301,8 @@ def test_criterion_07_trivial_optimum(default_problem):
         rho_weight=0.0,
         mu_weight=0.0,
         control_weight=1.0,
-        rho_target=Trajectory.zeros(p.tgrid, p.grid),
-        mu_target=Trajectory.zeros(p.tgrid, p.grid),
+        rho_target=Trajectory.constant(p.tgrid, p.grid, 0.0),
+        mu_target=Trajectory.constant(p.tgrid, p.grid, 0.0),
     )
     u0 = Trajectory(p.tgrid, p.grid, 0.5 * p.box.ceiling.values)
     run = deep_quench_continuation(
@@ -355,9 +355,7 @@ def test_criterion_10_limit_optimality(default_problem, default_run):
     u_star = final.control
     state = solve_state(u_star, final.alpha, p.init, p.model, p.op)
     adj = solve_adjoint(state, p.weights, p.model, p.op)
-    plain_grad = Trajectory(
-        u_star.tgrid, u_star.grid, p.weights.control_weight * u_star.values + adj.mu_dual.values
-    )
+    plain_grad = tracking_gradient(u_star, adj, p.weights)
     vi_min = variational_inequality_min(u_star, plain_grad, p.box)
 
     candidate = Trajectory(

@@ -3,13 +3,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quenchctrl.adjoint import concentration_metric, solve_adjoint, time_ramp_probe
+from quenchctrl.adjoint import (
+    concentration_metric,
+    solve_adjoint,
+    time_ramp_probe,
+    tracking_gradient,
+)
 from quenchctrl.config import build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
-from quenchctrl.grid import Grid, TimeGrid, Trajectory, inner_product_spacetime
+from quenchctrl.grid import (
+    Grid,
+    TimeGrid,
+    Trajectory,
+    inner_product_spacetime,
+    solve_step_system,
+)
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
-from quenchctrl.potentials import PotentialConfig
-from quenchctrl.state import InitialData, solve_state
+from quenchctrl.potentials import PotentialConfig, log_potential_second, quench_scale
+from quenchctrl.state import InitialData, mu_zeroth_coefficient, solve_state
 from quenchctrl.verify import taylor_remainder_slope
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -108,7 +119,7 @@ def test_gradient_taylor_slope_2d():
     adj = solve_adjoint(
         solve_state(u, alpha, prob.init, prob.model, prob.op), prob.weights, prob.model, prob.op
     )
-    grad = Trajectory(u.tgrid, u.grid, prob.weights.control_weight * u.values + adj.mu_dual.values)
+    grad = tracking_gradient(u, adj, prob.weights)
     _, slope = taylor_remainder_slope(cost_at, u, grad, v, [1e-1, 1e-2, 1e-3, 1e-4])
     assert 1.8 <= slope <= 2.2
 
@@ -131,8 +142,75 @@ def test_gradient_agrees_with_central_difference_in_digits(name, alpha):
     adj = solve_adjoint(
         solve_state(u, alpha, prob.init, prob.model, prob.op), prob.weights, prob.model, prob.op
     )
-    grad = Trajectory(u.tgrid, u.grid, prob.weights.control_weight * u.values + adj.mu_dual.values)
+    grad = tracking_gradient(u, adj, prob.weights)
     pair = inner_product_spacetime(grad, Trajectory(u.tgrid, u.grid, v))
     eps = 1e-2
     central = (cost_at(u.values + eps * v) - cost_at(u.values - eps * v)) / (2.0 * eps)
     assert abs(central - pair) / abs(pair) <= 1e-7
+
+
+def _per_node_adjoint(state, weights, model, op):
+    """The backward march with every coefficient evaluated inside the loop,
+    one node at a time: the reference for `solve_adjoint`'s one pass over
+    the stacked nodes.  Returns (mu_dual, rho_dual, multiplier) arrays."""
+    rho, mu = state.rho.values, state.mu.values
+    grid, tau, nt = state.rho.grid, state.rho.tgrid.tau, state.rho.tgrid.steps
+    scale = quench_scale(state.alpha, model.quench_exponent)
+    b1, b2 = weights.rho_weight, weights.mu_weight
+    rho_tgt, mu_tgt = weights.rho_target.values, weights.mu_target.values
+    p = np.zeros_like(rho)
+    q = np.zeros_like(rho)
+    curv = log_potential_second(rho[1:nt])
+    for m in range(nt - 1, 0, -1):
+        a_m, _, _ = mu_zeroth_coefficient(rho[m], rho[m - 1], tau, model)
+        gp_m = model.g_prime(rho[m])
+        rhs = (
+            (1.0 + 2.0 * model.g(rho[m + 1])) * p[m + 1] / tau
+            + gp_m * q[m + 1]
+            + b2 * (mu[m] - mu_tgt[m])
+        )
+        p[m] = solve_step_system(grid, a_m, rhs)
+        source = (
+            b1 * (rho[m] - rho_tgt[m])
+            - (model.f_second(rho[m]) - mu[m] * model.g_second(rho[m])) * q[m + 1]
+            - op.apply_adjoint_values(q[m + 1])
+            - (
+                2.0 * gp_m * (mu[m] - mu[m - 1])
+                + model.g_second(rho[m]) * (rho[m] - rho[m - 1]) * mu[m]
+                + gp_m * mu[m]
+            )
+            * p[m]
+            / tau
+            + model.g_prime(rho[m + 1]) * mu[m + 1] * p[m + 1] / tau
+        )
+        q[m] = (q[m + 1] + tau * source) / (1.0 + tau * scale * curv[m - 1])
+    lam = np.zeros_like(q)
+    lam[1:nt] = scale * curv * q[1:nt]
+    return p, q, lam
+
+
+@pytest.mark.parametrize("g_family", ["linear", "saturating", "zero"])
+@pytest.mark.parametrize("grid", [Grid.line(16, 1.0), Grid.box((5, 4))], ids=["1d", "2d"])
+def test_coefficient_pass_matches_the_per_node_march_bit_for_bit(grid, g_family):
+    # saturating is the one family whose g' is an array, and no shipped
+    # config runs it; the data vary in space and time so no term is uniform
+    rng = np.random.default_rng(11)
+    tgrid = TimeGrid(1.0, 12)
+    model = PotentialConfig(f_strength=0.25, g_family=g_family)
+    op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
+    init = InitialData(grid, rng.uniform(0.2, 0.8, grid.shape), rng.uniform(0.5, 1.5, grid.shape))
+    u = Trajectory(tgrid, grid, rng.uniform(0.0, 2.0, (tgrid.n_nodes,) + grid.shape))
+    state = solve_state(u, 1e-2, init, model, op)
+    weights = CostWeights(
+        rho_weight=1.0,
+        mu_weight=0.5,
+        control_weight=2.0,
+        rho_target=Trajectory.constant(tgrid, grid, rng.uniform(0.0, 1.0, grid.shape)),
+        mu_target=Trajectory.constant(tgrid, grid, 1.0),
+    )
+    adj = solve_adjoint(state, weights, model, op)
+    ref = _per_node_adjoint(state, weights, model, op)
+    for got, want in zip((adj.mu_dual, adj.rho_dual, adj.multiplier), ref):
+        assert got.values.tobytes() == want.tobytes()
+    pairing = inner_product_spacetime(Trajectory(tgrid, grid, ref[2]), Trajectory(tgrid, grid, ref[1]))
+    assert np.float64(adj.pairing_value).tobytes() == np.float64(pairing).tobytes()

@@ -151,7 +151,7 @@ def test_fields_csv_held_control_matches_materialized(tmp_path):
     mu, rho, xi = (Trajectory(tg, g, rng.standard_normal((301, 3, 5))) for _ in range(3))
     profile = rng.standard_normal((3, 5))
     profile[0, :3] = [-0.0, 1e-300, 5e-324]
-    held = Trajectory.constant_profile(tg, g, profile)
+    held = Trajectory.constant(tg, g, profile)
     full = Trajectory(tg, g, np.tile(profile, (301, 1, 1)))
     assert held.values.strides[0] == 0 and full.values.strides[0] != 0
     sol = StateSolution(mu, rho, xi, 0.0, None)
@@ -460,20 +460,47 @@ DRIVE_OVERFLOW = "steps = 5\nhorizon = 1e4\ncontrol = constant:1e305\n"
     ],
     ids=["quench", "obstacle"],
 )
-def test_overflowing_drive_names_its_step_exit_3(tmp_path, capsys, level, message):
+def test_overflowing_drive_names_its_step_exit_3(tmp_path, level, message):
     # the quench resolvent raises on the infinite drive, and the march names
-    # the step; the obstacle clip passes it and mu leaves the range there
+    # the step; the obstacle clip passes it and mu leaves the range there.
+    # numpy warns of the overflow on the way (once, and twice at alpha 0);
+    # with no warning filter, stderr still holds the one message line
     cfg = write_cfg(tmp_path, DRIVE_OVERFLOW)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["simulate", "--config", cfg, *level, "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert capsys.readouterr().err.startswith(f"solver failure: {message}")
-    assert not (tmp_path / "o").exists()
+    out = tmp_path / "o"
+    env = {key: value for key, value in SUBPROCESS_ENV.items() if key != "PYTHONWARNINGS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "simulate", "--config", cfg, *level,
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"solver failure: {message}"), proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("violations, code", [([], 0), (["level 0 cost history increased"], 1)])
+def test_warnings_of_a_finished_run_reach_the_filters(tmp_path, monkeypatch, capsys, violations, code):
+    # a run that ends in exit 0 or 1 hands its warnings on: an "error"
+    # filter raises them where they occur, any other shows them
+    def noisy(args, problem, out):
+        warnings.warn("overflow encountered in multiply", RuntimeWarning)
+        return violations, "done"
+
+    monkeypatch.setattr(cli, "_cmd_simulate", noisy)
+    argv = ["simulate", "--config", write_cfg(tmp_path, "steps = 5\n"), "--out", str(tmp_path / "o")]
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        main(argv)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(argv) == code
+    assert capsys.readouterr().err.count("invariant violation: ") == len(violations)
 
 
 def test_non_finite_march_in_2d_exit_3(tmp_path):
-    # numpy's overflow warning would go to stderr, hence a subprocess
+    # in process, the test filter would raise numpy's overflow warning,
+    # hence a subprocess
     text = "dim = 2\ncells_x = 4\ncells_y = 5\nsteps = 5\nmu0 = constant:1e308\nalpha = 0\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "o"
@@ -500,7 +527,7 @@ def test_huge_finite_mu0_in_2d_gives_finite_diagnostics(tmp_path):
 
 def test_non_finite_cost_exit_3_writes_nothing(tmp_path):
     # a huge finite target overflows the tracking cost; numpy's overflow
-    # warnings go to stderr, hence a subprocess
+    # warnings would be raised in process, hence a subprocess
     cfg = write_cfg(tmp_path, "steps = 5\nschedule = 1e-1,1e-2\nrho_target = constant:1e200\n")
     out = tmp_path / "o"
     proc = subprocess.run(
@@ -548,7 +575,7 @@ def test_huge_kernel_floors_rho_at_the_smallest_normal(tmp_path):
 
 def test_non_finite_adjoint_exit_3(tmp_path):
     # the dual march's nonlocal term overflows at this kernel amplitude;
-    # numpy's overflow warnings would go to stderr, hence a subprocess
+    # numpy's overflow warnings would be raised in process, hence a subprocess
     cfg = write_cfg(tmp_path, "steps = 5\nschedule = 1e-1,1e-2\nkernel_amplitude = 1e300\n")
     out = tmp_path / "o"
     proc = subprocess.run(

@@ -48,7 +48,7 @@ def test_misfit_left_endpoint_rule():
     tg = TimeGrid(1.0, 4)
     t = tg.times()
     traj = Trajectory(tg, g, np.broadcast_to(t[:, None], (5, 5)).copy())
-    zero = Trajectory.zeros(tg, g)
+    zero = Trajectory.constant(tg, g, 0.0)
     expected = sum((n * tg.tau) ** 2 * tg.tau for n in range(4))
     assert tracking_misfit_sq(traj, zero) == pytest.approx(expected, rel=1e-14)
     # the value at the final node must not enter
@@ -62,7 +62,7 @@ def test_misfit_rejects_mismatched_discretization():
     tg = TimeGrid(1.0, 4)
     other = TimeGrid(1.0, 5)
     with pytest.raises(ConfigError, match=r"\(A4\)"):
-        tracking_misfit_sq(Trajectory.zeros(tg, g), Trajectory.zeros(other, g))
+        tracking_misfit_sq(Trajectory.constant(tg, g, 0.0), Trajectory.constant(other, g, 0.0))
 
 
 def test_tracking_cost_frozen_value():
@@ -72,7 +72,7 @@ def test_tracking_cost_frozen_value():
     model = PotentialConfig(f_strength=0.0, g_family="zero")
     op = NonlocalOperator(Kernel.zero(), grid)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
-    u = Trajectory.zeros(tg, grid)
+    u = Trajectory.constant(tg, grid, 0.0)
     sol = solve_state(u, 1.0, init, model, op)
     w = make_weights(tg, grid, rw=2.0, mw=4.0, cw=6.0, rho_t=0.75, mu_t=0.5)
     # rho stays 0.5, mu stays 0: misfits are (0.25)^2 and (0.5)^2 over

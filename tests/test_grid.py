@@ -142,7 +142,7 @@ def test_constant_profile_broadcasts_and_copies():
     g = Grid.line(4, 1.0)
     tg = TimeGrid(1.0, 3)
     prof = np.array([1.0, 2.0, 3.0, 4.0])
-    traj = Trajectory.constant_profile(tg, g, prof)
+    traj = Trajectory.constant(tg, g, prof)
     assert traj.values.shape == (4, 4)
     assert np.array_equal(traj.values, np.tile(prof, (4, 1)))
     assert traj.values.strides[0] == 0
@@ -151,7 +151,7 @@ def test_constant_profile_broadcasts_and_copies():
         traj.values[0, 0] = 99.0
     prof[0] = 99.0  # a later write to the caller's array does not show
     assert np.all(traj.values[:, 0] == 1.0)
-    for const in (Trajectory.constant(tg, g, 2.5), Trajectory.zeros(tg, g)):
+    for const in (Trajectory.constant(tg, g, 2.5), Trajectory.constant(tg, g, 0.0)):
         assert const.values.strides[0] == 0 and not const.values.flags.writeable
         assert np.all(const.values == const.values[0, 0])
 
@@ -160,7 +160,7 @@ def test_trajectory_validation_scans_a_held_slice():
     g = Grid.line(3, 1.0)
     tg = TimeGrid(1.0, 4)
     with pytest.raises(ValueError, match="finite"):
-        Trajectory.constant_profile(tg, g, np.array([0.0, np.inf, 1.0]))
+        Trajectory.constant(tg, g, np.array([0.0, np.inf, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         Trajectory.constant(tg, g, np.nan)
 

@@ -46,8 +46,8 @@ def test_pure_control_cost_collapses_to_zero():
         rho_weight=0.0,
         mu_weight=0.0,
         control_weight=1.0,
-        rho_target=Trajectory.zeros(tgrid, grid),
-        mu_target=Trajectory.zeros(tgrid, grid),
+        rho_target=Trajectory.constant(tgrid, grid, 0.0),
+        mu_target=Trajectory.constant(tgrid, grid, 0.0),
     )
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     res = projected_gradient_descent(
@@ -68,8 +68,8 @@ def test_anchored_step_lands_on_projection_formula():
         rho_weight=0.0,
         mu_weight=0.0,
         control_weight=3.0,
-        rho_target=Trajectory.zeros(tgrid, grid),
-        mu_target=Trajectory.zeros(tgrid, grid),
+        rho_target=Trajectory.constant(tgrid, grid, 0.0),
+        mu_target=Trajectory.constant(tgrid, grid, 0.0),
     )
     res = projected_gradient_descent(
         Trajectory.constant(tgrid, grid, 0.7), 1e-2, weights, box,
@@ -155,7 +155,7 @@ def test_variational_inequality_min_matches_vertex_oracle():
     assert abs(variational_inequality_min(u, g, box) - oracle) <= 1e-15
 
     # a nonnegative gradient at u = 0: v = 0 attains the minimum 0
-    zero = Trajectory.zeros(tgrid, grid)
+    zero = Trajectory.constant(tgrid, grid, 0.0)
     assert variational_inequality_min(zero, Trajectory(tgrid, grid, np.abs(g.values)), box) == 0.0
 
 

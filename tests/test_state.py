@@ -146,7 +146,7 @@ def test_trivial_configuration_is_exactly_stationary():
         n=8, steps=30, f_strength=0.0, kernel=Kernel.zero()
     )
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
-    u = Trajectory.zeros(tgrid, grid)
+    u = Trajectory.constant(tgrid, grid, 0.0)
     for alpha in (1.0, 1e-3, 0.0):
         sol = solve_state(u, alpha, init, model, op)
         assert np.max(np.abs(sol.rho.values - 0.5)) <= 1e-14
@@ -192,7 +192,7 @@ def test_single_cell_against_rk4():
     model = PotentialConfig(f_strength=0.25, g_family="linear")
     op = NonlocalOperator(Kernel.zero(), grid)
     init = InitialData(grid, np.full(grid.shape, 0.3), np.zeros(grid.shape))
-    u = Trajectory.zeros(tgrid, grid)
+    u = Trajectory.constant(tgrid, grid, 0.0)
     sol = solve_state(u, 0.5, init, model, op)
     ref = rk4_scalar_relaxation(0.3, 0.5, 0.25, 0.5, 20000)
     assert abs(float(sol.rho.values[-1, 0]) - ref) <= 5e-4
@@ -230,7 +230,7 @@ def test_obstacle_contact_produces_active_set():
 def test_sign_check_rejects_quench_runs():
     grid, tgrid, model, op = make_setup(n=8, steps=5)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.zeros(grid.shape))
-    u = Trajectory.zeros(tgrid, grid)
+    u = Trajectory.constant(tgrid, grid, 0.0)
     sol = solve_state(u, 0.5, init, model, op)
     with pytest.raises(ValueError):
         check_obstacle_signs(sol)
@@ -325,7 +325,7 @@ def test_grid_mismatch_rejected():
     grid, tgrid, model, op = make_setup(n=8, steps=5)
     other = Grid.line(9, 1.0)
     init = InitialData(other, np.full(other.shape, 0.5), np.zeros(other.shape))
-    u = Trajectory.zeros(tgrid, grid)
+    u = Trajectory.constant(tgrid, grid, 0.0)
     with pytest.raises(ConfigError, match=r"\(A2\)"):
         solve_state(u, 0.5, init, model, op)
 
