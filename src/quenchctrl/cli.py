@@ -331,19 +331,13 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
         {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in ("control", "history")}
         for rec in run.levels
     ]
-    usable = [(r.scale, r.concentration) for r in run.levels if r.concentration > 0.0]
-    slope = None
-    if len(usable) >= 2:
-        xs = np.log([s for s, _ in usable])
-        ys = np.log([c for _, c in usable])
-        slope = float(np.polyfit(xs, ys, 1)[0])
     final = {
         "vi_min": run.levels[-1].vi_min,
         "projection_residual": run.levels[-1].projection_residual,
         "sign_violations": run.final_sign_violations,
         "state_distance": run.final_state_distance,
         "all_converged": run.all_converged,
-        "concentration_slope": slope,
+        "concentration_slope": run.concentration_slope,
         "stationarity_tol": tol,
         "obstacle_diagnostics": asdict(run.final_state.diagnostics),
     }
@@ -351,14 +345,15 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
 
 
 def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    from .optimize import PGDOptions, deep_quench_continuation
+    from .optimize import deep_quench_continuation
 
     tol = problem.config.tol
     run = deep_quench_continuation(
         problem.config.schedule_values(),
         problem.weights,
         problem.box,
-        PGDOptions(tol=tol, max_iters=problem.config.max_iters),
+        tol=tol,
+        max_iters=problem.config.max_iters,
         u0=problem.control,
         init=problem.init,
         model=problem.model,

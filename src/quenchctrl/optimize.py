@@ -6,8 +6,9 @@ later level minimizes the anchored cost whose proximity term is
 centered at the optimizer of the previous level and is warm-started
 there, so the controls form a Cauchy-like chain whose tail approximates
 the obstacle-limit optimality system.  After the last level the state is
-re-solved with the obstacle constraint and the limit diagnostics are
-reported.
+re-solved with the obstacle constraint.  The returned `ContinuationRun`
+holds every number of the limit report: the level records, the
+concentration slope and the obstacle re-solve.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .potentials import PotentialConfig
 from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
 
 __all__ = [
-    "PGDOptions",
     "HistoryRow",
     "PGDResult",
     "projected_gradient_descent",
@@ -46,12 +46,6 @@ __all__ = [
 ARMIJO_SIGMA = 1e-4
 STEP_SHRINK = 0.5
 MAX_BACKTRACKS = 40
-
-
-@dataclass(frozen=True)
-class PGDOptions:
-    tol: float = 1e-7          # stationarity residual target
-    max_iters: int = 200
 
 
 @dataclass
@@ -105,8 +99,9 @@ def projected_gradient_descent(
     alpha: float,
     weights: CostWeights,
     box: AdmissibleSet,
-    opts: PGDOptions = PGDOptions(),
     *,
+    tol: float,
+    max_iters: int,
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
@@ -115,8 +110,10 @@ def projected_gradient_descent(
     """Armijo projected gradient on the reduced cost at one quench level
     alpha > 0.
 
-    The stationarity residual is ‖u - P(u - s0·g)‖ with the fixed
-    reference step s0 = 1/control_weight (1 if that weight is 0).  The
+    The run stops converged once the stationarity residual
+    ‖u - P(u - s0·g)‖, with the fixed reference step s0 = 1/control_weight
+    (1 if that weight is 0), is at most `tol`, or unconverged after
+    `max_iters` accepted steps.  The
     first trial step is the inverse curvature of the cost's quadratic
     part: s0 on the plain cost, 1/(control_weight + 1) on the anchored
     one, whose proximity term adds 1.  Where the adjoint does not depend
@@ -142,16 +139,16 @@ def projected_gradient_descent(
     stationarity = float("inf")
     s, backtracks = 0.0, 0
 
-    for it in range(opts.max_iters + 1):
+    for it in range(max_iters + 1):
         reference = project_admissible(
             Trajectory(u.tgrid, u.grid, u.values - step0 * grad.values), box
         )
         stationarity = norm_l2_spacetime(u - reference)
         history.append(HistoryRow(it, s, backtracks, cost, stationarity))
-        if stationarity <= opts.tol:
+        if stationarity <= tol:
             converged = True
             break
-        if it == opts.max_iters:
+        if it == max_iters:
             break
 
         s = first_trial
@@ -234,6 +231,7 @@ class ContinuationRun:
     final_state: StateSolution          # obstacle solve with the final control
     final_sign_violations: list[str]
     final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
+    concentration_slope: float | None    # log-log slope of concentration over scale
 
     @property
     def all_converged(self) -> bool:
@@ -256,19 +254,24 @@ def deep_quench_continuation(
     schedule: list[float],
     weights: CostWeights,
     box: AdmissibleSet,
-    opts: PGDOptions = PGDOptions(),
     *,
+    tol: float,
+    max_iters: int,
     u0: Trajectory,
     init: InitialData,
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> ContinuationRun:
     """Drive the quench parameter down the schedule, re-optimizing at
-    each level, then report the obstacle-limit diagnostics.
+    each level with `tol` and `max_iters`, then report the obstacle-limit
+    diagnostics.
 
     The schedule comes validated from `ProblemConfig.schedule_values()`:
     nonempty, strictly decreasing, in (0, 1], and with a nonzero
-    resolvent step tau·quench_scale(alpha) at every level.
+    resolvent step tau·quench_scale(alpha) at every level.  The
+    concentration slope is the least-squares slope of log concentration
+    over log scale on the levels whose concentration is positive, and
+    None when fewer than two are.
     """
     levels: list[LevelRecord] = []
     u = project_admissible(u0, box)
@@ -281,7 +284,8 @@ def deep_quench_continuation(
             alpha,
             weights,
             box,
-            opts,
+            tol=tol,
+            max_iters=max_iters,
             init=init,
             model=model,
             op=op,
@@ -316,10 +320,16 @@ def deep_quench_continuation(
         anchor = u_star
         u = u_star
 
+    usable = [(r.scale, r.concentration) for r in levels if r.concentration > 0.0]
+    slope = None
+    if len(usable) >= 2:
+        xs, ys = np.log(np.array(usable)).T
+        slope = float(np.polyfit(xs, ys, 1)[0])
     obstacle_state = solve_state(u, 0.0, init, model, op)
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,
         final_sign_violations=check_obstacle_signs(obstacle_state),
         final_state_distance=norm_l2_spacetime(result.state.rho - obstacle_state.rho),
+        concentration_slope=slope,
     )

@@ -136,25 +136,33 @@ class PotentialConfig:
         return -2.0 if self.g_family == "saturating" else 0.0
 
 
-def _solve_quench_logit(b: np.ndarray, s: float):
-    """Root y of sigmoid(y) + s·y = b, the resolvent equation in the
-    variable y = log_potential_prime(rho); returns (y, sigmoid(y)).
+def quench_resolvent_detail(b, s: float):
+    """Solve rho + s·log_potential_prime(rho) = b.
 
-    Working in y keeps the iteration well posed even when the root sits
-    within one ulp of 0 or 1 in the rho variable.  Plain Newton, started
-    at the root of the s = 0 equation, logit(b), clipped into the bracket
-    [(b-1)/s, b/s] that encloses the root; that is the bracket end
-    whenever b lies outside (0, 1).  No safeguard is needed: f(y) =
-    sigmoid(y) + s·y - b is increasing, convex for y <= 0 and concave for
-    y >= 0, and the start lies in the root's half-line.  If it lies
-    beyond the root, the tangent there has the sign of f(0) at 0, so the
-    first Newton step lands between the root and 0; from that side the
-    iterates move monotonically to the root.  A drive so large that
-    (max|b| + 1)/s, a bound on both bracket ends, is not finite raises at
-    once.  The sigmoid is formed from
-    e = exp(-|y|) only, so no branch can overflow, and its derivative
+    Returns (rho, slope) where slope is log_potential_prime at the root:
+    the root y of sigmoid(y) + s·y = b, the resolvent equation in the
+    variable y = log_potential_prime(rho).  Working in y keeps the
+    iteration well posed, and the slope accurate, even when the root
+    sits within one ulp of 0 or 1 in the rho variable.  rho is the
+    sigmoid of the last iterate, clipped into [RHO_MIN, RHO_MAX]; it is
+    monotone and 1-Lipschitz in b.
+
+    Plain Newton, started at the root of the s = 0 equation, logit(b),
+    clipped into the bracket [(b-1)/s, b/s] that encloses the root; that
+    is the bracket end whenever b lies outside (0, 1).  No safeguard is
+    needed: f(y) = sigmoid(y) + s·y - b is increasing, convex for y <= 0
+    and concave for y >= 0, and the start lies in the root's half-line.
+    If it lies beyond the root, the tangent there has the sign of f(0)
+    at 0, so the first Newton step lands between the root and 0; from
+    that side the iterates move monotonically to the root.  A drive so
+    large that (max|b| + 1)/s, a bound on both bracket ends, is not
+    finite raises at once.  The sigmoid is formed from e = exp(-|y|)
+    only, so no branch can overflow, and its derivative
     sigmoid·(1 - sigmoid) is e/(1 + e)² on both branches.
     """
+    if s <= 0.0:
+        raise ValueError("quench resolvent needs s > 0")
+    b, s = np.asarray(b, dtype=float), float(s)
     abs_b = np.abs(b)
     top = float(abs_b.max())
     # (max|b| + 1)/s bounds every |(b - 1)/s| and |b/s|; NaN fails it too
@@ -177,28 +185,13 @@ def _solve_quench_logit(b: np.ndarray, s: float):
         # counted, not .all(): on the few cells of a step the reduction's
         # call costs more than the test
         if np.count_nonzero(np.abs(res) <= tol) == b.size:
-            return y, sig
+            return np.minimum(np.maximum(sig, RHO_MIN), RHO_MAX), y
         y = y - res / (ed * d + s)
     worst = float(np.max(np.abs(res) / tol))
     raise SolverError(
         f"quench resolvent did not converge in {RESOLVENT_MAX_ITER} iterations "
         f"(worst residual {worst:.3e} times its tolerance)"
     )
-
-
-def quench_resolvent_detail(b, s: float):
-    """Solve rho + s·log_potential_prime(rho) = b.
-
-    Returns (rho, slope) where slope is log_potential_prime at the root,
-    the logit iterate itself, so it stays accurate when rho saturates to
-    within rounding of 0 or 1.  rho is the sigmoid of the last iterate,
-    clipped into [RHO_MIN, RHO_MAX].  rho is monotone and 1-Lipschitz
-    in b.
-    """
-    if s <= 0.0:
-        raise ValueError("quench resolvent needs s > 0")
-    y, sig = _solve_quench_logit(np.asarray(b, dtype=float), float(s))
-    return np.minimum(np.maximum(sig, RHO_MIN), RHO_MAX), y
 
 
 def obstacle_resolvent(b, tau: float):

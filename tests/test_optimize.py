@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 
-from quenchctrl.costs import AdmissibleSet, CostWeights, project_admissible
+from quenchctrl.adjoint import AdjointSolution
+from quenchctrl.costs import AdmissibleSet, CostWeights
 from quenchctrl.grid import (
     Grid,
     TimeGrid,
@@ -12,7 +13,7 @@ from quenchctrl.grid import (
 )
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.optimize import (
-    PGDOptions,
+    _projection_residual,
     deep_quench_continuation,
     projected_gradient_descent,
     variational_inequality_min,
@@ -52,7 +53,7 @@ def test_pure_control_cost_collapses_to_zero():
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     res = projected_gradient_descent(
         u0, 1e-2, weights, box,
-        PGDOptions(tol=1e-10), init=init, model=model, op=op,
+        tol=1e-10, max_iters=200, init=init, model=model, op=op,
     )
     assert res.converged
     assert res.iterations <= 2
@@ -73,7 +74,7 @@ def test_anchored_step_lands_on_projection_formula():
     )
     res = projected_gradient_descent(
         Trajectory.constant(tgrid, grid, 0.7), 1e-2, weights, box,
-        PGDOptions(tol=1e-10), init=init, model=model, op=op,
+        tol=1e-10, max_iters=200, init=init, model=model, op=op,
         anchor=Trajectory.constant(tgrid, grid, 0.2),
     )
     assert res.converged
@@ -87,7 +88,7 @@ def test_history_costs_nonincreasing():
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     res = projected_gradient_descent(
         u0, 1e-2, weights, box,
-        PGDOptions(tol=1e-6, max_iters=60), init=init, model=model, op=op,
+        tol=1e-6, max_iters=60, init=init, model=model, op=op,
     )
     costs = [row.cost for row in res.history]
     assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
@@ -101,7 +102,7 @@ def test_history_records_accepted_step_and_backtracks():
     grid, tgrid, model, op, init, weights, box = small_problem(rw=5.0, cw=0.02)
     res = projected_gradient_descent(
         Trajectory.constant(tgrid, grid, 1.0), 1e-2, weights, box,
-        PGDOptions(tol=1e-6, max_iters=60), init=init, model=model, op=op,
+        tol=1e-6, max_iters=60, init=init, model=model, op=op,
     )
     assert res.converged
     assert (res.history[0].step, res.history[0].backtracks) == (0.0, 0)
@@ -114,12 +115,12 @@ def test_stationary_start_returns_immediately():
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     first = projected_gradient_descent(
         u0, 1e-2, weights, box,
-        PGDOptions(tol=1e-8, max_iters=100), init=init, model=model, op=op,
+        tol=1e-8, max_iters=100, init=init, model=model, op=op,
     )
     assert first.converged
     again = projected_gradient_descent(
         first.control, 1e-2, weights, box,
-        PGDOptions(tol=1e-8, max_iters=100), init=init, model=model, op=op,
+        tol=1e-8, max_iters=100, init=init, model=model, op=op,
     )
     assert again.converged
     assert again.iterations == 0
@@ -131,7 +132,7 @@ def test_initial_point_is_projected():
     wild = Trajectory.constant(tgrid, grid, 50.0)
     res = projected_gradient_descent(
         wild, 1e-1, weights, box,
-        PGDOptions(tol=1e-5, max_iters=5), init=init, model=model, op=op,
+        tol=1e-5, max_iters=5, init=init, model=model, op=op,
     )
     assert np.max(res.control.values) <= 2.0
     assert np.min(res.control.values) >= 0.0
@@ -159,13 +160,33 @@ def test_variational_inequality_min_matches_vertex_oracle():
     assert variational_inequality_min(zero, Trajectory(tgrid, grid, np.abs(g.values)), box) == 0.0
 
 
+def test_projection_residual_of_hand_built_duals():
+    # dyadic data, so u - P(-mu_dual/cw) is formed exactly; the
+    # space-time norm of a constant c over [0, 1] x [0, 1] is |c|
+    grid = Grid.line(4, 1.0)
+    tgrid = TimeGrid(1.0, 4)
+    zeros = Trajectory.constant(tgrid, grid, 0.0)
+    mu_dual = Trajectory.constant(tgrid, grid, np.array([-5.0, -1.0, -0.5, -2.5]))
+    adj = AdjointSolution(mu_dual, zeros, zeros, 1e-3, 0.0)
+    box = AdmissibleSet(Trajectory.constant(tgrid, grid, 2.0))
+    weights = CostWeights(0.0, 0.0, 2.0, zeros, zeros)
+    formula = np.array([2.0, 0.5, 0.25, 1.25])  # -mu_dual/2, clipped to the ceiling 2
+    u = Trajectory.constant(tgrid, grid, formula)
+    assert _projection_residual(u, adj, weights, box) == 0.0
+    inside = Trajectory.constant(tgrid, grid, formula - 0.125)
+    assert box.contains_box(inside)
+    assert _projection_residual(inside, adj, weights, box) == 0.125
+    no_weight = CostWeights(1.0, 0.0, 0.0, zeros, zeros)
+    assert _projection_residual(u, adj, no_weight, box) is None
+
+
 def test_continuation_small_run_structure():
     grid, tgrid, model, op, init, weights, box = small_problem()
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     schedule = [1e-1, 1e-2, 1e-3, 1e-4]
     run = deep_quench_continuation(
         schedule, weights, box,
-        PGDOptions(tol=1e-6, max_iters=80),
+        tol=1e-6, max_iters=80,
         u0=u0, init=init, model=model, op=op,
     )
     assert [r.alpha for r in run.levels] == schedule
@@ -194,7 +215,7 @@ def test_continuation_warm_start_continuity():
     u0 = Trajectory.constant(tgrid, grid, 1.0)
     run = deep_quench_continuation(
         [1e-1, 1e-2, 1e-3], weights, box,
-        PGDOptions(tol=1e-6, max_iters=80),
+        tol=1e-6, max_iters=80,
         u0=u0, init=init, model=model, op=op,
     )
     last_gap = run.levels[-1].anchor_distance

@@ -1,8 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quenchctrl import grid as grid_module
 from quenchctrl import state as state_module
+from quenchctrl.config import build_problem, load_config
 from quenchctrl.errors import ConfigError, NonFiniteError, ShapeMismatchError, SolverError
 from quenchctrl.grid import (
     Field,
@@ -27,6 +31,8 @@ from quenchctrl.state import (
     wrap_march,
 )
 from quenchctrl.verify import dense_laplacian, dense_mu_step, rk4_scalar_relaxation
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_setup(n=16, steps=20, g_family="linear", f_strength=0.25, kernel=None, horizon=1.0):
@@ -217,13 +223,22 @@ def test_state_bounds_and_nonnegativity():
 
 
 def test_obstacle_contact_produces_active_set():
-    # strong persistent forcing drives rho onto the upper obstacle
+    # strong persistent forcing drives rho onto the upper obstacle, in 1D
     grid, tgrid, model, op = make_setup(n=64, steps=200)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, 0.0, init, model, op)
     assert sol.diagnostics.max_rho == 1.0
     assert sol.diagnostics.xi_l6 > 0.1
+    assert check_obstacle_signs(sol) == []
+
+    # and in 2D: twod.cfg with horizon = 1.0 and steps = 100 reaches it
+    # on 6 972 of its 12 000 cells after time 0
+    cfg = dataclasses.replace(load_config(CONFIGS / "twod.cfg"), horizon=1.0, steps=100)
+    p = build_problem(cfg)
+    sol = solve_state(p.control, 0.0, p.init, p.model, p.op)
+    assert sol.diagnostics.max_rho == 1.0
+    assert np.count_nonzero(sol.rho.values == 1.0) == 6972
     assert check_obstacle_signs(sol) == []
 
 
