@@ -352,8 +352,24 @@ def inner_product_spacetime(a: Trajectory, b: Trajectory) -> float:
     return float(np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume)
 
 
+def _power_scale(top: float, p: float) -> float:
+    """The divisor that keeps the p-th powers of values up to `top` inside
+    the normal range: `top` itself where they would leave it, else 1."""
+    return top if top > 0.0 and abs(p * math.log2(top)) > 600.0 else 1.0
+
+
 def norm_l2_spacetime(a: Trajectory) -> float:
-    return float(np.sqrt(max(inner_product_spacetime(a, a), 0.0)))
+    """L2 norm over space-time, trapezoidal in time.
+
+    Where the squares of the values would overflow or underflow, the
+    values are divided by their max first, as in `norm_lp_spacetime`;
+    elsewhere this is the square root of `inner_product_spacetime(a, a)`,
+    bit for bit.
+    """
+    scale = _power_scale(float(np.max(np.abs(a.values))), 2.0)
+    if scale != 1.0:
+        a = Trajectory(a.tgrid, a.grid, a.values / scale)
+    return scale * float(np.sqrt(max(inner_product_spacetime(a, a), 0.0)))
 
 
 def norm_lp_spacetime(a: Trajectory, p: float) -> float:
@@ -367,8 +383,7 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
     double, and elsewhere the bits stay as they are.
     """
     x = np.abs(a.values)
-    top = float(np.max(x))
-    scale = top if top > 0.0 and abs(p * math.log2(top)) > 600.0 else 1.0
+    scale = _power_scale(float(np.max(x)), p)
     if scale != 1.0:
         x /= scale
     w = trapezoid_weights(a.tgrid.n_nodes)

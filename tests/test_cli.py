@@ -755,6 +755,29 @@ def test_each_command_loads_only_its_own_modules(tmp_path):
     assert _modules_loaded(tmp_path, "import quenchctrl") == {"quenchctrl"}
 
 
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random adds about 5 MB and 14 ms to a process; verify draws its
+    # data from the standard library's random instead.  A subprocess,
+    # because this process has numpy.random loaded.
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    small, opt = write_cfg(tmp_path, SMALL), write_cfg(tmp_path, OPT, "opt.cfg")
+    runs = [
+        ["verify", "--config", str(configs / "default.cfg")],
+        ["simulate", "--config", str(configs / "trivial.cfg"), "--out", "s"],
+        ["sweep-alpha", "--config", small, "--out", "w"],
+        ["optimize", "--config", opt, "--out", "o"],
+    ]
+    code = (
+        "import sys\nfrom quenchctrl.cli import main\n"
+        f"for argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SUBPROCESS_ENV, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # a fixed sample of tiny configs with one to four float keys at the edges
 # of the double range; each must end in an exit code the README names
 FUZZ_VALUES = ("0", "1e-300", "1e300", "5e-324")

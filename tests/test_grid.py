@@ -105,6 +105,26 @@ def test_lp_norm_finite_where_the_quadrature_weight_leaves_the_range(extent):
     assert norm_lp_spacetime(traj, 6.0) == pytest.approx(extent ** (1.0 / 3.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("value", [1e160, -1e160, 1e-170])
+def test_l2_norm_finite_where_the_squares_leave_the_range(value):
+    # the squares overflow to inf or underflow to 0; the norm of a constant
+    # over a unit horizon and a domain of measure 1 is its absolute value
+    traj = Trajectory.constant(TimeGrid(1.0, 5), Grid.line(4, 1.0), value)
+    assert norm_l2_spacetime(traj) == pytest.approx(abs(value), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("magnitude", [1e-80, 1e-8, 1.0, 1e8, 1e80])
+def test_l2_norm_keeps_its_bits_at_ordinary_magnitudes(magnitude):
+    # no scaling inside |log2 max| <= 300: the norm is the square root of
+    # the space-time inner product, bit for bit
+    rng = np.random.default_rng(7)
+    for g in (Grid.line(16, 1.3), Grid.box((5, 4), (1.0, 0.7))):
+        tg = TimeGrid(0.9, 11)
+        traj = Trajectory(tg, g, magnitude * rng.standard_normal((tg.n_nodes,) + g.shape))
+        expected = float(np.sqrt(inner_product_spacetime(traj, traj)))
+        assert norm_l2_spacetime(traj).hex() == expected.hex()
+
+
 def test_trapezoid_weights():
     w = trapezoid_weights(5)
     assert np.array_equal(w, np.array([0.5, 1.0, 1.0, 1.0, 0.5]))

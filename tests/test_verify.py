@@ -8,6 +8,7 @@ from quenchctrl import verify
 from quenchctrl.verify import (
     ENTRIES,
     CheckResult,
+    Draws,
     VerificationReport,
     bisection_quench_root,
     dense_laplacian,
@@ -18,6 +19,36 @@ from quenchctrl.verify import (
 )
 from quenchctrl.grid import Grid, TimeGrid, Trajectory, inner_product_spacetime, laplacian_values
 from quenchctrl.potentials import log_potential_prime
+
+
+def test_draws_repeat_for_the_same_seed_and_name():
+    def both(seed, name):
+        d = Draws(seed, name)
+        return d.standard_normal((3, 4)).tobytes() + d.uniform(-1.0, 2.0, (5,)).tobytes()
+
+    assert both(7, "laplacian") == both(7, "laplacian")
+    assert both(7, "laplacian") != both(8, "laplacian")
+    assert both(7, "laplacian") != both(7, "laplacian_stencil")
+
+
+def test_draws_shape_and_dtype():
+    d = Draws(0, "shape")
+    for shape in ((), (1,), (6,), (3, 4), (2, 3, 5)):
+        for a in (d.standard_normal(shape), d.uniform(0.2, 0.8, shape)):
+            assert a.shape == shape
+            assert a.dtype == np.float64
+
+
+def test_draws_uniform_stays_in_the_half_open_interval():
+    u = Draws(3, "uniform").uniform(-0.05, 0.05, (20000,))
+    assert np.all(u >= -0.05) and np.all(u < 0.05)
+    assert np.min(u) < -0.049 and np.max(u) > 0.049
+
+
+def test_draws_standard_normal_moments():
+    z = Draws(5, "normal").standard_normal((20000,))
+    assert abs(float(np.mean(z))) < 0.03
+    assert 0.95 <= float(np.var(z)) <= 1.05
 
 
 def test_dense_laplacian_matches_matrix_free():
