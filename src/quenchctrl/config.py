@@ -234,8 +234,9 @@ def profile_values(profile: str, grid: Grid) -> np.ndarray:
         if len(parts) != 3:
             raise ConfigError("gaussian-bump profile needs amplitude,center,width")
         amp, center, width = parts
-        if width <= 0.0:
-            raise ConfigError("gaussian-bump profile needs width > 0")
+        # the bump divides by 2·width², which must be neither inf nor 0
+        if not (width > 0.0 and 0.0 < width * width < math.inf):
+            raise ConfigError(f"profile {profile!r} needs a width > 0 with a finite positive square")
         pts = grid.center_points()
         mid = np.array([center * length for length in grid.lengths])
         d2 = np.sum((pts - mid) ** 2, axis=1)

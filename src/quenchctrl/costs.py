@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime
+from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime
 from .state import StateSolution
 
 __all__ = [
@@ -82,7 +82,7 @@ def tracking_cost(sol: StateSolution, u: Trajectory, w: CostWeights) -> float:
     if w.mu_weight > 0.0:
         cost += 0.5 * w.mu_weight * tracking_misfit_sq(sol.mu, w.mu_target)
     if w.control_weight > 0.0:
-        cost += 0.5 * w.control_weight * norm_l2_spacetime(u) ** 2
+        cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(u))
     return cost
 
 

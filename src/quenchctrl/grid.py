@@ -5,8 +5,11 @@ cell-centered mesh over an interval or a rectangle with homogeneous
 Neumann boundary, and a uniform partition of [0, T].  Trajectory wraps
 a numpy array, pinning the space-time mesh and validating shape and
 finiteness.  The solvers march raw arrays and wrap only their finished
-results; `Field`, the same wrapper for one snapshot, is left only as
-the type of `state.step_mu`, which no command calls.  A trajectory
+results, and the optimizer wraps only the controls whose states it
+solves; `Field`, the same wrapper for one snapshot, is left only as
+the type of `state.step_mu`, which no command calls.  The norms scale
+data whose powers would leave the double range, and a squared norm
+beyond it is inf, not an OverflowError.  A trajectory
 that does not change in time (`Trajectory.constant`) holds one spatial
 array, read-only and broadcast over every time node: copy its values
 before writing to them.
@@ -395,9 +398,26 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
     return scale * weighted ** (1.0 / p)
 
 
+def _square(x: float) -> float:
+    """x ** 2, bit for bit, but inf where Python's float power would raise
+    OverflowError instead of returning it."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def time_h1_norm(a: Trajectory) -> float:
-    """Discrete H1(0,T; L2) norm: trajectory plus difference-quotient part."""
+    """Discrete H1(0,T; L2) norm: trajectory plus difference-quotient part.
+
+    Where the squares of the values would overflow or underflow, the
+    values are divided by their max first, as in `norm_l2_spacetime`;
+    elsewhere the bits are those of the unscaled formula.
+    """
+    scale = _power_scale(float(np.max(np.abs(a.values))), 2.0)
+    if scale != 1.0:
+        a = Trajectory(a.tgrid, a.grid, a.values / scale)
     tau = a.tgrid.tau
     diffs = np.diff(a.values, axis=0) / tau
     dt_part = float(np.sum(diffs * diffs) * tau * a.grid.cell_volume)
-    return float(np.sqrt(norm_l2_spacetime(a) ** 2 + dt_part))
+    return scale * float(np.sqrt(_square(norm_l2_spacetime(a)) + dt_part))

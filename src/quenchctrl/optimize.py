@@ -9,6 +9,11 @@ the obstacle-limit optimality system.  After the last level the state is
 re-solved with the obstacle constraint.  The returned `ContinuationRun`
 holds every number of the limit report: the level records, the
 concentration slope and the obstacle re-solve.
+
+Both work on raw arrays: the iterate, the descent direction, every trial
+point and the level metrics' projections are numpy arrays, and the box
+projection is np.clip.  A Trajectory is built only for each control
+whose state is solved, since `solve_state` and the cost take one.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .costs import (
     project_admissible,
     tracking_cost,
 )
-from .grid import Trajectory, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
+from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig
 from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
@@ -70,30 +75,6 @@ class PGDResult:
     history: list[HistoryRow] = field(default_factory=list)
 
 
-def _gradient_trajectory(
-    u: Trajectory, adj: AdjointSolution, w: CostWeights, anchor: Trajectory | None
-) -> Trajectory:
-    grad = tracking_gradient(u, adj, w)
-    if anchor is None:
-        return grad
-    return Trajectory(u.tgrid, u.grid, grad.values + (u.values - anchor.values))
-
-
-def _cost_of(
-    u: Trajectory,
-    alpha: float,
-    weights: CostWeights,
-    anchor: Trajectory | None,
-    init: InitialData,
-    model: PotentialConfig,
-    op: NonlocalOperator,
-) -> tuple[float, StateSolution]:
-    state = solve_state(u, alpha, init, model, op)
-    if anchor is None:
-        return tracking_cost(state, u, weights), state
-    return anchored_tracking_cost(state, u, weights, anchor), state
-
-
 def projected_gradient_descent(
     u0: Trajectory,
     alpha: float,
@@ -126,24 +107,35 @@ def projected_gradient_descent(
     """
     step0 = 1.0 / weights.control_weight if weights.control_weight > 0.0 else 1.0
     first_trial = step0 if anchor is None else 1.0 / (weights.control_weight + 1.0)
+    tgrid, grid, ceiling = u0.tgrid, u0.grid, box.ceiling.values
+
+    def evaluate(control: Trajectory) -> tuple[float, StateSolution]:
+        state = solve_state(control, alpha, init, model, op)
+        if anchor is None:
+            return tracking_cost(state, control, weights), state
+        return anchored_tracking_cost(state, control, weights, anchor), state
+
+    def direction(control: Trajectory, state: StateSolution) -> tuple[AdjointSolution, np.ndarray]:
+        adj = solve_adjoint(state, weights, model, op)
+        grad = tracking_gradient(control, adj, weights).values
+        return adj, grad if anchor is None else grad + (control.values - anchor.values)
+
+    def distance(a: np.ndarray, b: np.ndarray) -> float:
+        return norm_l2_spacetime(Trajectory(tgrid, grid, a - b))
 
     u = project_admissible(u0, box)
-    cost, state = _cost_of(u, alpha, weights, anchor, init, model, op)
-    adj = solve_adjoint(state, weights, model, op)
-    grad = _gradient_trajectory(u, adj, weights, anchor)
+    cost, state = evaluate(u)
+    adj, grad = direction(u, state)
 
     history: list[HistoryRow] = []
-    converged = False
-    stalled = False
+    converged = stalled = False
     iterations = 0
     stationarity = float("inf")
     s, backtracks = 0.0, 0
 
     for it in range(max_iters + 1):
-        reference = project_admissible(
-            Trajectory(u.tgrid, u.grid, u.values - step0 * grad.values), box
-        )
-        stationarity = norm_l2_spacetime(u - reference)
+        x = u.values
+        stationarity = distance(x, np.clip(x - step0 * grad, 0.0, ceiling))
         history.append(HistoryRow(it, s, backtracks, cost, stationarity))
         if stationarity <= tol:
             converged = True
@@ -154,13 +146,12 @@ def projected_gradient_descent(
         s = first_trial
         accepted = False
         for backtracks in range(MAX_BACKTRACKS):
-            trial = project_admissible(
-                Trajectory(u.tgrid, u.grid, u.values - s * grad.values), box
-            )
-            move_sq = norm_l2_spacetime(u - trial) ** 2
+            trial = np.clip(x - s * grad, 0.0, ceiling)
+            move_sq = _square(distance(x, trial))
             if move_sq == 0.0:
                 break  # projection pinned every coordinate; stationary
-            trial_cost, trial_state = _cost_of(trial, alpha, weights, anchor, init, model, op)
+            trial_u = Trajectory(tgrid, grid, trial)
+            trial_cost, trial_state = evaluate(trial_u)
             if cost - trial_cost >= ARMIJO_SIGMA * move_sq / s:
                 accepted = True
                 break
@@ -169,21 +160,13 @@ def projected_gradient_descent(
             stalled = True
             break
 
-        u, cost, state = trial, trial_cost, trial_state
-        adj = solve_adjoint(state, weights, model, op)
-        grad = _gradient_trajectory(u, adj, weights, anchor)
+        u, cost, state = trial_u, trial_cost, trial_state
+        adj, grad = direction(u, state)
         iterations = it + 1
 
     return PGDResult(
-        control=u,
-        state=state,
-        adjoint=adj,
-        cost=cost,
-        stationarity=stationarity,
-        converged=converged,
-        iterations=iterations,
-        stalled=stalled,
-        history=history,
+        control=u, state=state, adjoint=adj, cost=cost, stationarity=stationarity,
+        converged=converged, iterations=iterations, stalled=stalled, history=history,
     )
 
 
@@ -198,9 +181,10 @@ def variational_inequality_min(
     stationarity tolerance) at a box-constrained minimizer of the plain
     cost.
     """
-    g = plain_gradient.values
-    v = Trajectory(u_star.tgrid, u_star.grid, np.where(g < 0.0, box.ceiling.values, 0.0))
-    return inner_product_spacetime(plain_gradient, v - u_star)
+    v = np.where(plain_gradient.values < 0.0, box.ceiling.values, 0.0)
+    return inner_product_spacetime(
+        plain_gradient, Trajectory(u_star.tgrid, u_star.grid, v - u_star.values)
+    )
 
 
 @dataclass
@@ -244,10 +228,8 @@ def _projection_residual(
     """Distance of u to the projection form P(-mu_dual / control_weight)."""
     if weights.control_weight <= 0.0:
         return None
-    candidate = Trajectory(
-        u_star.tgrid, u_star.grid, -adj.mu_dual.values / weights.control_weight
-    )
-    return norm_l2_spacetime(u_star - project_admissible(candidate, box))
+    candidate = np.clip(-adj.mu_dual.values / weights.control_weight, 0.0, box.ceiling.values)
+    return norm_l2_spacetime(Trajectory(u_star.tgrid, u_star.grid, u_star.values - candidate))
 
 
 def deep_quench_continuation(
@@ -274,29 +256,21 @@ def deep_quench_continuation(
     None when fewer than two are.
     """
     levels: list[LevelRecord] = []
-    u = project_admissible(u0, box)
     anchor: Trajectory | None = None
     result: PGDResult | None = None
 
     for alpha in schedule:
+        # each level starts at the previous level's optimizer
         result = projected_gradient_descent(
-            u,
-            alpha,
-            weights,
-            box,
-            tol=tol,
-            max_iters=max_iters,
-            init=init,
-            model=model,
-            op=op,
-            anchor=anchor,
+            u0 if anchor is None else anchor, alpha, weights, box,
+            tol=tol, max_iters=max_iters, init=init, model=model, op=op, anchor=anchor,
         )
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state)
         plain_grad = tracking_gradient(u_star, result.adjoint, weights)
         control_h1 = time_h1_norm(u_star)
-        rec = LevelRecord(
+        levels.append(LevelRecord(
             alpha=alpha,
             scale=result.adjoint.scale,
             control=u_star,
@@ -315,17 +289,15 @@ def deep_quench_continuation(
             control_h1=control_h1,
             within_budget=control_h1 <= box.h1_budget,
             history=result.history,
-        )
-        levels.append(rec)
+        ))
         anchor = u_star
-        u = u_star
 
     usable = [(r.scale, r.concentration) for r in levels if r.concentration > 0.0]
     slope = None
     if len(usable) >= 2:
         xs, ys = np.log(np.array(usable)).T
         slope = float(np.polyfit(xs, ys, 1)[0])
-    obstacle_state = solve_state(u, 0.0, init, model, op)
+    obstacle_state = solve_state(result.control, 0.0, init, model, op)
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,

@@ -1,5 +1,5 @@
-"""Acceptance gate: the eleven release criteria, one test each, two
-convergence-order gates, and a first-order check of the obstacle limit.
+"""Acceptance gate: the eleven release criteria, one test each, four
+convergence gates, and a first-order check of the obstacle limit.
 
 Every criterion prints a single PASS/FAIL line with the measured numbers
 so a plain `pytest -rA tests/test_acceptance.py` reads as a checklist.
@@ -439,6 +439,39 @@ def test_deep_quench_rate_first_order(sweep_solutions):
     dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
     slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0])
     assert 0.9 <= slope <= 1.1, slope
+
+
+def test_space_refinement_second_order():
+    # the smooth run touches no obstacle; a coarse cell is compared with the
+    # mean of the two fine cells it holds, and the max differences of
+    # successive refinements shrink by ~4
+    cfg = load_config(CONFIGS / "smooth.cfg")
+    runs = []
+    for cells in (32, 64, 128, 256):
+        _, sol = solve_cfg(dataclasses.replace(cfg, cells_x=cells), cfg.alpha)
+        runs.append((sol.rho.values, sol.mu.values))
+    for k, name in enumerate(("rho", "mu")):
+        diffs = [
+            float(np.max(np.abs(a[k] - b[k].reshape(len(a[k]), -1, 2).mean(axis=2))))
+            for a, b in zip(runs, runs[1:])
+        ]
+        orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
+        assert all(order >= 1.9 for order in orders), (name, orders)
+
+
+def test_continuation_iterations_mesh_independent():
+    # the optimizer's effort is a property of the continuous problem: each
+    # level takes as many PGD iterations at 32 cells as at 128
+    cfg = load_config(CONFIGS / "smooth.cfg")
+    counts = []
+    for cells in (32, 128):
+        p = build_problem(dataclasses.replace(cfg, cells_x=cells))
+        run = deep_quench_continuation(
+            p.config.schedule_values(), p.weights, p.box, tol=p.config.tol,
+            max_iters=p.config.max_iters, u0=p.control, init=p.init, model=p.model, op=p.op,
+        )
+        counts.append([rec.iterations for rec in run.levels])
+    assert counts[0] == counts[1], counts
 
 
 # -- scale -------------------------------------------------------------------

@@ -342,9 +342,9 @@ def test_quench_step_underflow_exit_2_writes_nothing(tmp_path, capsys, key, text
     assert not (tmp_path / "o").exists()
 
 
-# finite values that the solvers cannot use: h^-2, the gaussian's width²
-# or the optimizer's reference step 1/control_weight would overflow, or the
-# width² underflow to 0
+# finite values that the solvers cannot use: h^-2, a gaussian's width²
+# (of the kernel or of a bump profile) or the optimizer's reference step
+# 1/control_weight would overflow, or the width² underflow to 0
 UNUSABLE = {
     "tiny-length": ("length_x = 1e-300", "length_x: the cell size 3.33333e-301 has no finite h^-2"),
     "zero-cell": ("length_x = 5e-324", "length_x: the cell size 0 has no finite h^-2"),
@@ -352,6 +352,14 @@ UNUSABLE = {
     "wide-kernel": ("kernel_width = 1e300", "(A3) gaussian kernel width 1e+300 has no finite positive square"),
     "narrow-kernel": ("kernel_width = 1e-300", "(A3) gaussian kernel width 1e-300 has no finite positive square"),
     "tiny-control-weight": ("control_weight = 5e-324", "control_weight: 5e-324 has no finite reciprocal"),
+    "wide-bump": (
+        "control = gaussian-bump:1,0.5,1e200",
+        "profile 'gaussian-bump:1,0.5,1e200' needs a width > 0 with a finite positive square",
+    ),
+    "narrow-bump": (
+        "control = gaussian-bump:1,0.5,1e-200",
+        "profile 'gaussian-bump:1,0.5,1e-200' needs a width > 0 with a finite positive square",
+    ),
 }
 
 
@@ -542,6 +550,38 @@ def test_non_finite_cost_exit_3_writes_nothing(tmp_path):
         "(inf at level 0, iteration 0)" in proc.stderr
     )
     assert not out.exists()
+
+
+HUGE_CONTROL = "steps = 5\nschedule = 1e-1,1e-2\ncontrol = constant:1e155\nceiling = constant:1e155\n"
+
+
+def test_overflowing_control_norm_square_exit_3_writes_nothing(tmp_path):
+    # ‖u‖ = 1e155 squares past the largest double: the control cost is
+    # inf, not an OverflowError, and the march on these data then fails;
+    # numpy's overflow warnings would be raised in process, hence a subprocess
+    cfg = write_cfg(tmp_path, HUGE_CONTROL)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "optimize", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        "solver failure: adjoint march: a non-finite value at time node 3 of 5, marching backward\n"
+    )
+    assert not out.exists()
+
+
+def test_huge_control_without_control_cost_exit_0(tmp_path):
+    # every number of this run is finite; the control's H1 norm squares
+    # 1e155 only after scaling it
+    text = HUGE_CONTROL + "g_family = zero\nmu_weight = 0.0\ncontrol_weight = 0.0\n"
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    levels = _strict_json(out / "limit_report.json")["levels"]
+    assert [lvl["control_h1"] for lvl in levels] == [1e155, 1e155]
 
 
 def test_csv_writer_refuses_non_finite(tmp_path):

@@ -149,6 +149,32 @@ def test_time_h1_norm_constant():
     assert time_h1_norm(traj) == pytest.approx(2.0 * np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("value", [1e160, -1e160, 1e-170])
+def test_time_h1_norm_finite_where_the_squares_leave_the_range(value):
+    # c·t on [0, 1] over a domain of measure 1: the L2 part squared is
+    # c²(1/3 + tau²/6) by the trapezoid rule, the difference quotients are c
+    g, tg = Grid.line(4, 1.0), TimeGrid(1.0, 5)
+    assert time_h1_norm(Trajectory.constant(tg, g, value)) == pytest.approx(
+        abs(value), rel=1e-15, abs=0.0
+    )
+    ramp = Trajectory(tg, g, value * np.repeat(tg.times()[:, None], 4, axis=1))
+    expected = abs(value) * np.sqrt(4.0 / 3.0 + tg.tau**2 / 6.0)
+    assert time_h1_norm(ramp) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("magnitude", [1e-80, 1e-8, 1.0, 1e8, 1e80])
+def test_time_h1_norm_keeps_its_bits_at_ordinary_magnitudes(magnitude):
+    # no scaling inside |log2 max| <= 300: the unscaled formula, bit for bit
+    rng = np.random.default_rng(11)
+    for g in (Grid.line(16, 1.3), Grid.box((5, 4), (1.0, 0.7))):
+        tg = TimeGrid(0.9, 11)
+        traj = Trajectory(tg, g, magnitude * rng.standard_normal((tg.n_nodes,) + g.shape))
+        diffs = np.diff(traj.values, axis=0) / tg.tau
+        dt_part = float(np.sum(diffs * diffs) * tg.tau * g.cell_volume)
+        expected = float(np.sqrt(norm_l2_spacetime(traj) ** 2 + dt_part))
+        assert time_h1_norm(traj).hex() == expected.hex()
+
+
 def test_trajectory_algebra():
     g = Grid.line(3, 1.0)
     tg = TimeGrid(1.0, 2)
