@@ -11,7 +11,7 @@ These lag choices make the march the exact transpose of the forward
 stepping, so `tracking_gradient`, control_weight·u + mu_dual, is the
 exact gradient of the discrete cost (in 2D, exact to the step solve's
 1e-14 relative tolerance) and a consistent discretization of the
-continuous dual system.
+continuous dual system.  The gradient and the probe are raw arrays.
 
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
@@ -118,14 +118,15 @@ def solve_adjoint(
         rho_dual=rho_dual,
         multiplier=multiplier,
         scale=scale,
-        pairing_value=inner_product_spacetime(multiplier, rho_dual),
+        pairing_value=inner_product_spacetime(tgrid, grid, lam, q),
     )
 
 
-def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> Trajectory:
+def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> np.ndarray:
     """control_weight·u + mu_dual, the reduced gradient of the tracking cost at
-    u from the adjoint of u's state: what PGD descends along and verify checks."""
-    return Trajectory(u.tgrid, u.grid, weights.control_weight * u.values + adj.mu_dual.values)
+    u from the adjoint of u's state, as an array on u's space-time mesh: what
+    PGD descends along and verify checks."""
+    return weights.control_weight * u.values + adj.mu_dual.values
 
 
 class ConcentrationMetric(NamedTuple):
@@ -133,13 +134,11 @@ class ConcentrationMetric(NamedTuple):
     cross_check: float  # scale · ∫∫ rho_dual · probe, identical in exact arithmetic
 
 
-def time_ramp_probe(tgrid, grid) -> Trajectory:
-    """Canonical probe t/T: vanishes at t = 0, spatially constant."""
+def time_ramp_probe(tgrid, grid) -> np.ndarray:
+    """Canonical probe t/T, a read-only space-time array: vanishes at
+    t = 0, spatially constant."""
     ramp = tgrid.times() / tgrid.horizon
-    vals = np.broadcast_to(
-        ramp.reshape((-1,) + (1,) * len(grid.shape)), (tgrid.n_nodes,) + grid.shape
-    ).copy()
-    return Trajectory(tgrid, grid, vals)
+    return np.broadcast_to(ramp.reshape((-1,) + (1,) * grid.dim), (tgrid.n_nodes,) + grid.shape)
 
 
 def concentration_metric(adj: AdjointSolution, state: StateSolution) -> ConcentrationMetric:
@@ -149,9 +148,9 @@ def concentration_metric(adj: AdjointSolution, state: StateSolution) -> Concentr
     value and cross_check agree to rounding; across quench levels the
     metric shrinks linearly with the scale factor.
     """
-    probe = time_ramp_probe(state.rho.tgrid, state.rho.grid)
-    rho = state.rho.values
-    weighted = Trajectory(probe.tgrid, probe.grid, adj.multiplier.values * rho * (1.0 - rho))
-    value = inner_product_spacetime(weighted, probe)
-    cross = adj.scale * inner_product_spacetime(adj.rho_dual, probe)
+    tgrid, grid, rho = state.rho.tgrid, state.rho.grid, state.rho.values
+    probe = time_ramp_probe(tgrid, grid)
+    weighted = adj.multiplier.values * rho * (1.0 - rho)
+    value = inner_product_spacetime(tgrid, grid, weighted, probe)
+    cross = adj.scale * inner_product_spacetime(tgrid, grid, adj.rho_dual.values, probe)
     return ConcentrationMetric(value=value, cross_check=cross)

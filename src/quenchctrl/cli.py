@@ -415,8 +415,8 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         rows.append(
             (
                 alpha,
-                norm_l2_spacetime(sol.rho - base.rho),
-                norm_l2_spacetime(sol.mu - base.mu),
+                norm_l2_spacetime(problem.tgrid, problem.grid, sol.rho.values - base.rho.values),
+                norm_l2_spacetime(problem.tgrid, problem.grid, sol.mu.values - base.mu.values),
                 sol.diagnostics.xi_l6,
                 sol.diagnostics.energy_residual_max,
             )

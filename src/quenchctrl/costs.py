@@ -82,7 +82,7 @@ def tracking_cost(sol: StateSolution, u: Trajectory, w: CostWeights) -> float:
     if w.mu_weight > 0.0:
         cost += 0.5 * w.mu_weight * tracking_misfit_sq(sol.mu, w.mu_target)
     if w.control_weight > 0.0:
-        cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(u))
+        cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(u.tgrid, u.grid, u.values))
     return cost
 
 
@@ -91,8 +91,8 @@ def anchored_tracking_cost(
 ) -> float:
     """Tracking cost plus a proximity penalty ½‖u - anchor‖² that ties a
     continuation level to the optimizer of the previous one."""
-    gap = u - anchor
-    return tracking_cost(sol, u, w) + 0.5 * inner_product_spacetime(gap, gap)
+    gap = u.values - anchor.values
+    return tracking_cost(sol, u, w) + 0.5 * inner_product_spacetime(u.tgrid, u.grid, gap, gap)
 
 
 def project_admissible(u: Trajectory, box: AdmissibleSet) -> Trajectory:

@@ -4,12 +4,12 @@ Everything downstream runs on the pair (Grid, TimeGrid): a uniform
 cell-centered mesh over an interval or a rectangle with homogeneous
 Neumann boundary, and a uniform partition of [0, T].  Trajectory wraps
 a numpy array, pinning the space-time mesh and validating shape and
-finiteness.  The solvers march raw arrays and wrap only their finished
-results, and the optimizer wraps only the controls whose states it
-solves; `Field`, the same wrapper for one snapshot, is left only as
-the type of `state.step_mu`, which no command calls.  The norms scale
-data whose powers would leave the double range, and a squared norm
-beyond it is inf, not an OverflowError.  A trajectory
+finiteness: only where a march ends, a control's state is solved or
+a config profile is built.  `Field`, the same wrapper for one snapshot,
+is only the type of `state.step_mu`, which no command calls.  The
+space-time quadrature takes (tgrid, grid, arrays) and checks only their
+shape; its norms scale data whose powers would leave the double range,
+and a squared norm beyond it is inf, not an OverflowError.  A trajectory
 that does not change in time (`Trajectory.constant`) holds one spatial
 array, read-only and broadcast over every time node: copy its values
 before writing to them.
@@ -195,15 +195,6 @@ class Trajectory:
         held[...] = profile
         return cls(tgrid, grid, np.broadcast_to(held, (tgrid.n_nodes,) + grid.shape))
 
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        _check_same_spacetime(self, other)
-        return Trajectory(self.tgrid, self.grid, self.values - other.values)
-
-
-def _check_same_spacetime(a: Trajectory, b: Trajectory) -> None:
-    if a.grid != b.grid or a.tgrid != b.tgrid:
-        raise ShapeMismatchError("trajectories live on different space-time grids")
-
 
 def laplacian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Five-point (three-point in 1D) Laplacian with mirror ghost cells.
@@ -347,12 +338,20 @@ def trapezoid_weights(n_nodes: int) -> np.ndarray:
     return w
 
 
-def inner_product_spacetime(a: Trajectory, b: Trajectory) -> float:
+def _check_spacetime(tgrid: TimeGrid, grid: Grid, *arrays: np.ndarray) -> None:
+    """One cell array per time node, exactly: no broadcasting, no finiteness scan."""
+    shape = (tgrid.n_nodes,) + grid.shape
+    for a in arrays:
+        if np.shape(a) != shape:
+            raise ShapeMismatchError(f"space-time array: expected shape {shape}, got {np.shape(a)}")
+
+
+def inner_product_spacetime(tgrid: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """L2 inner product over space-time, trapezoidal in time."""
-    _check_same_spacetime(a, b)
-    w = trapezoid_weights(a.tgrid.n_nodes)
-    per_node = np.sum(a.values * b.values, axis=tuple(range(1, a.values.ndim)))
-    return float(np.sum(w * per_node) * a.tgrid.tau * a.grid.cell_volume)
+    _check_spacetime(tgrid, grid, a, b)
+    w = trapezoid_weights(tgrid.n_nodes)
+    per_node = np.sum(a * b, axis=tuple(range(1, a.ndim)))
+    return float(np.sum(w * per_node) * tgrid.tau * grid.cell_volume)
 
 
 def _power_scale(top: float, p: float) -> float:
@@ -361,21 +360,22 @@ def _power_scale(top: float, p: float) -> float:
     return top if top > 0.0 and abs(p * math.log2(top)) > 600.0 else 1.0
 
 
-def norm_l2_spacetime(a: Trajectory) -> float:
+def norm_l2_spacetime(tgrid: TimeGrid, grid: Grid, a: np.ndarray) -> float:
     """L2 norm over space-time, trapezoidal in time.
 
     Where the squares of the values would overflow or underflow, the
     values are divided by their max first, as in `norm_lp_spacetime`;
-    elsewhere this is the square root of `inner_product_spacetime(a, a)`,
-    bit for bit.
+    elsewhere this is the square root of `inner_product_spacetime` of a
+    with itself, bit for bit.
     """
-    scale = _power_scale(float(np.max(np.abs(a.values))), 2.0)
+    _check_spacetime(tgrid, grid, a)
+    scale = _power_scale(float(np.max(np.abs(a))), 2.0)
     if scale != 1.0:
-        a = Trajectory(a.tgrid, a.grid, a.values / scale)
-    return scale * float(np.sqrt(max(inner_product_spacetime(a, a), 0.0)))
+        a = a / scale
+    return scale * float(np.sqrt(max(inner_product_spacetime(tgrid, grid, a, a), 0.0)))
 
 
-def norm_lp_spacetime(a: Trajectory, p: float) -> float:
+def norm_lp_spacetime(tgrid: TimeGrid, grid: Grid, a: np.ndarray, p: float) -> float:
     """L^p norm over space-time, trapezoidal in time.
 
     Where the p-th powers of the values would overflow or underflow, the
@@ -385,16 +385,17 @@ def norm_lp_spacetime(a: Trajectory, p: float) -> float:
     finite data give a finite norm wherever the norm itself is a finite
     double, and elsewhere the bits stay as they are.
     """
-    x = np.abs(a.values)
+    _check_spacetime(tgrid, grid, a)
+    x = np.abs(a)
     scale = _power_scale(float(np.max(x)), p)
     if scale != 1.0:
         x /= scale
-    w = trapezoid_weights(a.tgrid.n_nodes)
+    w = trapezoid_weights(tgrid.n_nodes)
     per_node = np.sum(x**p, axis=tuple(range(1, x.ndim)))
     total = float(np.sum(w * per_node))
-    weighted = total * a.tgrid.tau * a.grid.cell_volume
+    weighted = total * tgrid.tau * grid.cell_volume
     if total > 0.0 and not sys.float_info.min <= weighted < math.inf:
-        return scale * math.prod(f ** (1.0 / p) for f in (total, a.tgrid.tau, a.grid.cell_volume))
+        return scale * math.prod(f ** (1.0 / p) for f in (total, tgrid.tau, grid.cell_volume))
     return scale * weighted ** (1.0 / p)
 
 
@@ -407,17 +408,18 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def time_h1_norm(a: Trajectory) -> float:
+def time_h1_norm(tgrid: TimeGrid, grid: Grid, a: np.ndarray) -> float:
     """Discrete H1(0,T; L2) norm: trajectory plus difference-quotient part.
 
     Where the squares of the values would overflow or underflow, the
     values are divided by their max first, as in `norm_l2_spacetime`;
     elsewhere the bits are those of the unscaled formula.
     """
-    scale = _power_scale(float(np.max(np.abs(a.values))), 2.0)
+    _check_spacetime(tgrid, grid, a)
+    scale = _power_scale(float(np.max(np.abs(a))), 2.0)
     if scale != 1.0:
-        a = Trajectory(a.tgrid, a.grid, a.values / scale)
-    tau = a.tgrid.tau
-    diffs = np.diff(a.values, axis=0) / tau
-    dt_part = float(np.sum(diffs * diffs) * tau * a.grid.cell_volume)
-    return scale * float(np.sqrt(_square(norm_l2_spacetime(a)) + dt_part))
+        a = a / scale
+    tau = tgrid.tau
+    diffs = np.diff(a, axis=0) / tau
+    dt_part = float(np.sum(diffs * diffs) * tau * grid.cell_volume)
+    return scale * float(np.sqrt(_square(norm_l2_spacetime(tgrid, grid, a)) + dt_part))

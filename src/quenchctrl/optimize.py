@@ -10,10 +10,10 @@ re-solved with the obstacle constraint.  The returned `ContinuationRun`
 holds every number of the limit report: the level records, the
 concentration slope and the obstacle re-solve.
 
-Both work on raw arrays: the iterate, the descent direction, every trial
-point and the level metrics' projections are numpy arrays, and the box
-projection is np.clip.  A Trajectory is built only for each control
-whose state is solved, since `solve_state` and the cost take one.
+Both work on raw arrays: the iterate, the gradient, the descent
+direction, every trial point and every level metric are numpy arrays,
+and the box projection is np.clip.  A Trajectory is built only for
+each control whose state is solved: `solve_state` and the cost take one.
 """
 
 from __future__ import annotations
@@ -117,11 +117,8 @@ def projected_gradient_descent(
 
     def direction(control: Trajectory, state: StateSolution) -> tuple[AdjointSolution, np.ndarray]:
         adj = solve_adjoint(state, weights, model, op)
-        grad = tracking_gradient(control, adj, weights).values
+        grad = tracking_gradient(control, adj, weights)
         return adj, grad if anchor is None else grad + (control.values - anchor.values)
-
-    def distance(a: np.ndarray, b: np.ndarray) -> float:
-        return norm_l2_spacetime(Trajectory(tgrid, grid, a - b))
 
     u = project_admissible(u0, box)
     cost, state = evaluate(u)
@@ -135,7 +132,7 @@ def projected_gradient_descent(
 
     for it in range(max_iters + 1):
         x = u.values
-        stationarity = distance(x, np.clip(x - step0 * grad, 0.0, ceiling))
+        stationarity = norm_l2_spacetime(tgrid, grid, x - np.clip(x - step0 * grad, 0.0, ceiling))
         history.append(HistoryRow(it, s, backtracks, cost, stationarity))
         if stationarity <= tol:
             converged = True
@@ -147,7 +144,7 @@ def projected_gradient_descent(
         accepted = False
         for backtracks in range(MAX_BACKTRACKS):
             trial = np.clip(x - s * grad, 0.0, ceiling)
-            move_sq = _square(distance(x, trial))
+            move_sq = _square(norm_l2_spacetime(tgrid, grid, x - trial))
             if move_sq == 0.0:
                 break  # projection pinned every coordinate; stationary
             trial_u = Trajectory(tgrid, grid, trial)
@@ -171,7 +168,7 @@ def projected_gradient_descent(
 
 
 def variational_inequality_min(
-    u_star: Trajectory, plain_gradient: Trajectory, box: AdmissibleSet
+    u_star: Trajectory, plain_gradient: np.ndarray, box: AdmissibleSet
 ) -> float:
     """Min over admissible v of ∫∫ (mu_dual + w·u)(v - u), exactly.
 
@@ -181,10 +178,8 @@ def variational_inequality_min(
     stationarity tolerance) at a box-constrained minimizer of the plain
     cost.
     """
-    v = np.where(plain_gradient.values < 0.0, box.ceiling.values, 0.0)
-    return inner_product_spacetime(
-        plain_gradient, Trajectory(u_star.tgrid, u_star.grid, v - u_star.values)
-    )
+    v = np.where(plain_gradient < 0.0, box.ceiling.values, 0.0)
+    return inner_product_spacetime(u_star.tgrid, u_star.grid, plain_gradient, v - u_star.values)
 
 
 @dataclass
@@ -229,7 +224,7 @@ def _projection_residual(
     if weights.control_weight <= 0.0:
         return None
     candidate = np.clip(-adj.mu_dual.values / weights.control_weight, 0.0, box.ceiling.values)
-    return norm_l2_spacetime(Trajectory(u_star.tgrid, u_star.grid, u_star.values - candidate))
+    return norm_l2_spacetime(u_star.tgrid, u_star.grid, u_star.values - candidate)
 
 
 def deep_quench_continuation(
@@ -255,6 +250,7 @@ def deep_quench_continuation(
     over log scale on the levels whose concentration is positive, and
     None when fewer than two are.
     """
+    tgrid, grid = u0.tgrid, u0.grid
     levels: list[LevelRecord] = []
     anchor: Trajectory | None = None
     result: PGDResult | None = None
@@ -269,7 +265,8 @@ def deep_quench_continuation(
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state)
         plain_grad = tracking_gradient(u_star, result.adjoint, weights)
-        control_h1 = time_h1_norm(u_star)
+        control_h1 = time_h1_norm(tgrid, grid, u_star.values)
+        gap = None if anchor is None else u_star.values - anchor.values
         levels.append(LevelRecord(
             alpha=alpha,
             scale=result.adjoint.scale,
@@ -280,7 +277,7 @@ def deep_quench_continuation(
             converged=result.converged,
             stalled=result.stalled,
             iterations=result.iterations,
-            anchor_distance=None if anchor is None else norm_l2_spacetime(u_star - anchor),
+            anchor_distance=None if gap is None else norm_l2_spacetime(tgrid, grid, gap),
             pairing=result.adjoint.pairing_value,
             concentration=metric.value,
             concentration_cross=metric.cross_check,
@@ -302,6 +299,8 @@ def deep_quench_continuation(
         levels=levels,
         final_state=obstacle_state,
         final_sign_violations=check_obstacle_signs(obstacle_state),
-        final_state_distance=norm_l2_spacetime(result.state.rho - obstacle_state.rho),
+        final_state_distance=norm_l2_spacetime(
+            tgrid, grid, result.state.rho.values - obstacle_state.rho.values
+        ),
         concentration_slope=slope,
     )

@@ -263,7 +263,7 @@ def solve_state(
         min_mu=min_mu,
         min_rho=float(np.min(rho)),
         max_rho=float(np.max(rho)),
-        xi_l6=norm_lp_spacetime(xi_t, 6.0),
+        xi_l6=norm_lp_spacetime(tgrid, grid, xi, 6.0),
         energy_residual_max=0.0,
         clamp_events=clamp_events,
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,

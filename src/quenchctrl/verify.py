@@ -230,7 +230,7 @@ def rk4_scalar_relaxation(
 
 
 def taylor_remainder_slope(
-    cost_fn, u: Trajectory, grad: Trajectory, v: Trajectory, epsilons, j0: float | None = None
+    cost_fn, u: Trajectory, grad: np.ndarray, v: np.ndarray, epsilons, j0: float | None = None
 ) -> tuple[np.ndarray, float]:
     """Remainders |J(u+εv) - J(u) - ε⟨g, v⟩| and their log-log slope.
 
@@ -240,10 +240,10 @@ def taylor_remainder_slope(
     """
     if j0 is None:
         j0 = cost_fn(u)
-    pair = inner_product_spacetime(grad, v)
+    pair = inner_product_spacetime(u.tgrid, u.grid, grad, v)
     errs = np.array(
         [
-            abs(cost_fn(Trajectory(u.tgrid, u.grid, u.values + e * v.values)) - j0 - e * pair)
+            abs(cost_fn(Trajectory(u.tgrid, u.grid, u.values + e * v)) - j0 - e * pair)
             for e in epsilons
         ]
     )
@@ -407,11 +407,7 @@ def _nonlocal_a3(rng: Draws) -> list[CheckResult]:
     for _ in range(10):
         d = rng.standard_normal(shape) - rng.standard_normal(shape)
         bd = np.stack([op.apply_values(s) for s in d])
-        lip = max(
-            lip,
-            norm_l2_spacetime(Trajectory(tg, op.grid, bd))
-            / norm_l2_spacetime(Trajectory(tg, op.grid, d)),
-        )
+        lip = max(lip, norm_l2_spacetime(tg, op.grid, bd) / norm_l2_spacetime(tg, op.grid, d))
     table = dense_nonlocal(op)
     norm = float(np.linalg.norm(table, 2))
     cap = float(np.max(np.sum(np.abs(table), axis=1)))
@@ -609,18 +605,18 @@ def _adjoint(rng: Draws) -> list[CheckResult]:
 
     # the reduced gradient at u, from the adjoint already solved there
     grad = tracking_gradient(u, adj, weights)
-    v = Trajectory(ts, gs, np.cos(np.pi * x)[None, :] * (0.5 + 0.5 * np.sin(np.pi * t))[:, None])
+    v = np.cos(np.pi * x)[None, :] * (0.5 + 0.5 * np.sin(np.pi * t))[:, None]
 
     def cost_fn(w):
         return tracking_cost(solve_state(w, 0.5, init, model, op), w, weights)
 
     def cost_along(e):
-        return cost_fn(Trajectory(ts, gs, u.values + e * v.values))
+        return cost_fn(Trajectory(ts, gs, u.values + e * v))
 
     epsilons = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
     j0 = tracking_cost(state, u, weights)
     _, slope = taylor_remainder_slope(cost_fn, u, grad, v, epsilons, j0)
-    pair = inner_product_spacetime(grad, v)
+    pair = inner_product_spacetime(ts, gs, grad, v)
     central = (cost_along(1e-2) - cost_along(-1e-2)) / 2e-2
     metric = concentration_metric(adj, state)
     denom = max(abs(metric.value), abs(metric.cross_check), 1e-300)

@@ -251,7 +251,7 @@ def test_criterion_06_gradient_taylor(default_problem):
 
     sol_0 = solve_state(u, alpha, p.init, p.model, p.op)
 
-    def gradient(weights: CostWeights) -> Trajectory:
+    def gradient(weights: CostWeights) -> np.ndarray:
         """The reduced gradient at u: control_weight·u + mu_dual."""
         adj = solve_adjoint(sol_0, weights, p.model, p.op)
         return tracking_gradient(u, adj, weights)
@@ -259,7 +259,7 @@ def test_criterion_06_gradient_taylor(default_problem):
     j0 = tracking_cost(sol_0, u, p.weights)
     grad = gradient(p.weights)
     eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    _, slope = taylor_remainder_slope(cost_at, u, grad, v, eps, j0)
+    _, slope = taylor_remainder_slope(cost_at, u, grad, v.values, eps, j0)
 
     # decoupled case: no tracking, gradient is w*u bit for bit and the
     # remainder is the exact quadratic term
@@ -271,15 +271,15 @@ def test_criterion_06_gradient_taylor(default_problem):
         mu_target=Trajectory.constant(u.tgrid, u.grid, 0.0),
     )
     g0 = gradient(w0)
-    exact_grad = np.array_equal(g0.values, 2.0 * u.values)
+    exact_grad = np.array_equal(g0, 2.0 * u.values)
     e = 1e-2
     sol_e = solve_state(
         Trajectory(u.tgrid, u.grid, u.values + e * v.values), alpha, p.init, p.model, p.op
     )
     j_e = tracking_cost(sol_e, Trajectory(u.tgrid, u.grid, u.values + e * v.values), w0)
     j_0 = tracking_cost(sol_0, u, w0)
-    remainder = abs(j_e - j_0 - e * inner_product_spacetime(g0, v))
-    analytic = 0.5 * 2.0 * e * e * norm_l2_spacetime(v) ** 2
+    remainder = abs(j_e - j_0 - e * inner_product_spacetime(u.tgrid, u.grid, g0, v.values))
+    analytic = 0.5 * 2.0 * e * e * norm_l2_spacetime(u.tgrid, u.grid, v.values) ** 2
     decoupled_rel = abs(remainder - analytic) / analytic
 
     ok = 1.8 <= slope <= 2.2 and exact_grad and decoupled_rel <= 1e-10
@@ -312,7 +312,7 @@ def test_criterion_07_trivial_optimum(default_problem):
         model=p.model,
         op=p.op,
     )
-    norms = [norm_l2_spacetime(rec.control) for rec in run.levels]
+    norms = [norm_l2_spacetime(p.tgrid, p.grid, rec.control.values) for rec in run.levels]
     iters = [rec.iterations for rec in run.levels]
     ok = all(n <= 1e-8 for n in norms) and all(i <= 50 for i in iters) and run.all_converged
     report(
@@ -326,7 +326,8 @@ def test_criterion_07_trivial_optimum(default_problem):
 def test_criterion_08_deep_quench_convergence(sweep_solutions, default_run):
     base, quench = sweep_solutions
     alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
+    tg, g = base.rho.tgrid, base.rho.grid
+    dists = [norm_l2_spacetime(tg, g, quench[a].rho.values - base.rho.values) for a in alphas]
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     gaps = [rec.anchor_distance for rec in default_run.levels[1:]]
     gaps_decreasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -416,62 +417,74 @@ def test_criterion_11_determinism(tmp_path):
 # the first run.
 
 
-@pytest.mark.parametrize("alpha", [1e-3, 0.0])
+@pytest.mark.parametrize("alpha", [1e-3, 0.0])  # 1e-3 is both configs' alpha
 def test_time_step_refinement_first_order(alpha):
     # halving tau halves the error of the semi-implicit march: successive
-    # max differences at the 51 nodes every refinement shares shrink by ~2
-    cfg = load_config(CONFIGS / "default.cfg")
-    runs = []
-    for steps in (50, 100, 200, 400, 800):
-        _, sol = solve_cfg(dataclasses.replace(cfg, steps=steps), alpha)
-        every = steps // 50
-        runs.append((sol.rho.values[::every], sol.mu.values[::every]))
-    for k, name in enumerate(("rho", "mu")):
-        diffs = [float(np.max(np.abs(a[k] - b[k]))) for a, b in zip(runs, runs[1:])]
-        ratios = [a / b for a, b in zip(diffs, diffs[1:])]
-        assert all(1.8 <= r <= 2.2 for r in ratios), (name, ratios)
+    # max differences at the nodes every refinement shares shrink by ~2
+    for name, coarse in (("default", 50), ("twod", 10)):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        runs = []
+        for k in range(5):
+            _, sol = solve_cfg(dataclasses.replace(cfg, steps=coarse * 2**k), alpha)
+            runs.append((sol.rho.values[:: 2**k], sol.mu.values[:: 2**k]))
+        for k, field in enumerate(("rho", "mu")):
+            diffs = [float(np.max(np.abs(a[k] - b[k]))) for a, b in zip(runs, runs[1:])]
+            ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+            assert all(1.8 <= r <= 2.2 for r in ratios), (name, field, ratios)
 
 
 def test_deep_quench_rate_first_order(sweep_solutions):
     # the quench solutions approach the obstacle solution at order 1 in alpha
     base, quench = sweep_solutions
     alphas = sorted(quench, reverse=True)
-    dists = [norm_l2_spacetime(quench[a].rho - base.rho) for a in alphas]
+    tg, g = base.rho.tgrid, base.rho.grid
+    dists = [norm_l2_spacetime(tg, g, quench[a].rho.values - base.rho.values) for a in alphas]
     slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0])
     assert 0.9 <= slope <= 1.1, slope
 
 
+def nested_distance(coarse: np.ndarray, fine: np.ndarray) -> float:
+    """Max difference between each coarse cell and the mean of the 2**dim
+    fine cells it holds, time along axis 0."""
+    split = [n for cells in coarse.shape[1:] for n in (cells, 2)]
+    means = fine.reshape(len(fine), *split).mean(axis=tuple(range(2, len(split) + 1, 2)))
+    return float(np.max(np.abs(coarse - means)))
+
+
 def test_space_refinement_second_order():
-    # the smooth run touches no obstacle; a coarse cell is compared with the
-    # mean of the two fine cells it holds, and the max differences of
-    # successive refinements shrink by ~4
-    cfg = load_config(CONFIGS / "smooth.cfg")
-    runs = []
-    for cells in (32, 64, 128, 256):
-        _, sol = solve_cfg(dataclasses.replace(cfg, cells_x=cells), cfg.alpha)
-        runs.append((sol.rho.values, sol.mu.values))
-    for k, name in enumerate(("rho", "mu")):
-        diffs = [
-            float(np.max(np.abs(a[k] - b[k].reshape(len(a[k]), -1, 2).mean(axis=2))))
-            for a, b in zip(runs, runs[1:])
-        ]
-        orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
-        assert all(order >= 1.9 for order in orders), (name, orders)
+    # neither run touches an obstacle; the max differences of successive
+    # refinements, through nested cell means, shrink by ~4
+    for name, sizes in (("smooth", [(32,), (64,), (128,), (256,)]),
+                        ("twod", [(12, 10), (24, 20), (48, 40)])):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        runs = []
+        for size in sizes:
+            cells = dict(zip(("cells_x", "cells_y"), size))
+            _, sol = solve_cfg(dataclasses.replace(cfg, **cells), cfg.alpha)
+            runs.append((sol.rho.values, sol.mu.values))
+        for k, field in enumerate(("rho", "mu")):
+            diffs = [nested_distance(a[k], b[k]) for a, b in zip(runs, runs[1:])]
+            orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
+            assert all(order >= 1.9 for order in orders), (name, field, orders)
 
 
 def test_continuation_iterations_mesh_independent():
     # the optimizer's effort is a property of the continuous problem: each
-    # level takes as many PGD iterations at 32 cells as at 128
+    # level takes as many PGD iterations at 32, 64 and 128 cells, and the
+    # final control converges at second order in space
     cfg = load_config(CONFIGS / "smooth.cfg")
-    counts = []
-    for cells in (32, 128):
+    counts, controls = [], []
+    for cells in (32, 64, 128):
         p = build_problem(dataclasses.replace(cfg, cells_x=cells))
         run = deep_quench_continuation(
             p.config.schedule_values(), p.weights, p.box, tol=p.config.tol,
             max_iters=p.config.max_iters, u0=p.control, init=p.init, model=p.model, op=p.op,
         )
         counts.append([rec.iterations for rec in run.levels])
-    assert counts[0] == counts[1], counts
+        controls.append(run.levels[-1].control.values)
+    assert counts[0] == counts[1] == counts[2], counts
+    diffs = [nested_distance(a, b) for a, b in zip(controls, controls[1:])]
+    assert np.log2(diffs[0] / diffs[1]) >= 1.9, diffs
 
 
 # -- scale -------------------------------------------------------------------

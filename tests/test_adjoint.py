@@ -92,8 +92,8 @@ def test_probe_ramp_shape():
     tg = TimeGrid(2.0, 4)
     g = Grid.line(3, 1.0)
     probe = time_ramp_probe(tg, g)
-    assert np.array_equal(probe.values[:, 0], np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    assert np.all(probe.values == probe.values[:, :1])
+    assert np.array_equal(probe[:, 0], np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    assert np.all(probe == probe[:, :1])
 
 
 def test_adjoint_diagnostics_finite():
@@ -120,7 +120,7 @@ def test_gradient_taylor_slope_2d():
         solve_state(u, alpha, prob.init, prob.model, prob.op), prob.weights, prob.model, prob.op
     )
     grad = tracking_gradient(u, adj, prob.weights)
-    _, slope = taylor_remainder_slope(cost_at, u, grad, v, [1e-1, 1e-2, 1e-3, 1e-4])
+    _, slope = taylor_remainder_slope(cost_at, u, grad, v.values, [1e-1, 1e-2, 1e-3, 1e-4])
     assert 1.8 <= slope <= 2.2
 
 
@@ -143,7 +143,7 @@ def test_gradient_agrees_with_central_difference_in_digits(name, alpha):
         solve_state(u, alpha, prob.init, prob.model, prob.op), prob.weights, prob.model, prob.op
     )
     grad = tracking_gradient(u, adj, prob.weights)
-    pair = inner_product_spacetime(grad, Trajectory(u.tgrid, u.grid, v))
+    pair = inner_product_spacetime(u.tgrid, u.grid, grad, v)
     eps = 1e-2
     central = (cost_at(u.values + eps * v) - cost_at(u.values - eps * v)) / (2.0 * eps)
     assert abs(central - pair) / abs(pair) <= 1e-7
@@ -212,5 +212,5 @@ def test_coefficient_pass_matches_the_per_node_march_bit_for_bit(grid, g_family)
     ref = _per_node_adjoint(state, weights, model, op)
     for got, want in zip((adj.mu_dual, adj.rho_dual, adj.multiplier), ref):
         assert got.values.tobytes() == want.tobytes()
-    pairing = inner_product_spacetime(Trajectory(tgrid, grid, ref[2]), Trajectory(tgrid, grid, ref[1]))
+    pairing = inner_product_spacetime(tgrid, grid, ref[2], ref[1])
     assert np.float64(adj.pairing_value).tobytes() == np.float64(pairing).tobytes()

@@ -574,6 +574,40 @@ def test_overflowing_control_norm_square_exit_3_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+HUGE_GRADIENT = (
+    "steps = 5\nschedule = 1e-1,1e-2\ncontrol_weight = 1e300\n"
+    "control = constant:1e10\nceiling = constant:1e10\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # control_weight·u overflows, and so does the control cost
+        ("", "history.csv: column cost holds NaN or an infinity (inf at level 0, iteration 0)"),
+        # on a horizon of 1e-100 the cost is finite (5e219), but not the
+        # gradient, so the level report's vi_min is -inf
+        ("horizon = 1e-100\n", "limit_report.json: Out of range float values are not JSON "
+         "compliant: -inf"),
+    ],
+)
+def test_overflowing_gradient_exit_3_writes_nothing(tmp_path, extra, message):
+    # the reduced gradient is an array: its overflow reaches the CLI's
+    # non-finite backstops, not a traceback; numpy's overflow warnings
+    # would be raised in process, hence a subprocess
+    cfg = write_cfg(tmp_path, HUGE_GRADIENT + extra)
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "optimize", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"solver failure: {message}\n"
+    assert not out.exists()
+
+
 def test_huge_control_without_control_cost_exit_0(tmp_path):
     # every number of this run is finite; the control's H1 norm squares
     # 1e155 only after scaling it

@@ -106,9 +106,9 @@ def test_admissible_set_box_and_budget():
     outside = Trajectory.constant(tg, g, 2.5)
     assert box.contains_box(inside)
     assert not box.contains_box(outside)
-    assert time_h1_norm(inside) <= box.h1_budget
+    assert time_h1_norm(tg, g, inside.values) <= box.h1_budget
     tight = AdmissibleSet(Trajectory.constant(tg, g, 2.0), h1_budget=1e-6)
-    assert time_h1_norm(inside) > tight.h1_budget
+    assert time_h1_norm(tg, g, inside.values) > tight.h1_budget
 
 
 def test_projection_clips_both_sides():

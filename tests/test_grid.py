@@ -93,24 +93,27 @@ def test_norms_frozen_values():
     tg = TimeGrid(1.0, 2)
     traj = Trajectory.constant(tg, g, 3.0)
     # constant 3 over a domain of measure 2 and unit horizon
-    assert norm_l2_spacetime(traj) == pytest.approx(3.0 * np.sqrt(2.0))
-    assert norm_lp_spacetime(traj, 6.0) == pytest.approx(3.0 * 2.0 ** (1.0 / 6.0))
+    assert norm_l2_spacetime(tg, g, traj.values) == pytest.approx(3.0 * np.sqrt(2.0))
+    assert norm_lp_spacetime(tg, g, traj.values, 6.0) == pytest.approx(3.0 * 2.0 ** (1.0 / 6.0))
 
 
 @pytest.mark.parametrize("extent", [1e300, 1e-300])
 def test_lp_norm_finite_where_the_quadrature_weight_leaves_the_range(extent):
     # tau·cell_volume is 1.7e599 or 1.7e-601, but the norm, (horizon·length)^(1/6)
     # for a unit constant, is 1e100 or 1e-100
-    traj = Trajectory.constant(TimeGrid(extent, 2), Grid.line(3, extent), 1.0)
-    assert norm_lp_spacetime(traj, 6.0) == pytest.approx(extent ** (1.0 / 3.0), rel=1e-13)
+    tg, g = TimeGrid(extent, 2), Grid.line(3, extent)
+    traj = Trajectory.constant(tg, g, 1.0)
+    expected = extent ** (1.0 / 3.0)
+    assert norm_lp_spacetime(tg, g, traj.values, 6.0) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("value", [1e160, -1e160, 1e-170])
 def test_l2_norm_finite_where_the_squares_leave_the_range(value):
     # the squares overflow to inf or underflow to 0; the norm of a constant
     # over a unit horizon and a domain of measure 1 is its absolute value
-    traj = Trajectory.constant(TimeGrid(1.0, 5), Grid.line(4, 1.0), value)
-    assert norm_l2_spacetime(traj) == pytest.approx(abs(value), rel=1e-15, abs=0.0)
+    tg, g = TimeGrid(1.0, 5), Grid.line(4, 1.0)
+    traj = Trajectory.constant(tg, g, value)
+    assert norm_l2_spacetime(tg, g, traj.values) == pytest.approx(abs(value), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("magnitude", [1e-80, 1e-8, 1.0, 1e8, 1e80])
@@ -121,8 +124,8 @@ def test_l2_norm_keeps_its_bits_at_ordinary_magnitudes(magnitude):
     for g in (Grid.line(16, 1.3), Grid.box((5, 4), (1.0, 0.7))):
         tg = TimeGrid(0.9, 11)
         traj = Trajectory(tg, g, magnitude * rng.standard_normal((tg.n_nodes,) + g.shape))
-        expected = float(np.sqrt(inner_product_spacetime(traj, traj)))
-        assert norm_l2_spacetime(traj).hex() == expected.hex()
+        expected = float(np.sqrt(inner_product_spacetime(tg, g, traj.values, traj.values)))
+        assert norm_l2_spacetime(tg, g, traj.values).hex() == expected.hex()
 
 
 def test_trapezoid_weights():
@@ -137,7 +140,7 @@ def test_inner_product_spacetime_linear_ramp():
     tg = TimeGrid(1.0, 100)
     t = tg.times()
     traj = Trajectory(tg, g, np.broadcast_to(t[:, None], (tg.n_nodes,) + g.shape).copy())
-    got = inner_product_spacetime(traj, traj)
+    got = inner_product_spacetime(tg, g, traj.values, traj.values)
     assert got == pytest.approx(1.0 / 3.0 + tg.tau**2 / 6.0, rel=1e-12)
 
 
@@ -146,7 +149,7 @@ def test_time_h1_norm_constant():
     tg = TimeGrid(2.0, 20)
     traj = Trajectory.constant(tg, g, 2.0)
     # no time variation: just the L2 part, |const|*sqrt(T)
-    assert time_h1_norm(traj) == pytest.approx(2.0 * np.sqrt(2.0))
+    assert time_h1_norm(tg, g, traj.values) == pytest.approx(2.0 * np.sqrt(2.0))
 
 
 @pytest.mark.parametrize("value", [1e160, -1e160, 1e-170])
@@ -154,12 +157,12 @@ def test_time_h1_norm_finite_where_the_squares_leave_the_range(value):
     # c·t on [0, 1] over a domain of measure 1: the L2 part squared is
     # c²(1/3 + tau²/6) by the trapezoid rule, the difference quotients are c
     g, tg = Grid.line(4, 1.0), TimeGrid(1.0, 5)
-    assert time_h1_norm(Trajectory.constant(tg, g, value)) == pytest.approx(
+    assert time_h1_norm(tg, g, Trajectory.constant(tg, g, value).values) == pytest.approx(
         abs(value), rel=1e-15, abs=0.0
     )
     ramp = Trajectory(tg, g, value * np.repeat(tg.times()[:, None], 4, axis=1))
     expected = abs(value) * np.sqrt(4.0 / 3.0 + tg.tau**2 / 6.0)
-    assert time_h1_norm(ramp) == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert time_h1_norm(tg, g, ramp.values) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("magnitude", [1e-80, 1e-8, 1.0, 1e8, 1e80])
@@ -171,16 +174,27 @@ def test_time_h1_norm_keeps_its_bits_at_ordinary_magnitudes(magnitude):
         traj = Trajectory(tg, g, magnitude * rng.standard_normal((tg.n_nodes,) + g.shape))
         diffs = np.diff(traj.values, axis=0) / tg.tau
         dt_part = float(np.sum(diffs * diffs) * tg.tau * g.cell_volume)
-        expected = float(np.sqrt(norm_l2_spacetime(traj) ** 2 + dt_part))
-        assert time_h1_norm(traj).hex() == expected.hex()
+        expected = float(np.sqrt(norm_l2_spacetime(tg, g, traj.values) ** 2 + dt_part))
+        assert time_h1_norm(tg, g, traj.values).hex() == expected.hex()
 
 
-def test_trajectory_algebra():
-    g = Grid.line(3, 1.0)
-    tg = TimeGrid(1.0, 2)
-    a = Trajectory.constant(tg, g, 1.0)
-    b = Trajectory.constant(tg, g, 2.0)
-    assert np.array_equal((b - a).values, np.full((3, 3), 1.0))
+def test_spacetime_functionals_refuse_a_mismatched_shape():
+    # one cell array per time node, exactly: a single node, which numpy
+    # would broadcast, is refused as well
+    g, tg = Grid.box((3, 2)), TimeGrid(1.0, 4)
+    good = np.ones((tg.n_nodes,) + g.shape)
+    for bad in (np.ones((1,) + g.shape), np.ones((tg.n_nodes, 2, 3)), np.ones((tg.n_nodes, 6))):
+        calls = (
+            lambda: inner_product_spacetime(tg, g, good, bad),
+            lambda: inner_product_spacetime(tg, g, bad, good),
+            lambda: norm_l2_spacetime(tg, g, bad),
+            lambda: norm_lp_spacetime(tg, g, bad, 6.0),
+            lambda: time_h1_norm(tg, g, bad),
+        )
+        for call in calls:
+            with pytest.raises(ShapeMismatchError, match=r"expected shape \(5, 3, 2\)"):
+                call()
+    assert inner_product_spacetime(tg, g, good, good) == pytest.approx(1.0)
 
 
 def test_constant_profile_broadcasts_and_copies():

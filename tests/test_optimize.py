@@ -57,7 +57,7 @@ def test_pure_control_cost_collapses_to_zero():
     )
     assert res.converged
     assert res.iterations <= 2
-    assert norm_l2_spacetime(res.control) <= 1e-12
+    assert norm_l2_spacetime(tgrid, grid, res.control.values) <= 1e-12
 
 
 def test_anchored_step_lands_on_projection_formula():
@@ -151,13 +151,15 @@ def test_variational_inequality_min_matches_vertex_oracle():
         Trajectory(tgrid, grid, np.reshape(bits, (2, 2)) * ceiling.values)
         for bits in itertools.product((0.0, 1.0), repeat=4)
     ]
-    oracle = min(inner_product_spacetime(g, v - u) for v in vertices)
+    oracle = min(
+        inner_product_spacetime(tgrid, grid, g.values, v.values - u.values) for v in vertices
+    )
     assert oracle < 0.0
-    assert abs(variational_inequality_min(u, g, box) - oracle) <= 1e-15
+    assert abs(variational_inequality_min(u, g.values, box) - oracle) <= 1e-15
 
     # a nonnegative gradient at u = 0: v = 0 attains the minimum 0
     zero = Trajectory.constant(tgrid, grid, 0.0)
-    assert variational_inequality_min(zero, Trajectory(tgrid, grid, np.abs(g.values)), box) == 0.0
+    assert variational_inequality_min(zero, np.abs(g.values), box) == 0.0
 
 
 def test_projection_residual_of_hand_built_duals():
@@ -219,5 +221,5 @@ def test_continuation_warm_start_continuity():
         u0=u0, init=init, model=model, op=op,
     )
     last_gap = run.levels[-1].anchor_distance
-    ctrl_norm = norm_l2_spacetime(run.levels[-1].control)
+    ctrl_norm = norm_l2_spacetime(tgrid, grid, run.levels[-1].control.values)
     assert last_gap <= 0.1 * max(ctrl_norm, 1e-12)

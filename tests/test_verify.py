@@ -108,9 +108,9 @@ def test_taylor_slope_on_explicit_quadratic():
     v = Trajectory(tg, g, rng.standard_normal((5, 5)))
 
     def cost(w):
-        return 0.5 * inner_product_spacetime(w, w)
+        return 0.5 * inner_product_spacetime(tg, g, w.values, w.values)
 
-    errs, slope = taylor_remainder_slope(cost, u, u, v, [1e-1, 1e-2, 1e-3])
+    errs, slope = taylor_remainder_slope(cost, u, u.values, v.values, [1e-1, 1e-2, 1e-3])
     assert abs(slope - 2.0) < 1e-6
     assert np.all(np.diff(errs) < 0)
 
