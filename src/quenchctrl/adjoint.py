@@ -11,7 +11,7 @@ These lag choices make the march the exact transpose of the forward
 stepping, so `tracking_gradient`, control_weight·u + mu_dual, is the
 exact gradient of the discrete cost (in 2D, exact to the step solve's
 1e-14 relative tolerance) and a consistent discretization of the
-continuous dual system.  The gradient and the probe are raw arrays.
+continuous dual system.  The duals, the gradient and the probe are arrays.
 
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, log_potential_second, quench_scale
-from .state import StateSolution, mu_zeroth_coefficient, wrap_march
+from .state import StateSolution, check_march, mu_zeroth_coefficient
 
 __all__ = [
     "AdjointSolution",
@@ -48,13 +48,13 @@ __all__ = [
 
 @dataclass
 class AdjointSolution:
-    """Dual trajectories: mu_dual drives the gradient, rho_dual pairs with
-    the constraint, multiplier = scale·log_potential_second(rho)·rho_dual,
+    """Dual arrays on the state's mesh: mu_dual drives the gradient, rho_dual
+    pairs with the constraint, multiplier = scale·log_potential_second(rho)·rho_dual,
     and pairing_value = ∫∫ multiplier·rho_dual."""
 
-    mu_dual: Trajectory
-    rho_dual: Trajectory
-    multiplier: Trajectory
+    mu_dual: np.ndarray
+    rho_dual: np.ndarray
+    multiplier: np.ndarray
     scale: float
     pairing_value: float
 
@@ -72,8 +72,8 @@ def solve_adjoint(
     """
     if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
-    rho, mu = state.rho.values, state.mu.values
-    tgrid, grid = state.rho.tgrid, state.rho.grid
+    rho, mu = state.rho, state.mu
+    tgrid, grid = state.tgrid, state.grid
     if weights.rho_target.values.shape != rho.shape or weights.mu_target.values.shape != mu.shape:
         raise ConfigError("(A4) target does not match the state discretization")
     tau, nt = tgrid.tau, tgrid.steps
@@ -109,24 +109,15 @@ def solve_adjoint(
     lam = np.zeros_like(q)
     lam[1:nt] = scale * curv * q[1:nt]
 
-    mu_dual, rho_dual, multiplier = wrap_march(
-        "adjoint march", tgrid, grid, (p, q, lam), backward=True
-    )
-
-    return AdjointSolution(
-        mu_dual=mu_dual,
-        rho_dual=rho_dual,
-        multiplier=multiplier,
-        scale=scale,
-        pairing_value=inner_product_spacetime(tgrid, grid, lam, q),
-    )
+    check_march("adjoint march", tgrid, (p, q, lam), backward=True)
+    return AdjointSolution(p, q, lam, scale, inner_product_spacetime(tgrid, grid, lam, q))
 
 
 def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> np.ndarray:
     """control_weight·u + mu_dual, the reduced gradient of the tracking cost at
     u from the adjoint of u's state, as an array on u's space-time mesh: what
     PGD descends along and verify checks."""
-    return weights.control_weight * u.values + adj.mu_dual.values
+    return weights.control_weight * u.values + adj.mu_dual
 
 
 class ConcentrationMetric(NamedTuple):
@@ -148,9 +139,9 @@ def concentration_metric(adj: AdjointSolution, state: StateSolution) -> Concentr
     value and cross_check agree to rounding; across quench levels the
     metric shrinks linearly with the scale factor.
     """
-    tgrid, grid, rho = state.rho.tgrid, state.rho.grid, state.rho.values
+    tgrid, grid, rho = state.tgrid, state.grid, state.rho
     probe = time_ramp_probe(tgrid, grid)
-    weighted = adj.multiplier.values * rho * (1.0 - rho)
+    weighted = adj.multiplier * rho * (1.0 - rho)
     value = inner_product_spacetime(tgrid, grid, weighted, probe)
-    cross = adj.scale * inner_product_spacetime(tgrid, grid, adj.rho_dual.values, probe)
+    cross = adj.scale * inner_product_spacetime(tgrid, grid, adj.rho_dual, probe)
     return ConcentrationMetric(value=value, cross_check=cross)

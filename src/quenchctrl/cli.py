@@ -224,26 +224,30 @@ def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> 
     and the rows' text is written without its PAD bytes.  A column that
     repeats along the first axis (stride 0, as the cell-index columns and
     a time-constant control do) is formatted once, for one slice, and its
-    rows are looked up by row mod slice size.
+    rows are looked up by row mod slice size.  A column that repeats along
+    every other axis (as the time index does, and each column of a table of
+    one axis) is formatted once per first-axis index, and its rows are
+    looked up by row // slice size.
     """
     total, cells = columns[0].size, columns[0][0].size
-    runs = []  # (formatter, columns, text of one slice if the columns repeat, else None)
-    for (is_int, held), run in itertools.groupby(
-        columns, key=lambda c: (c.dtype == np.int64, c.strides[0] == 0)
+    runs = []  # (formatter, columns, text of their repeated values or None, held)
+    for (is_int, held, per_node), run in itertools.groupby(
+        columns, key=lambda c: (c.dtype == np.int64, c.strides[0] == 0, not any(c.strides[1:]))
     ):
         run = list(run)
         fmt = _int_text if is_int else _float_text
-        runs.append((fmt, run, _column_text(fmt, [c[0].reshape(-1) for c in run]) if held else None))
+        repeated = [c[0].reshape(-1) if held else c.flat[::cells] for c in run]
+        runs.append((fmt, run, _column_text(fmt, repeated) if held or per_node else None, held))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, total, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, total)
-            cell = np.arange(start, stop) % cells
+            node, cell = np.divmod(np.arange(start, stop), cells)
             parts = [
                 _column_text(fmt, [c.flat[start:stop] for c in run])
                 if text is None
-                else np.take(text, cell, axis=0)
-                for fmt, run, text in runs
+                else np.take(text, cell if held else node, axis=0)
+                for fmt, run, text, held in runs
             ]
             parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
             lines = np.concatenate(parts, axis=1)
@@ -263,7 +267,7 @@ def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
         path,
         _INDEX_HEADER[: len(shape)] + ["mu", "rho", "xi", "u"],
         np.indices(shape, sparse=True),
-        [sol.mu.values, sol.rho.values, sol.xi.values, u.values],
+        [sol.mu, sol.rho, sol.xi, u.values],
     )
 
 
@@ -272,13 +276,27 @@ def write_control_csv(path: Path, u: Trajectory) -> None:
     _write_csv(path, _INDEX_HEADER[: len(shape)] + ["u"], np.indices(shape, sparse=True), [u.values])
 
 
+def _non_finite_keys(value, path: str = ""):
+    """Yield (key path, value) for each NaN or infinity in a JSON payload,
+    in the sorted-key order the file is written in."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _non_finite_keys(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _non_finite_keys(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        yield path, value
+
+
 def _json_text(name: str, payload: dict) -> str:
     """The text of the JSON file `name`; a NaN or an infinity, which JSON
-    has no literal for, is a SolverError."""
+    has no literal for, is a SolverError naming its key."""
     try:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise SolverError(f"{name}: {exc}") from None
+    except ValueError:
+        path, value = next(_non_finite_keys(payload))
+        raise SolverError(f"{name}: key {path} holds NaN or an infinity ({value})") from None
 
 
 def _write_json(path: Path, text: str) -> None:
@@ -415,8 +433,8 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         rows.append(
             (
                 alpha,
-                norm_l2_spacetime(problem.tgrid, problem.grid, sol.rho.values - base.rho.values),
-                norm_l2_spacetime(problem.tgrid, problem.grid, sol.mu.values - base.mu.values),
+                norm_l2_spacetime(problem.tgrid, problem.grid, sol.rho - base.rho),
+                norm_l2_spacetime(problem.tgrid, problem.grid, sol.mu - base.mu),
                 sol.diagnostics.xi_l6,
                 sol.diagnostics.energy_residual_max,
             )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime
+from .grid import Grid, TimeGrid, Trajectory, _square, inner_product_spacetime, norm_l2_spacetime
 from .state import StateSolution
 
 __all__ = [
@@ -66,21 +66,23 @@ class AdmissibleSet:
         return bool(np.all(u.values >= 0.0) and np.all(u.values <= self.ceiling.values))
 
 
-def tracking_misfit_sq(traj: Trajectory, target: Trajectory) -> float:
-    """Squared L2 misfit over space-time, left-endpoint rule in time."""
-    if traj.grid != target.grid or traj.tgrid != target.tgrid:
+def tracking_misfit_sq(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> float:
+    """Squared L2 misfit of the array a on (tgrid, grid) over space-time,
+    left-endpoint rule in time.  A target on another mesh, even of a's
+    shape, is refused."""
+    if target.tgrid != tgrid or target.grid != grid or np.shape(a) != target.values.shape:
         raise ConfigError("(A4) target does not match the state discretization")
-    diff = traj.values[:-1] - target.values[:-1]
-    return float(np.sum(diff * diff) * traj.tgrid.tau * traj.grid.cell_volume)
+    diff = a[:-1] - target.values[:-1]
+    return float(np.sum(diff * diff) * tgrid.tau * grid.cell_volume)
 
 
 def tracking_cost(sol: StateSolution, u: Trajectory, w: CostWeights) -> float:
     """Quadratic tracking plus control energy; always ≥ 0."""
     cost = 0.0
     if w.rho_weight > 0.0:
-        cost += 0.5 * w.rho_weight * tracking_misfit_sq(sol.rho, w.rho_target)
+        cost += 0.5 * w.rho_weight * tracking_misfit_sq(sol.tgrid, sol.grid, sol.rho, w.rho_target)
     if w.mu_weight > 0.0:
-        cost += 0.5 * w.mu_weight * tracking_misfit_sq(sol.mu, w.mu_target)
+        cost += 0.5 * w.mu_weight * tracking_misfit_sq(sol.tgrid, sol.grid, sol.mu, w.mu_target)
     if w.control_weight > 0.0:
         cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(u.tgrid, u.grid, u.values))
     return cost

@@ -4,15 +4,15 @@ Everything downstream runs on the pair (Grid, TimeGrid): a uniform
 cell-centered mesh over an interval or a rectangle with homogeneous
 Neumann boundary, and a uniform partition of [0, T].  Trajectory wraps
 a numpy array, pinning the space-time mesh and validating shape and
-finiteness: only where a march ends, a control's state is solved or
-a config profile is built.  `Field`, the same wrapper for one snapshot,
-is only the type of `state.step_mu`, which no command calls.  The
-space-time quadrature takes (tgrid, grid, arrays) and checks only their
-shape; its norms scale data whose powers would leave the double range,
-and a squared norm beyond it is inf, not an OverflowError.  A trajectory
-that does not change in time (`Trajectory.constant`) holds one spatial
-array, read-only and broadcast over every time node: copy its values
-before writing to them.
+finiteness: only where a control's state is solved or a config profile
+is built.  `Field`, the same wrapper for one snapshot, is only the type
+of `state.step_mu`, which no command calls.  The space-time quadrature
+takes (tgrid, grid, arrays) and checks only their shape; its norms
+scale data whose powers would leave the double range, and a squared
+norm beyond it is inf, not an OverflowError.  A trajectory that does
+not change in time (`Trajectory.constant`) holds one spatial array,
+read-only and broadcast over every time node: copy its values before
+writing to them.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def _projection_residual(
     """Distance of u to the projection form P(-mu_dual / control_weight)."""
     if weights.control_weight <= 0.0:
         return None
-    candidate = np.clip(-adj.mu_dual.values / weights.control_weight, 0.0, box.ceiling.values)
+    candidate = np.clip(-adj.mu_dual / weights.control_weight, 0.0, box.ceiling.values)
     return norm_l2_spacetime(u_star.tgrid, u_star.grid, u_star.values - candidate)
 
 
@@ -300,7 +300,7 @@ def deep_quench_continuation(
         final_state=obstacle_state,
         final_sign_violations=check_obstacle_signs(obstacle_state),
         final_state_distance=norm_l2_spacetime(
-            tgrid, grid, result.state.rho.values - obstacle_state.rho.values
+            tgrid, grid, result.state.rho - obstacle_state.rho
         ),
         concentration_slope=slope,
     )

@@ -7,7 +7,7 @@ update is a resolvent evaluation.  The chemical-potential update then
 solves one symmetric positive definite linear system: directly in 1D,
 by preconditioned conjugate gradients in 2D (`solve_step_system`).  The
 constraint term must be the implicit one, otherwise the iterates leave
-[0, 1].
+[0, 1].  Each march ends in `check_march`, its one finiteness check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, SolverError
+from .errors import ConfigError, SolverError
 from .grid import (
     Field,
     Grid,
@@ -41,7 +41,7 @@ __all__ = [
     "StateSolution",
     "step_rho",
     "step_mu",
-    "wrap_march",
+    "check_march",
     "solve_state",
     "energy_residual_profile",
     "energy_residual",
@@ -89,15 +89,17 @@ class StateDiagnostics:
 
 @dataclass
 class StateSolution:
-    """Forward trajectories plus run diagnostics.
+    """Forward march: mu, rho and xi as arrays on one mesh, plus run diagnostics.
 
     xi is the constraint reaction: the obstacle multiplier at alpha = 0
     and scale·log_potential_prime(rho) on a quench level.
     """
 
-    mu: Trajectory
-    rho: Trajectory
-    xi: Trajectory
+    tgrid: TimeGrid
+    grid: Grid
+    mu: np.ndarray
+    rho: np.ndarray
+    xi: np.ndarray
     alpha: float
     diagnostics: StateDiagnostics
 
@@ -170,26 +172,15 @@ def step_mu(
     return Field(grid, mu)
 
 
-def wrap_march(
-    march: str, tgrid: TimeGrid, grid: Grid, arrays: tuple[np.ndarray, ...], backward: bool = False
-) -> list[Trajectory]:
-    """A finished march's arrays (time along axis 0) as Trajectories.
-
-    Their validation is the march's one finiteness check.  When it fails,
-    SolverError names the node where the march first met a non-finite
-    value: the lowest such node marching forward, the highest backward.
-    """
-    try:
-        return [Trajectory(tgrid, grid, a) for a in arrays]
-    except NonFiniteError:
-        finite = np.ones(tgrid.n_nodes, dtype=bool)
-        for a in arrays:
-            finite &= np.isfinite(a).reshape(len(a), -1).all(axis=1)
-        bad = np.flatnonzero(~finite)
+def check_march(march: str, tgrid: TimeGrid, arrays: tuple, backward: bool = False) -> None:
+    """A finished march's one finiteness check over its arrays (time along
+    axis 0).  SolverError names the node where the march first met a
+    non-finite value: the lowest such node marching forward, the highest backward."""
+    finite = [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in arrays]
+    bad = np.flatnonzero(~np.logical_and.reduce(finite))
+    if len(bad):
         node, way = (bad[-1], ", marching backward") if backward else (bad[0], "")
-        raise SolverError(
-            f"{march}: a non-finite value at time node {node} of {tgrid.steps}{way}"
-        ) from None
+        raise SolverError(f"{march}: a non-finite value at time node {node} of {tgrid.steps}{way}")
 
 
 def solve_state(
@@ -209,7 +200,7 @@ def solve_state(
     or NaN, raises ValueError (from quench_scale), and so does an
     alpha > 0 whose scale underflows to 0: that march must not run as
     the obstacle problem.  The march stops at the first node whose mu is
-    non-finite, and `wrap_march` names the first non-finite node.  A step
+    non-finite, and `check_march` names the first non-finite node.  A step
     whose resolvent or step solve raises SolverError (a drive beyond the
     double range, say) is re-raised naming the time node it steps to.
     """
@@ -248,13 +239,13 @@ def solve_state(
             if np.count_nonzero(np.isfinite(mu[n + 1])) < cells:
                 # stop: the next quench resolvent would fail on this mu and name
                 # the node after it; the unwritten later nodes lie past the one
-                # wrap_march names
+                # check_march names
                 break
     except SolverError as exc:
         raise SolverError(
             f"forward march, step to time node {n + 1} of {tgrid.steps}: {exc}"
         ) from exc
-    mu_t, rho_t, xi_t = wrap_march("forward march", tgrid, grid, (mu, rho, xi))
+    check_march("forward march", tgrid, (mu, rho, xi))
 
     control_nonneg = bool(np.min(u.values) >= 0.0)  # InitialData holds mu0 >= 0
     min_mu = float(np.min(mu))
@@ -268,7 +259,7 @@ def solve_state(
         clamp_events=clamp_events,
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,
     )
-    sol = StateSolution(mu=mu_t, rho=rho_t, xi=xi_t, alpha=alpha, diagnostics=diag)
+    sol = StateSolution(tgrid, grid, mu=mu, rho=rho, xi=xi, alpha=alpha, diagnostics=diag)
     diag.energy_residual_max = energy_residual(sol, u, model)
     return sol
 
@@ -283,16 +274,13 @@ def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialC
     is quadratic in (mu, u), so where the squares would overflow both are
     divided by their max first; the relative defect does not change.
     """
-    tau = sol.mu.tgrid.tau
-    grid = sol.mu.grid
-    mu = sol.mu.values
-    source_u = u.values
+    tau, grid, mu, source_u = sol.tgrid.tau, sol.grid, sol.mu, u.values
     space = tuple(range(1, mu.ndim))
     top = max(abs(float(x)) for x in (mu.min(), mu.max(), source_u.min(), source_u.max()))
     if top > 2.0**300:
         mu, source_u = mu / top, source_u / top
 
-    stored = np.sum((0.5 + model.g(sol.rho.values)) * mu * mu, axis=space) * grid.cell_volume
+    stored = np.sum((0.5 + model.g(sol.rho)) * mu * mu, axis=space) * grid.cell_volume
     dissip = np.zeros(len(mu))
     for axis, h in enumerate(grid.spacing):
         d = np.diff(mu, axis=axis + 1) / h
@@ -322,8 +310,7 @@ def check_obstacle_signs(sol: StateSolution) -> list[str]:
     if sol.alpha != 0.0:
         raise ValueError("sign structure applies to obstacle runs only")
     out: list[str] = []
-    rho = sol.rho.values
-    xi = sol.xi.values
+    rho, xi = sol.rho, sol.xi
     if np.any(rho < 0.0) or np.any(rho > 1.0):
         out.append("rho leaves [0, 1]")
     interior = (rho > 0.0) & (rho < 1.0)

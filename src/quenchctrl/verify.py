@@ -517,9 +517,9 @@ def _state_trivial(rng: Draws) -> list[CheckResult]:
     op = NonlocalOperator(Kernel.zero(), g)
     sol = solve_state(u, 0.5, init, PotentialConfig(g_family="zero"), op)
     dev = max(
-        float(np.max(np.abs(sol.rho.values - 0.5))),
-        float(np.max(np.abs(sol.mu.values))),
-        float(np.max(np.abs(sol.xi.values))),
+        float(np.max(np.abs(sol.rho - 0.5))),
+        float(np.max(np.abs(sol.mu))),
+        float(np.max(np.abs(sol.xi))),
     )
     return [_bounded("state_trivial_stationary", dev, 0.0, "balanced rest state")]
 
@@ -561,7 +561,7 @@ def _single_cell(rng: Draws) -> list[CheckResult]:
     for nt in (100, 200, 400):
         tg = TimeGrid(0.5, nt)
         got = solve_state(Trajectory.constant(tg, cell, 0.0), 0.5, init, zero_model, op)
-        errs.append(abs(float(got.rho.values[-1, 0]) - ref))
+        errs.append(abs(float(got.rho[-1, 0]) - ref))
     ratio = errs[0] / errs[1]
     return [
         _bounded("state_single_cell_reference", errs[-1], 5e-4, "rk4 comparison, 400 steps"),
@@ -598,7 +598,7 @@ def _adjoint(rng: Draws) -> list[CheckResult]:
     u = Trajectory(ts, gs, 0.5 + 0.25 * np.sin(2.0 * np.pi * x)[None, :] * t[:, None])
     state = solve_state(u, 0.5, init, model, op)
     adj = solve_adjoint(state, weights, model, op)
-    ends = [d.values[k] for d in (adj.mu_dual, adj.rho_dual, adj.multiplier) for k in (-1, 0)]
+    ends = [d[k] for d in (adj.mu_dual, adj.rho_dual, adj.multiplier) for k in (-1, 0)]
     only_u = CostWeights(0.0, 0.0, 1.0, zeros, zeros)
     adj_zero = solve_adjoint(state, only_u, model, op)
     duals_zero = (adj_zero.mu_dual, adj_zero.rho_dual, adj_zero.multiplier)
@@ -629,7 +629,7 @@ def _adjoint(rng: Draws) -> list[CheckResult]:
         ),
         _bounded(
             "adjoint_zero_tracking_zero",
-            max(float(np.max(np.abs(d.values))) for d in duals_zero),
+            max(float(np.max(np.abs(d))) for d in duals_zero),
             0.0,
             "no tracking, no dual",
         ),

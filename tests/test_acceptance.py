@@ -111,8 +111,8 @@ def test_criterion_01_fixed_point_exactness():
     for alpha in (1.0, 1e-3, 0.0):
         _, sol = solve_cfg(cfg, alpha)
         dev = max(
-            float(np.max(np.abs(sol.rho.values - 0.5))),
-            float(np.max(np.abs(sol.mu.values))),
+            float(np.max(np.abs(sol.rho - 0.5))),
+            float(np.max(np.abs(sol.mu))),
         )
         worst = max(worst, dev)
     report(1, worst <= 1e-14, f"max deviation {worst:.2e} <= 1e-14 at alpha in {{1, 1e-3, 0}}")
@@ -326,8 +326,8 @@ def test_criterion_07_trivial_optimum(default_problem):
 def test_criterion_08_deep_quench_convergence(sweep_solutions, default_run):
     base, quench = sweep_solutions
     alphas = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    tg, g = base.rho.tgrid, base.rho.grid
-    dists = [norm_l2_spacetime(tg, g, quench[a].rho.values - base.rho.values) for a in alphas]
+    tg, g = base.tgrid, base.grid
+    dists = [norm_l2_spacetime(tg, g, quench[a].rho - base.rho) for a in alphas]
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     gaps = [rec.anchor_distance for rec in default_run.levels[1:]]
     gaps_decreasing = all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -397,9 +397,9 @@ def test_criterion_11_determinism(tmp_path):
     prob = build_problem(load_config(cfg))
     sol = solve_state(prob.control, prob.config.alpha, prob.init, prob.model, prob.op)
     round_trip = (
-        np.array_equal(fields["rho"], sol.rho.values)
-        and np.array_equal(fields["mu"], sol.mu.values)
-        and np.array_equal(fields["xi"], sol.xi.values)
+        np.array_equal(fields["rho"], sol.rho)
+        and np.array_equal(fields["mu"], sol.mu)
+        and np.array_equal(fields["xi"], sol.xi)
         and np.array_equal(fields["u"], prob.control.values)
     )
     ok = sim_same and opt_same and round_trip
@@ -426,7 +426,7 @@ def test_time_step_refinement_first_order(alpha):
         runs = []
         for k in range(5):
             _, sol = solve_cfg(dataclasses.replace(cfg, steps=coarse * 2**k), alpha)
-            runs.append((sol.rho.values[:: 2**k], sol.mu.values[:: 2**k]))
+            runs.append((sol.rho[:: 2**k], sol.mu[:: 2**k]))
         for k, field in enumerate(("rho", "mu")):
             diffs = [float(np.max(np.abs(a[k] - b[k]))) for a, b in zip(runs, runs[1:])]
             ratios = [a / b for a, b in zip(diffs, diffs[1:])]
@@ -437,8 +437,8 @@ def test_deep_quench_rate_first_order(sweep_solutions):
     # the quench solutions approach the obstacle solution at order 1 in alpha
     base, quench = sweep_solutions
     alphas = sorted(quench, reverse=True)
-    tg, g = base.rho.tgrid, base.rho.grid
-    dists = [norm_l2_spacetime(tg, g, quench[a].rho.values - base.rho.values) for a in alphas]
+    tg, g = base.tgrid, base.grid
+    dists = [norm_l2_spacetime(tg, g, quench[a].rho - base.rho) for a in alphas]
     slope = float(np.polyfit(np.log(alphas), np.log(dists), 1)[0])
     assert 0.9 <= slope <= 1.1, slope
 
@@ -461,7 +461,7 @@ def test_space_refinement_second_order():
         for size in sizes:
             cells = dict(zip(("cells_x", "cells_y"), size))
             _, sol = solve_cfg(dataclasses.replace(cfg, **cells), cfg.alpha)
-            runs.append((sol.rho.values, sol.mu.values))
+            runs.append((sol.rho, sol.mu))
         for k, field in enumerate(("rho", "mu")):
             diffs = [nested_distance(a[k], b[k]) for a, b in zip(runs, runs[1:])]
             orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]

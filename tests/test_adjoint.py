@@ -64,10 +64,10 @@ def test_multiplier_identity():
     # construction; check it numerically anyway
     _, _, model, op, sol, weights, _ = make_problem()
     adj = solve_adjoint(sol, weights, model, op)
-    rho = sol.rho.values
-    expect = adj.scale * (1.0 / (rho * (1.0 - rho))) * adj.rho_dual.values
+    rho = sol.rho
+    expect = adj.scale * (1.0 / (rho * (1.0 - rho))) * adj.rho_dual
     inner = slice(1, -1)
-    assert np.allclose(adj.multiplier.values[inner], expect[inner], rtol=1e-12, atol=1e-300)
+    assert np.allclose(adj.multiplier[inner], expect[inner], rtol=1e-12, atol=1e-300)
 
 
 def test_concentration_identity():
@@ -153,8 +153,8 @@ def _per_node_adjoint(state, weights, model, op):
     """The backward march with every coefficient evaluated inside the loop,
     one node at a time: the reference for `solve_adjoint`'s one pass over
     the stacked nodes.  Returns (mu_dual, rho_dual, multiplier) arrays."""
-    rho, mu = state.rho.values, state.mu.values
-    grid, tau, nt = state.rho.grid, state.rho.tgrid.tau, state.rho.tgrid.steps
+    rho, mu = state.rho, state.mu
+    grid, tau, nt = state.grid, state.tgrid.tau, state.tgrid.steps
     scale = quench_scale(state.alpha, model.quench_exponent)
     b1, b2 = weights.rho_weight, weights.mu_weight
     rho_tgt, mu_tgt = weights.rho_target.values, weights.mu_target.values
@@ -211,6 +211,6 @@ def test_coefficient_pass_matches_the_per_node_march_bit_for_bit(grid, g_family)
     adj = solve_adjoint(state, weights, model, op)
     ref = _per_node_adjoint(state, weights, model, op)
     for got, want in zip((adj.mu_dual, adj.rho_dual, adj.multiplier), ref):
-        assert got.values.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
     pairing = inner_product_spacetime(tgrid, grid, ref[2], ref[1])
     assert np.float64(adj.pairing_value).tobytes() == np.float64(pairing).tobytes()

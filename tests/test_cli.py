@@ -88,9 +88,9 @@ def test_fields_csv_round_trip_bit_exact(tmp_path):
     c = load_config(cfg)
     prob = build_problem(c)
     sol = solve_state(prob.control, c.alpha, prob.init, prob.model, prob.op)
-    assert np.array_equal(fields["rho"], sol.rho.values)
-    assert np.array_equal(fields["mu"], sol.mu.values)
-    assert np.array_equal(fields["xi"], sol.xi.values)
+    assert np.array_equal(fields["rho"], sol.rho)
+    assert np.array_equal(fields["mu"], sol.mu)
+    assert np.array_equal(fields["xi"], sol.xi)
 
 
 def test_reruns_byte_identical(tmp_path):
@@ -130,7 +130,8 @@ def test_csv_writers_golden_bytes(tmp_path):
     )
     g = Grid.line(2)
     mu, rho, xi, u = (Trajectory(tg, g, (k * vals).reshape(2, 2)) for k in (1.0, -2.0, 3e5, 1e-7))
-    cli.write_fields_csv(tmp_path / "fields.csv", StateSolution(mu, rho, xi, 0.0, None), u)
+    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, None)
+    cli.write_fields_csv(tmp_path / "fields.csv", sol, u)
     assert (tmp_path / "fields.csv").read_bytes() == (
         b"t_index,cell_index,mu,rho,xi,u\r\n"
         b"0,0,0.10000000000000001,-0.20000000000000001,30000,1e-08\r\n"
@@ -154,7 +155,7 @@ def test_fields_csv_held_control_matches_materialized(tmp_path):
     held = Trajectory.constant(tg, g, profile)
     full = Trajectory(tg, g, np.tile(profile, (301, 1, 1)))
     assert held.values.strides[0] == 0 and full.values.strides[0] != 0
-    sol = StateSolution(mu, rho, xi, 0.0, None)
+    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, None)
     cli.write_fields_csv(tmp_path / "held.csv", sol, held)
     cli.write_fields_csv(tmp_path / "full.csv", sol, full)
     assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -162,19 +163,23 @@ def test_fields_csv_held_control_matches_materialized(tmp_path):
 
 def test_fields_csv_2d_matches_per_row_format(tmp_path):
     # several nodes and cells per axis, so every index column changes; the
-    # values include -0.0, 1e-300 and a subnormal
-    tg, g = TimeGrid(1.0, 2), Grid.box((4, 5))
-    vals = np.random.default_rng(8).standard_normal((4, 3, 4, 5))
-    vals.reshape(-1)[:3] = [-0.0, 1e-300, 5e-324]
-    mu, rho, xi, u = (Trajectory(tg, g, v) for v in vals)
-    cli.write_fields_csv(tmp_path / "fields.csv", StateSolution(mu, rho, xi, 0.0, None), u)
-    expected = "t_index,cell_index,cell_index_y,mu,rho,xi,u\r\n" + "".join(
-        "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % ((n, i, j) + tuple(vals[:, n, i, j]))
-        for n in range(3)
-        for i in range(4)
-        for j in range(5)
-    )
-    assert (tmp_path / "fields.csv").read_bytes() == expected.encode()
+    # values include -0.0, 1e-300 and a subnormal.  The second table has
+    # 100·35 = 3 500 rows, more than one chunk, and its first chunk ends
+    # inside time node 58 (2 048 = 58·35 + 18)
+    for tg, g in ((TimeGrid(1.0, 2), Grid.box((4, 5))), (TimeGrid(1.0, 99), Grid.box((7, 5)))):
+        nodes, (nx, ny) = tg.n_nodes, g.shape
+        vals = np.random.default_rng(8).standard_normal((4, nodes, nx, ny))
+        vals.reshape(-1)[:3] = [-0.0, 1e-300, 5e-324]
+        mu, rho, xi, u = vals
+        sol = StateSolution(tg, g, mu, rho, xi, 0.0, None)
+        cli.write_fields_csv(tmp_path / "fields.csv", sol, Trajectory(tg, g, u))
+        expected = "t_index,cell_index,cell_index_y,mu,rho,xi,u\r\n" + "".join(
+            "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % ((n, i, j) + tuple(vals[:, n, i, j]))
+            for n in range(nodes)
+            for i in range(nx)
+            for j in range(ny)
+        )
+        assert (tmp_path / "fields.csv").read_bytes() == expected.encode()
 
 
 def _ulps_around(x):
@@ -587,8 +592,8 @@ HUGE_GRADIENT = (
         ("", "history.csv: column cost holds NaN or an infinity (inf at level 0, iteration 0)"),
         # on a horizon of 1e-100 the cost is finite (5e219), but not the
         # gradient, so the level report's vi_min is -inf
-        ("horizon = 1e-100\n", "limit_report.json: Out of range float values are not JSON "
-         "compliant: -inf"),
+        ("horizon = 1e-100\n", "limit_report.json: key final.vi_min holds NaN or an infinity "
+         "(-inf)"),
     ],
 )
 def test_overflowing_gradient_exit_3_writes_nothing(tmp_path, extra, message):
@@ -669,7 +674,9 @@ def test_non_finite_json_value_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite", lambda seed: VerificationReport(checks, 0.25))
     cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
     assert main(["verify", "--config", cfg]) == 3
-    assert capsys.readouterr().err.startswith("solver failure: verify_report.json: ")
+    assert capsys.readouterr().err == (
+        "solver failure: verify_report.json: key checks[0].value holds NaN or an infinity (nan)\n"
+    )
     assert not (tmp_path / "v" / "verify_report.json").exists()
 
 

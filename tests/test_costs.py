@@ -50,19 +50,27 @@ def test_misfit_left_endpoint_rule():
     traj = Trajectory(tg, g, np.broadcast_to(t[:, None], (5, 5)).copy())
     zero = Trajectory.constant(tg, g, 0.0)
     expected = sum((n * tg.tau) ** 2 * tg.tau for n in range(4))
-    assert tracking_misfit_sq(traj, zero) == pytest.approx(expected, rel=1e-14)
+    assert tracking_misfit_sq(tg, g, traj.values, zero) == pytest.approx(expected, rel=1e-14)
     # the value at the final node must not enter
     bumped = Trajectory(tg, g, traj.values.copy())
     bumped.values[-1] += 100.0
-    assert tracking_misfit_sq(bumped, zero) == tracking_misfit_sq(traj, zero)
+    assert tracking_misfit_sq(tg, g, bumped.values, zero) == tracking_misfit_sq(
+        tg, g, traj.values, zero
+    )
 
 
 def test_misfit_rejects_mismatched_discretization():
     g = Grid.line(5, 1.0)
     tg = TimeGrid(1.0, 4)
-    other = TimeGrid(1.0, 5)
-    with pytest.raises(ConfigError, match=r"\(A4\)"):
-        tracking_misfit_sq(Trajectory.constant(tg, g, 0.0), Trajectory.constant(other, g, 0.0))
+    values = np.zeros((tg.n_nodes,) + g.shape)
+    # another shape, and the same shape on another mesh in time or space
+    for other_tg, other_g in (
+        (TimeGrid(1.0, 5), g),
+        (TimeGrid(2.0, 4), g),
+        (tg, Grid.line(5, 2.0)),
+    ):
+        with pytest.raises(ConfigError, match=r"\(A4\)"):
+            tracking_misfit_sq(tg, g, values, Trajectory.constant(other_tg, other_g, 0.0))
 
 
 def test_tracking_cost_frozen_value():

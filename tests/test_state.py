@@ -6,7 +6,9 @@ import pytest
 
 from quenchctrl import grid as grid_module
 from quenchctrl import state as state_module
+from quenchctrl.adjoint import solve_adjoint
 from quenchctrl.config import build_problem, load_config
+from quenchctrl.costs import CostWeights
 from quenchctrl.errors import ConfigError, NonFiniteError, ShapeMismatchError, SolverError
 from quenchctrl.grid import (
     Field,
@@ -22,13 +24,13 @@ from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import (
     COEFFICIENT_FLOOR,
     InitialData,
+    check_march,
     check_obstacle_signs,
     energy_residual,
     energy_residual_profile,
     mu_zeroth_coefficient,
     solve_state,
     step_mu,
-    wrap_march,
 )
 from quenchctrl.verify import dense_laplacian, dense_mu_step, rk4_scalar_relaxation
 
@@ -155,8 +157,8 @@ def test_trivial_configuration_is_exactly_stationary():
     u = Trajectory.constant(tgrid, grid, 0.0)
     for alpha in (1.0, 1e-3, 0.0):
         sol = solve_state(u, alpha, init, model, op)
-        assert np.max(np.abs(sol.rho.values - 0.5)) <= 1e-14
-        assert np.max(np.abs(sol.mu.values)) <= 1e-14
+        assert np.max(np.abs(sol.rho - 0.5)) <= 1e-14
+        assert np.max(np.abs(sol.mu)) <= 1e-14
 
 
 def test_mu_step_matches_dense_oracle():
@@ -201,7 +203,7 @@ def test_single_cell_against_rk4():
     u = Trajectory.constant(tgrid, grid, 0.0)
     sol = solve_state(u, 0.5, init, model, op)
     ref = rk4_scalar_relaxation(0.3, 0.5, 0.25, 0.5, 20000)
-    assert abs(float(sol.rho.values[-1, 0]) - ref) <= 5e-4
+    assert abs(float(sol.rho[-1, 0]) - ref) <= 5e-4
 
 
 def test_state_bounds_and_nonnegativity():
@@ -238,7 +240,7 @@ def test_obstacle_contact_produces_active_set():
     p = build_problem(cfg)
     sol = solve_state(p.control, 0.0, p.init, p.model, p.op)
     assert sol.diagnostics.max_rho == 1.0
-    assert np.count_nonzero(sol.rho.values == 1.0) == 6972
+    assert np.count_nonzero(sol.rho == 1.0) == 6972
     assert check_obstacle_signs(sol) == []
 
 
@@ -271,8 +273,8 @@ def test_energy_residual_first_order_in_tau():
 
 def energy_residual_profile_loop(sol, u, model):
     """Node-by-node reference for energy_residual_profile."""
-    tgrid = sol.mu.tgrid
-    grid = sol.mu.grid
+    tgrid = sol.tgrid
+    grid = sol.grid
     nodes = tgrid.n_nodes
     tau = tgrid.tau
 
@@ -280,15 +282,15 @@ def energy_residual_profile_loop(sol, u, model):
     dissip = np.empty(nodes)
     source = np.empty(nodes)
     for n in range(nodes):
-        mu_n = sol.mu.values[n]
-        g_n = model.g(sol.rho.values[n])
+        mu_n = sol.mu[n]
+        g_n = model.g(sol.rho[n])
         stored[n] = float(np.sum((0.5 + g_n) * mu_n * mu_n)) * grid.cell_volume
         # discrete ∫|∇mu|² from the interior face differences
         dissip[n] = 0.0
         for axis, h in enumerate(grid.spacing):
             d = np.diff(mu_n, axis=axis) / h
             dissip[n] += float(np.sum(d * d) * grid.cell_volume)
-        source[n] = inner_product(grid, u.values[n], sol.mu.values[n])
+        source[n] = inner_product(grid, u.values[n], sol.mu[n])
 
     res = np.zeros(nodes)
     cum_d = 0.0
@@ -331,9 +333,9 @@ def test_solver_is_deterministic():
     u = Trajectory.constant(tgrid, grid, 1.0)
     a = solve_state(u, 1e-2, init, model, op)
     b = solve_state(u, 1e-2, init, model, op)
-    assert np.array_equal(a.rho.values, b.rho.values)
-    assert np.array_equal(a.mu.values, b.mu.values)
-    assert np.array_equal(a.xi.values, b.xi.values)
+    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(a.mu, b.mu)
+    assert np.array_equal(a.xi, b.xi)
 
 
 def test_grid_mismatch_rejected():
@@ -377,7 +379,7 @@ def test_two_dimensional_run_smoke():
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, 1e-2, init, model, op)
-    assert sol.rho.values.shape == (21, 8, 6)
+    assert sol.rho.shape == (21, 8, 6)
     assert sol.diagnostics.min_mu >= -1e-10
     assert 0.0 < sol.diagnostics.min_rho <= sol.diagnostics.max_rho < 1.0
 
@@ -399,6 +401,29 @@ def test_march_builds_no_field(monkeypatch):
     assert built == [1]
 
 
+def test_marches_build_no_trajectory(monkeypatch):
+    # the forward and the backward march return raw arrays on the control's
+    # mesh; a Trajectory is only a control or a config profile
+    grid, tgrid, model, op = make_setup(n=8, steps=6)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+    u = Trajectory.constant(tgrid, grid, 1.0)
+    zeros = Trajectory.constant(tgrid, grid, 0.0)
+    weights = CostWeights(1.0, 0.5, 1.0, Trajectory.constant(tgrid, grid, 0.3), zeros)
+    built = []
+    post_init = Trajectory.__post_init__
+    monkeypatch.setattr(
+        Trajectory, "__post_init__", lambda self: built.append(1) or post_init(self)
+    )
+    state = solve_state(u, 1e-2, init, model, op)
+    adj = solve_adjoint(state, weights, model, op)
+    assert built == []
+    assert (state.tgrid, state.grid) == (tgrid, grid)
+    assert all(type(a) is np.ndarray for a in (state.mu, state.rho, state.xi))
+    assert all(type(a) is np.ndarray for a in (adj.mu_dual, adj.rho_dual, adj.multiplier))
+    Trajectory.constant(tgrid, grid, 0.0)  # the counter sees a construction
+    assert built == [1]
+
+
 def test_march_stops_at_the_first_non_finite_mu(monkeypatch):
     # mu, about u·tau/(1 + 2g) ≈ 1e305·2e4/2, overflows in the first
     # obstacle step, so no later step is taken
@@ -412,14 +437,14 @@ def test_march_stops_at_the_first_non_finite_mu(monkeypatch):
     assert len(calls) == 1
 
 
-def test_wrap_march_names_the_first_node_reached():
-    grid, tgrid = Grid.line(3, 1.0), TimeGrid(1.0, 4)
+def test_check_march_names_the_first_node_reached():
+    tgrid = TimeGrid(1.0, 4)
     a = np.zeros((5, 3))
     b = np.zeros((5, 3))
-    assert [t.values.shape for t in wrap_march("m", tgrid, grid, (a, b))] == [(5, 3)] * 2
+    assert check_march("m", tgrid, (a, b)) is None
     a[1, 2] = np.nan
     b[3, 0] = np.inf
     with pytest.raises(SolverError, match=r"^m: a non-finite value at time node 1 of 4$"):
-        wrap_march("m", tgrid, grid, (a, b))
+        check_march("m", tgrid, (a, b))
     with pytest.raises(SolverError, match=r"node 3 of 4, marching backward$"):
-        wrap_march("m", tgrid, grid, (a, b), backward=True)
+        check_march("m", tgrid, (a, b), backward=True)
