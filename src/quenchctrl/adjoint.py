@@ -29,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import CostWeights
-from .errors import ConfigError
+from .costs import CostWeights, _check_target
 from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig, log_potential_second, quench_scale
@@ -68,14 +67,15 @@ def solve_adjoint(
     """Backward march over the stored state trajectories, at the state's
     quench level: scale = quench_scale(state.alpha, quench_exponent).
 
-    An obstacle state (alpha = 0) raises ValueError.
+    An obstacle state (alpha = 0) raises ValueError; a target off the
+    state's mesh raises the cost's (A4) ConfigError.
     """
     if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
     rho, mu = state.rho, state.mu
     tgrid, grid = state.tgrid, state.grid
-    if weights.rho_target.values.shape != rho.shape or weights.mu_target.values.shape != mu.shape:
-        raise ConfigError("(A4) target does not match the state discretization")
+    _check_target(tgrid, grid, rho, weights.rho_target)
+    _check_target(tgrid, grid, mu, weights.mu_target)
     tau, nt = tgrid.tau, tgrid.steps
     scale = quench_scale(state.alpha, model.quench_exponent)
 

@@ -30,7 +30,13 @@ import numpy as np
 from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
-from .state import StateSolution, check_obstacle_signs, solve_state
+from .state import (
+    StateDiagnostics,
+    StateSolution,
+    check_obstacle_signs,
+    solve_state,
+    state_diagnostics,
+)
 
 if TYPE_CHECKING:
     from .optimize import ContinuationRun
@@ -305,10 +311,10 @@ def _write_json(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _state_invariant_violations(sol: StateSolution) -> list[str]:
-    """Post-run checks whose failure means the solver broke a contract."""
+def _state_invariant_violations(sol: StateSolution, d: StateDiagnostics) -> list[str]:
+    """Post-run checks whose failure means the solver broke a contract; d is
+    sol's `state_diagnostics`, the record the command writes."""
     out: list[str] = []
-    d = sol.diagnostics
     if d.mu_nonneg_ok is False:
         out.append(f"min mu = {d.min_mu:.3e} under nonnegative data")
     if sol.alpha > 0.0:
@@ -333,13 +339,14 @@ def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     sol = solve_state(
         problem.control, problem.config.alpha, problem.init, problem.model, problem.op
     )
+    diag = state_diagnostics(sol, problem.control, problem.model)
 
-    diagnostics = _json_text("diagnostics.json", asdict(sol.diagnostics))
+    diagnostics = _json_text("diagnostics.json", asdict(diag))
     out.mkdir(parents=True, exist_ok=True)
     write_fields_csv(out / "fields.csv", sol, problem.control)
     _write_json(out / "diagnostics.json", diagnostics)
     return (
-        _state_invariant_violations(sol),
+        _state_invariant_violations(sol, diag),
         f"wrote {out / 'fields.csv'} and {out / 'diagnostics.json'}",
     )
 
@@ -357,7 +364,7 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
         "all_converged": run.all_converged,
         "concentration_slope": run.concentration_slope,
         "stationarity_tol": tol,
-        "obstacle_diagnostics": asdict(run.final_state.diagnostics),
+        "obstacle_diagnostics": asdict(run.final_diagnostics),
     }
     return {"levels": levels, "final": final}
 
@@ -423,31 +430,28 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 
 def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     alphas = problem.config.sweep_values()
-
-    base = solve_state(problem.control, 0.0, problem.init, problem.model, problem.op)
-    rows = []
-    solutions = [base]
-    for alpha in alphas:
+    solutions = []  # (state, its diagnostics), the obstacle base first
+    for alpha in (0.0, *alphas):
         sol = solve_state(problem.control, alpha, problem.init, problem.model, problem.op)
-        solutions.append(sol)
-        rows.append(
-            (
-                alpha,
-                norm_l2_spacetime(problem.tgrid, problem.grid, sol.rho - base.rho),
-                norm_l2_spacetime(problem.tgrid, problem.grid, sol.mu - base.mu),
-                sol.diagnostics.xi_l6,
-                sol.diagnostics.energy_residual_max,
-            )
+        solutions.append((sol, state_diagnostics(sol, problem.control, problem.model)))
+    base, base_diag = solutions[0]
+    rows = [
+        (
+            alpha,
+            norm_l2_spacetime(problem.tgrid, problem.grid, sol.rho - base.rho),
+            norm_l2_spacetime(problem.tgrid, problem.grid, sol.mu - base.mu),
+            diag.xi_l6,
+            diag.energy_residual_max,
         )
-    rows.append(
-        (0.0, 0.0, 0.0, base.diagnostics.xi_l6, base.diagnostics.energy_residual_max)
-    )
+        for alpha, (sol, diag) in zip(alphas, solutions[1:])
+    ]
+    rows.append((0.0, 0.0, 0.0, base_diag.xi_l6, base_diag.energy_residual_max))
 
     header = ["alpha", "rho_distance", "mu_distance", "xi_l6", "energy_residual"]
     columns = _csv_columns("sweep.csv", header, [], np.array(rows).T)
     out.mkdir(parents=True, exist_ok=True)
     _write_columns(out / "sweep.csv", header, columns)
-    violations = [v for sol in solutions for v in _state_invariant_violations(sol)]
+    violations = [v for sol, diag in solutions for v in _state_invariant_violations(sol, diag)]
     return violations, f"wrote {out / 'sweep.csv'} ({len(rows)} rows)"
 
 

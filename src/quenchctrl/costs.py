@@ -66,12 +66,17 @@ class AdmissibleSet:
         return bool(np.all(u.values >= 0.0) and np.all(u.values <= self.ceiling.values))
 
 
-def tracking_misfit_sq(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> float:
-    """Squared L2 misfit of the array a on (tgrid, grid) over space-time,
-    left-endpoint rule in time.  A target on another mesh, even of a's
-    shape, is refused."""
+def _check_target(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> None:
+    """Refuse (A4) a target for the array a on (tgrid, grid) that lies on
+    another mesh, even one of a's shape: the cost and the adjoint share it."""
     if target.tgrid != tgrid or target.grid != grid or np.shape(a) != target.values.shape:
         raise ConfigError("(A4) target does not match the state discretization")
+
+
+def tracking_misfit_sq(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> float:
+    """Squared L2 misfit of the array a on (tgrid, grid) over space-time,
+    left-endpoint rule in time, against a target on the same mesh."""
+    _check_target(tgrid, grid, a, target)
     diff = a[:-1] - target.values[:-1]
     return float(np.sum(diff * diff) * tgrid.tau * grid.cell_volume)
 

@@ -8,7 +8,9 @@ there, so the controls form a Cauchy-like chain whose tail approximates
 the obstacle-limit optimality system.  After the last level the state is
 re-solved with the obstacle constraint.  The returned `ContinuationRun`
 holds every number of the limit report: the level records, the
-concentration slope and the obstacle re-solve.
+concentration slope and the obstacle re-solve with its diagnostics, the
+one `state_diagnostics` record of the run.  The level marches compute
+none: PGD reads only their arrays, through the cost and the adjoint.
 
 Both work on raw arrays: the iterate, the gradient, the descent
 direction, every trial point and every level metric are numpy arrays,
@@ -33,7 +35,14 @@ from .costs import (
 from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig
-from .state import InitialData, StateSolution, check_obstacle_signs, solve_state
+from .state import (
+    InitialData,
+    StateDiagnostics,
+    StateSolution,
+    check_obstacle_signs,
+    solve_state,
+    state_diagnostics,
+)
 
 __all__ = [
     "HistoryRow",
@@ -208,6 +217,7 @@ class LevelRecord:
 class ContinuationRun:
     levels: list[LevelRecord]
     final_state: StateSolution          # obstacle solve with the final control
+    final_diagnostics: StateDiagnostics  # state_diagnostics of final_state
     final_sign_violations: list[str]
     final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
     concentration_slope: float | None    # log-log slope of concentration over scale
@@ -298,6 +308,7 @@ def deep_quench_continuation(
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,
+        final_diagnostics=state_diagnostics(obstacle_state, result.control, model),
         final_sign_violations=check_obstacle_signs(obstacle_state),
         final_state_distance=norm_l2_spacetime(
             tgrid, grid, result.state.rho - obstacle_state.rho

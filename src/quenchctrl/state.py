@@ -7,7 +7,10 @@ update is a resolvent evaluation.  The chemical-potential update then
 solves one symmetric positive definite linear system: directly in 1D,
 by preconditioned conjugate gradients in 2D (`solve_step_system`).  The
 constraint term must be the implicit one, otherwise the iterates leave
-[0, 1].  Each march ends in `check_march`, its one finiteness check.
+[0, 1].  Each march ends in `check_march`, its one finiteness check,
+and returns its arrays and clamp count only.  The bounds, the reaction
+norm and the energy-balance defect of a state are `state_diagnostics`,
+which a command calls once for each state it reports.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "step_mu",
     "check_march",
     "solve_state",
+    "state_diagnostics",
     "energy_residual_profile",
     "energy_residual",
     "check_obstacle_signs",
@@ -89,7 +93,8 @@ class StateDiagnostics:
 
 @dataclass
 class StateSolution:
-    """Forward march: mu, rho and xi as arrays on one mesh, plus run diagnostics.
+    """Forward march: mu, rho and xi as arrays on one mesh, and the number
+    of mu step coefficients clamped at COEFFICIENT_FLOOR.
 
     xi is the constraint reaction: the obstacle multiplier at alpha = 0
     and scale·log_potential_prime(rho) on a quench level.
@@ -101,7 +106,7 @@ class StateSolution:
     rho: np.ndarray
     xi: np.ndarray
     alpha: float
-    diagnostics: StateDiagnostics
+    clamp_events: int
 
 
 def mu_zeroth_coefficient(
@@ -246,22 +251,26 @@ def solve_state(
             f"forward march, step to time node {n + 1} of {tgrid.steps}: {exc}"
         ) from exc
     check_march("forward march", tgrid, (mu, rho, xi))
+    return StateSolution(tgrid, grid, mu, rho, xi, alpha, clamp_events)
 
-    control_nonneg = bool(np.min(u.values) >= 0.0)  # InitialData holds mu0 >= 0
-    min_mu = float(np.min(mu))
-    diag = StateDiagnostics(
-        alpha=alpha,
+
+def state_diagnostics(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> StateDiagnostics:
+    """The reported record of the march sol driven by the control u: its
+    bounds, the L6 norm of xi, the energy-balance defect and the clamp
+    count.  mu_nonneg_ok is None unless u is nonnegative, the case in
+    which mu stays nonnegative (InitialData holds mu0 >= 0)."""
+    control_nonneg = bool(np.min(u.values) >= 0.0)
+    min_mu = float(np.min(sol.mu))
+    return StateDiagnostics(
+        alpha=sol.alpha,
         min_mu=min_mu,
-        min_rho=float(np.min(rho)),
-        max_rho=float(np.max(rho)),
-        xi_l6=norm_lp_spacetime(tgrid, grid, xi, 6.0),
-        energy_residual_max=0.0,
-        clamp_events=clamp_events,
+        min_rho=float(np.min(sol.rho)),
+        max_rho=float(np.max(sol.rho)),
+        xi_l6=norm_lp_spacetime(sol.tgrid, sol.grid, sol.xi, 6.0),
+        energy_residual_max=energy_residual(sol, u, model),
+        clamp_events=sol.clamp_events,
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,
     )
-    sol = StateSolution(tgrid, grid, mu=mu, rho=rho, xi=xi, alpha=alpha, diagnostics=diag)
-    diag.energy_residual_max = energy_residual(sol, u, model)
-    return sol
 
 
 def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> np.ndarray:

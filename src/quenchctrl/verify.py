@@ -57,6 +57,7 @@ from .state import (
     check_obstacle_signs,
     mu_zeroth_coefficient,
     solve_state,
+    state_diagnostics,
 )
 
 __all__ = [
@@ -529,9 +530,11 @@ def _state_march(rng: Draws) -> list[CheckResult]:
     op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), g)
     init = InitialData(g, np.full(g.shape, 0.5), np.ones(g.shape))
     u = Trajectory.constant(TimeGrid(1.0, 50), g, 1.0)
-    quenched = solve_state(u, 1e-3, init, PotentialConfig(), op)
-    obstacle = solve_state(u, 0.0, init, PotentialConfig(), op)
-    diags = (quenched.diagnostics, obstacle.diagnostics)
+    model = PotentialConfig()
+    quenched = solve_state(u, 1e-3, init, model, op)
+    diags = [state_diagnostics(quenched, u, model)]
+    obstacle = solve_state(u, 0.0, init, model, op)
+    diags.append(state_diagnostics(obstacle, u, model))
     worst_bounds = max(max(-d.min_rho, d.max_rho - 1.0, -(d.min_mu) - 1e-10) for d in diags)
     sign_violations = len(check_obstacle_signs(obstacle))
     residual = max(d.energy_residual_max for d in diags)

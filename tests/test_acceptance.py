@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from quenchctrl.adjoint import solve_adjoint, tracking_gradient
-from quenchctrl.cli import main
+from quenchctrl.cli import _state_invariant_violations, main
 from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
 from quenchctrl.grid import Trajectory, inner_product, inner_product_spacetime, norm_l2_spacetime
@@ -25,7 +25,7 @@ from quenchctrl.potentials import (
     obstacle_resolvent,
     quench_resolvent_detail,
 )
-from quenchctrl.state import check_obstacle_signs, energy_residual, solve_state
+from quenchctrl.state import check_obstacle_signs, energy_residual, solve_state, state_diagnostics
 from quenchctrl.verify import (
     bisection_quench_root,
     convolution_quadrature_oracle,
@@ -118,18 +118,18 @@ def test_criterion_01_fixed_point_exactness():
     report(1, worst <= 1e-14, f"max deviation {worst:.2e} <= 1e-14 at alpha in {{1, 1e-3, 0}}")
 
 
-def test_criterion_02_bounds_everywhere(sweep_solutions):
+def test_criterion_02_bounds_everywhere(default_problem, sweep_solutions):
     base, quench = sweep_solutions
-    tested = [("default obstacle", base)] + [
-        (f"default alpha={a:g}", s) for a, s in quench.items()
+    tested = [("default obstacle", default_problem, base)] + [
+        (f"default alpha={a:g}", default_problem, s) for a, s in quench.items()
     ]
     trivial = load_config(CONFIGS / "trivial.cfg")
     for alpha in (1.0, 1e-3, 0.0):
-        tested.append((f"trivial alpha={alpha:g}", solve_cfg(trivial, alpha)[1]))
+        tested.append((f"trivial alpha={alpha:g}", *solve_cfg(trivial, alpha)))
     smooth = load_config(CONFIGS / "smooth.cfg")
-    tested.append(("smooth alpha=0.5", solve_cfg(smooth, 0.5)[1]))
+    tested.append(("smooth alpha=0.5", *solve_cfg(smooth, 0.5)))
     twod = load_config(CONFIGS / "twod.cfg")
-    tested.append(("twod alpha=1e-3", solve_cfg(twod, 1e-3)[1]))
+    tested.append(("twod alpha=1e-3", *solve_cfg(twod, 1e-3)))
     varied = dataclasses.replace(
         load_config(CONFIGS / "default.cfg"),
         cells_x=16,
@@ -139,12 +139,12 @@ def test_criterion_02_bounds_everywhere(sweep_solutions):
         rho0="step:0.3,0.7,0.5",
         g_family="saturating",
     )
-    tested.append(("step/tophat alpha=1e-2", solve_cfg(varied, 1e-2)[1]))
-    tested.append(("step/tophat obstacle", solve_cfg(varied, 0.0)[1]))
+    tested.append(("step/tophat alpha=1e-2", *solve_cfg(varied, 1e-2)))
+    tested.append(("step/tophat obstacle", *solve_cfg(varied, 0.0)))
 
     failures = []
-    for name, sol in tested:
-        d = sol.diagnostics
+    for name, prob, sol in tested:
+        d = state_diagnostics(sol, prob.control, prob.model)
         if d.min_mu < -1e-10:
             failures.append(f"{name}: min mu {d.min_mu:.2e}")
         if sol.alpha > 0.0:
@@ -340,9 +340,10 @@ def test_criterion_08_deep_quench_convergence(sweep_solutions, default_run):
     )
 
 
-def test_criterion_09_uniform_reaction_norm(sweep_solutions):
+def test_criterion_09_uniform_reaction_norm(default_problem, sweep_solutions):
     _, quench = sweep_solutions
-    norms = [sol.diagnostics.xi_l6 for sol in quench.values()]
+    p = default_problem
+    norms = [state_diagnostics(sol, p.control, p.model).xi_l6 for sol in quench.values()]
     spread = max(norms) / min(norms)
     report(9, spread < 10.0, f"xi L6 norms spread factor {spread:.3f} < 10 across the sweep")
 
@@ -495,8 +496,8 @@ def test_twod_large_config_bounds_and_energy():
     # energy bound is criterion 3's
     cfg = load_config(CONFIGS / "twod_large.cfg")
     assert (cfg.dim, cfg.cells_x, cfg.cells_y) == (2, 128, 128)
-    _, sol = solve_cfg(cfg, cfg.alpha)
-    d = sol.diagnostics
+    prob, sol = solve_cfg(cfg, cfg.alpha)
+    d = state_diagnostics(sol, prob.control, prob.model)
     assert 0.0 < d.min_rho and d.max_rho < 1.0, (d.min_rho, d.max_rho)
     assert d.mu_nonneg_ok is True
     assert d.energy_residual_max <= 0.05, d.energy_residual_max
@@ -512,6 +513,18 @@ def test_anchored_levels_take_few_pgd_iterations(default_run):
     iters = [rec.iterations for rec in default_run.levels]
     assert all(i <= 3 for i in iters[1:]), iters
     assert sum(iters) <= 20, iters
+
+
+def test_level_states_pass_the_state_invariants(default_problem, default_run):
+    # the run reports diagnostics for its obstacle re-solve only, so each
+    # level's state is checked here: re-solved from the level's control at
+    # its alpha, it must pass the checks simulate applies to the state it
+    # writes (rho strictly inside (0, 1), mu nonnegative under u >= 0)
+    p = default_problem
+    for rec in default_run.levels:
+        sol = solve_state(rec.control, rec.alpha, p.init, p.model, p.op)
+        violations = _state_invariant_violations(sol, state_diagnostics(sol, rec.control, p.model))
+        assert violations == [], (rec.alpha, violations)
 
 
 # -- the obstacle limit itself -------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quenchctrl.adjoint import solve_adjoint
 from quenchctrl.errors import ConfigError
 from quenchctrl.costs import (
     AdmissibleSet,
@@ -63,7 +64,13 @@ def test_misfit_rejects_mismatched_discretization():
     g = Grid.line(5, 1.0)
     tg = TimeGrid(1.0, 4)
     values = np.zeros((tg.n_nodes,) + g.shape)
-    # another shape, and the same shape on another mesh in time or space
+    model = PotentialConfig()
+    op = NonlocalOperator(Kernel.zero(), g)
+    init = InitialData(g, np.full(g.shape, 0.5), np.zeros(g.shape))
+    state = solve_state(Trajectory.constant(tg, g, 0.0), 0.1, init, model, op)
+    solve_adjoint(state, make_weights(tg, g), model, op)  # the state's own mesh
+    # another shape, and the same shape on another mesh in time or space;
+    # the adjoint refuses each target as the cost does
     for other_tg, other_g in (
         (TimeGrid(1.0, 5), g),
         (TimeGrid(2.0, 4), g),
@@ -71,6 +78,8 @@ def test_misfit_rejects_mismatched_discretization():
     ):
         with pytest.raises(ConfigError, match=r"\(A4\)"):
             tracking_misfit_sq(tg, g, values, Trajectory.constant(other_tg, other_g, 0.0))
+        with pytest.raises(ConfigError, match=r"\(A4\)"):
+            solve_adjoint(state, make_weights(other_tg, other_g), model, op)
 
 
 def test_tracking_cost_frozen_value():
