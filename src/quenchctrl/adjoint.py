@@ -16,10 +16,9 @@ continuous dual system.  The duals, the gradient and the probe are arrays.
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
 freedom, which mirrors the fact that admissible probe functions vanish
-at t = 0.  The quench level is the state's alpha, which must be
-positive: the obstacle problem (alpha = 0) has no differentiable
-control-to-state map, its optimality system is reached through the
-continuation instead.
+at t = 0.  `solve_adjoint` covers quench levels (alpha > 0) only.  The
+obstacle march is piecewise smooth (clip's derivative is [0 < rho < 1]),
+so its exact adjoint exists off the kinks, but it is not implemented.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostWeights, _check_target
+from .errors import ConfigError
 from .grid import Trajectory, inner_product_spacetime, solve_step_system
 from .nonlocal_op import NonlocalOperator
-from .potentials import PotentialConfig, log_potential_second, quench_scale
+from .potentials import PotentialConfig, log_potential_second
 from .state import StateSolution, check_march, mu_zeroth_coefficient
 
 __all__ = [
@@ -48,14 +48,11 @@ __all__ = [
 @dataclass
 class AdjointSolution:
     """Dual arrays on the state's mesh: mu_dual drives the gradient, rho_dual
-    pairs with the constraint, multiplier = scale·log_potential_second(rho)·rho_dual,
-    and pairing_value = ∫∫ multiplier·rho_dual."""
+    pairs with the constraint, multiplier = state.scale·log_potential_second(rho)·rho_dual."""
 
     mu_dual: np.ndarray
     rho_dual: np.ndarray
     multiplier: np.ndarray
-    scale: float
-    pairing_value: float
 
 
 def solve_adjoint(
@@ -64,11 +61,11 @@ def solve_adjoint(
     model: PotentialConfig,
     op: NonlocalOperator,
 ) -> AdjointSolution:
-    """Backward march over the stored state trajectories, at the state's
-    quench level: scale = quench_scale(state.alpha, quench_exponent).
+    """Backward march over the stored state trajectories, at the scale
+    the forward march stepped with, `state.scale`.
 
     An obstacle state (alpha = 0) raises ValueError; a target off the
-    state's mesh raises the cost's (A4) ConfigError.
+    state's mesh or an operator on another grid raises ConfigError.
     """
     if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
@@ -76,8 +73,9 @@ def solve_adjoint(
     tgrid, grid = state.tgrid, state.grid
     _check_target(tgrid, grid, rho, weights.rho_target)
     _check_target(tgrid, grid, mu, weights.mu_target)
-    tau, nt = tgrid.tau, tgrid.steps
-    scale = quench_scale(state.alpha, model.quench_exponent)
+    if grid != op.grid:
+        raise ConfigError("(A3) nonlocal operator grid does not match the state")
+    tau, nt, scale = tgrid.tau, tgrid.steps, state.scale
 
     # each state-only coefficient once over the stacked nodes, in one node's
     # operation order; g' gets a row per node even where it is a float
@@ -110,7 +108,7 @@ def solve_adjoint(
     lam[1:nt] = scale * curv * q[1:nt]
 
     check_march("adjoint march", tgrid, (p, q, lam), backward=True)
-    return AdjointSolution(p, q, lam, scale, inner_product_spacetime(tgrid, grid, lam, q))
+    return AdjointSolution(p, q, lam)
 
 
 def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> np.ndarray:
@@ -123,6 +121,7 @@ def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights)
 class ConcentrationMetric(NamedTuple):
     value: float        # ∫∫ multiplier · rho(1-rho) · probe
     cross_check: float  # scale · ∫∫ rho_dual · probe, identical in exact arithmetic
+    pairing: float      # ∫∫ multiplier · rho_dual, the complementarity pairing
 
 
 def time_ramp_probe(tgrid, grid) -> np.ndarray:
@@ -133,7 +132,8 @@ def time_ramp_probe(tgrid, grid) -> np.ndarray:
 
 
 def concentration_metric(adj: AdjointSolution, state: StateSolution) -> ConcentrationMetric:
-    """Pair multiplier·rho(1-rho) with the probe t/T of `time_ramp_probe`.
+    """Pair multiplier·rho(1-rho) with the probe t/T of `time_ramp_probe`,
+    and the multiplier with rho_dual; adj is the adjoint of state.
 
     The pointwise identity multiplier·rho(1-rho) = scale·rho_dual makes
     value and cross_check agree to rounding; across quench levels the
@@ -143,5 +143,6 @@ def concentration_metric(adj: AdjointSolution, state: StateSolution) -> Concentr
     probe = time_ramp_probe(tgrid, grid)
     weighted = adj.multiplier * rho * (1.0 - rho)
     value = inner_product_spacetime(tgrid, grid, weighted, probe)
-    cross = adj.scale * inner_product_spacetime(tgrid, grid, adj.rho_dual, probe)
-    return ConcentrationMetric(value=value, cross_check=cross)
+    cross = state.scale * inner_product_spacetime(tgrid, grid, adj.rho_dual, probe)
+    pairing = inner_product_spacetime(tgrid, grid, adj.multiplier, adj.rho_dual)
+    return ConcentrationMetric(value=value, cross_check=cross, pairing=pairing)

@@ -30,13 +30,7 @@ import numpy as np
 from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
-from .state import (
-    StateDiagnostics,
-    StateSolution,
-    check_obstacle_signs,
-    solve_state,
-    state_diagnostics,
-)
+from .state import StateSolution, solve_state, state_diagnostics, state_violations
 
 if TYPE_CHECKING:
     from .optimize import ContinuationRun
@@ -311,20 +305,6 @@ def _write_json(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _state_invariant_violations(sol: StateSolution, d: StateDiagnostics) -> list[str]:
-    """Post-run checks whose failure means the solver broke a contract; d is
-    sol's `state_diagnostics`, the record the command writes."""
-    out: list[str] = []
-    if d.mu_nonneg_ok is False:
-        out.append(f"min mu = {d.min_mu:.3e} under nonnegative data")
-    if sol.alpha > 0.0:
-        if not (d.min_rho > 0.0 and d.max_rho < 1.0):
-            out.append("rho touched an obstacle on a quench run")
-    else:
-        out.extend(check_obstacle_signs(sol))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # commands: each runs its work on the built problem and returns its
 # invariant violations and the line to print when there are none;
@@ -346,7 +326,7 @@ def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     write_fields_csv(out / "fields.csv", sol, problem.control)
     _write_json(out / "diagnostics.json", diagnostics)
     return (
-        _state_invariant_violations(sol, diag),
+        state_violations(sol, diag),
         f"wrote {out / 'fields.csv'} and {out / 'diagnostics.json'}",
     )
 
@@ -421,7 +401,7 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
             violations.append(f"level {lvl} cost history increased")
         if rec.pairing < 0.0:
             violations.append(f"level {lvl} pairing negative")
-    violations.extend(run.final_sign_violations)
+    violations.extend(state_violations(run.final_state, run.final_diagnostics))
     return (
         violations,
         f"wrote {len(run.levels)} control files, history.csv, limit_report.json in {out}",
@@ -451,7 +431,7 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     columns = _csv_columns("sweep.csv", header, [], np.array(rows).T)
     out.mkdir(parents=True, exist_ok=True)
     _write_columns(out / "sweep.csv", header, columns)
-    violations = [v for sol, diag in solutions for v in _state_invariant_violations(sol, diag)]
+    violations = [v for sol, diag in solutions for v in state_violations(sol, diag)]
     return violations, f"wrote {out / 'sweep.csv'} ({len(rows)} rows)"
 
 
@@ -462,8 +442,8 @@ def _cmd_verify(args, problem: Problem, out: Path) -> tuple[list[str], str]:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     # the problem is built only to check that the config is constructible
     report = run_suite(seed=args.seed)
-    print(report.format_table())
     text = _json_text("verify_report.json", report.as_dict())
+    print(report.format_table())
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify_report.json", text)
     violations = [f"verify check {c.name} failed" for c in report.checks if not c.passed]

@@ -279,7 +279,7 @@ def deep_quench_continuation(
         gap = None if anchor is None else u_star.values - anchor.values
         levels.append(LevelRecord(
             alpha=alpha,
-            scale=result.adjoint.scale,
+            scale=result.state.scale,
             control=u_star,
             cost=result.cost,
             cost_plain=tracking_cost(result.state, u_star, weights),
@@ -288,7 +288,7 @@ def deep_quench_continuation(
             stalled=result.stalled,
             iterations=result.iterations,
             anchor_distance=None if gap is None else norm_l2_spacetime(tgrid, grid, gap),
-            pairing=result.adjoint.pairing_value,
+            pairing=metric.pairing,
             concentration=metric.value,
             concentration_cross=metric.cross_check,
             projection_residual=_projection_residual(u_star, result.adjoint, weights, box),

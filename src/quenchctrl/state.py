@@ -50,6 +50,7 @@ __all__ = [
     "energy_residual_profile",
     "energy_residual",
     "check_obstacle_signs",
+    "state_violations",
 ]
 
 # lower clamp on the zeroth-order coefficient of the mu step system,
@@ -93,8 +94,8 @@ class StateDiagnostics:
 
 @dataclass
 class StateSolution:
-    """Forward march: mu, rho and xi as arrays on one mesh, and the number
-    of mu step coefficients clamped at COEFFICIENT_FLOOR.
+    """Forward march: mu, rho and xi as arrays on one mesh, the scale it
+    stepped at, and the number of mu step coefficients clamped at COEFFICIENT_FLOOR.
 
     xi is the constraint reaction: the obstacle multiplier at alpha = 0
     and scale·log_potential_prime(rho) on a quench level.
@@ -106,6 +107,7 @@ class StateSolution:
     rho: np.ndarray
     xi: np.ndarray
     alpha: float
+    scale: float
     clamp_events: int
 
 
@@ -201,7 +203,8 @@ def solve_state(
     u supplies the source of the chemical-potential equation; the step
     from node n to n+1 consumes u at node n+1.  Each step, on raw arrays,
     is `step_rho` at the scale quench_scale(alpha, quench_exponent), 0 on
-    the obstacle problem, then the mu solve.  An alpha outside [0, 1],
+    the obstacle problem, then the mu solve.  An operator or initial data
+    on another grid than u's raise ConfigError.  An alpha outside [0, 1],
     or NaN, raises ValueError (from quench_scale), and so does an
     alpha > 0 whose scale underflows to 0: that march must not run as
     the obstacle problem.  The march stops at the first node whose mu is
@@ -213,6 +216,8 @@ def solve_state(
     grid = u.grid
     if grid != init.grid:
         raise ConfigError("(A2) control grid does not match the initial data")
+    if grid != op.grid:
+        raise ConfigError("(A3) nonlocal operator grid does not match the control")
     tau = tgrid.tau
     nodes = tgrid.n_nodes
 
@@ -251,7 +256,7 @@ def solve_state(
             f"forward march, step to time node {n + 1} of {tgrid.steps}: {exc}"
         ) from exc
     check_march("forward march", tgrid, (mu, rho, xi))
-    return StateSolution(tgrid, grid, mu, rho, xi, alpha, clamp_events)
+    return StateSolution(tgrid, grid, mu, rho, xi, alpha, scale, clamp_events)
 
 
 def state_diagnostics(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> StateDiagnostics:
@@ -329,4 +334,18 @@ def check_obstacle_signs(sol: StateSolution) -> list[str]:
         out.append("xi > 0 at cells pinned to 0")
     if np.any(xi[rho == 1.0] < 0.0):
         out.append("xi < 0 at cells pinned to 1")
+    return out
+
+
+def state_violations(sol: StateSolution, d: StateDiagnostics) -> list[str]:
+    """What every reported state must satisfy, as violation descriptions
+    (empty when clean); d is sol's `state_diagnostics`, the record written."""
+    out: list[str] = []
+    if d.mu_nonneg_ok is False:
+        out.append(f"min mu = {d.min_mu:.3e} under nonnegative data")
+    if sol.alpha > 0.0:
+        if not (d.min_rho > 0.0 and d.max_rho < 1.0):
+            out.append("rho touched an obstacle on a quench run")
+    else:
+        out.extend(check_obstacle_signs(sol))
     return out

@@ -645,7 +645,7 @@ def _adjoint(rng: Draws) -> list[CheckResult]:
             1e-7,
             "relative gap of the eps = 1e-2 quotient",
         ),
-        _bounded("adjoint_pairing_nonnegative", -adj.pairing_value, 0.0, "weighted dual pairing"),
+        _bounded("adjoint_pairing_nonnegative", -metric.pairing, 0.0, "weighted dual pairing"),
         _bounded(
             "concentration_identity",
             abs(metric.value - metric.cross_check) / denom,

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from quenchctrl.adjoint import solve_adjoint, tracking_gradient
-from quenchctrl.cli import _state_invariant_violations, main
+from quenchctrl.cli import main
 from quenchctrl.config import ProblemConfig, build_problem, load_config
 from quenchctrl.costs import CostWeights, tracking_cost
 from quenchctrl.grid import Trajectory, inner_product, inner_product_spacetime, norm_l2_spacetime
@@ -25,7 +25,13 @@ from quenchctrl.potentials import (
     obstacle_resolvent,
     quench_resolvent_detail,
 )
-from quenchctrl.state import check_obstacle_signs, energy_residual, solve_state, state_diagnostics
+from quenchctrl.state import (
+    check_obstacle_signs,
+    energy_residual,
+    solve_state,
+    state_diagnostics,
+    state_violations,
+)
 from quenchctrl.verify import (
     bisection_quench_root,
     convolution_quadrature_oracle,
@@ -444,29 +450,39 @@ def test_deep_quench_rate_first_order(sweep_solutions):
     assert 0.9 <= slope <= 1.1, slope
 
 
-def nested_distance(coarse: np.ndarray, fine: np.ndarray) -> float:
-    """Max difference between each coarse cell and the mean of the 2**dim
-    fine cells it holds, time along axis 0."""
+def nested_distance(coarse: np.ndarray, fine: np.ndarray, reduce=np.max) -> float:
+    """Max (or, with reduce=np.mean, mean) absolute difference between each
+    coarse cell and the mean of the 2**dim fine cells it holds, over every
+    time node; time along axis 0."""
     split = [n for cells in coarse.shape[1:] for n in (cells, 2)]
     means = fine.reshape(len(fine), *split).mean(axis=tuple(range(2, len(split) + 1, 2)))
-    return float(np.max(np.abs(coarse - means)))
+    return float(reduce(np.abs(coarse - means)))
 
 
 def test_space_refinement_second_order():
-    # neither run touches an obstacle; the max differences of successive
-    # refinements, through nested cell means, shrink by ~4
-    for name, sizes in (("smooth", [(32,), (64,), (128,), (256,)]),
-                        ("twod", [(12, 10), (24, 20), (48, 40)])):
+    # successive refinements compared through nested cell means; bounds were
+    # fixed before the first run.  smooth and twod touch no obstacle, and
+    # their max differences shrink by ~4.  default's contact front moves, so
+    # its max-norm orders scatter; there the space-time mean absolute
+    # differences shrink by ~4, at a quench level and at the obstacle alike
+    default_sizes = [(32,), (64,), (128,), (256,), (512,)]
+    for name, alpha, sizes, reduce, bound in (
+        ("smooth", None, [(32,), (64,), (128,), (256,)], np.max, 1.9),
+        ("twod", None, [(12, 10), (24, 20), (48, 40)], np.max, 1.9),
+        ("default", 1e-3, default_sizes, np.mean, 1.8),
+        ("default", 0.0, default_sizes, np.mean, 1.8),
+    ):
         cfg = load_config(CONFIGS / f"{name}.cfg")
         runs = []
         for size in sizes:
             cells = dict(zip(("cells_x", "cells_y"), size))
-            _, sol = solve_cfg(dataclasses.replace(cfg, **cells), cfg.alpha)
+            level = cfg.alpha if alpha is None else alpha
+            _, sol = solve_cfg(dataclasses.replace(cfg, **cells), level)
             runs.append((sol.rho, sol.mu))
         for k, field in enumerate(("rho", "mu")):
-            diffs = [nested_distance(a[k], b[k]) for a, b in zip(runs, runs[1:])]
+            diffs = [nested_distance(a[k], b[k], reduce) for a, b in zip(runs, runs[1:])]
             orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
-            assert all(order >= 1.9 for order in orders), (name, field, orders)
+            assert all(order >= bound for order in orders), (name, alpha, field, orders)
 
 
 def test_continuation_iterations_mesh_independent():
@@ -523,7 +539,7 @@ def test_level_states_pass_the_state_invariants(default_problem, default_run):
     p = default_problem
     for rec in default_run.levels:
         sol = solve_state(rec.control, rec.alpha, p.init, p.model, p.op)
-        violations = _state_invariant_violations(sol, state_diagnostics(sol, rec.control, p.model))
+        violations = state_violations(sol, state_diagnostics(sol, rec.control, p.model))
         assert violations == [], (rec.alpha, violations)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchctrl import cli, verify
+from quenchctrl import optimize as optimize_module
 from quenchctrl import state as state_module
 from quenchctrl.cli import main
 from quenchctrl.errors import SolverError
@@ -132,7 +134,7 @@ def test_csv_writers_golden_bytes(tmp_path):
     )
     g = Grid.line(2)
     mu, rho, xi, u = (Trajectory(tg, g, (k * vals).reshape(2, 2)) for k in (1.0, -2.0, 3e5, 1e-7))
-    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0)
+    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0.0, 0)
     cli.write_fields_csv(tmp_path / "fields.csv", sol, u)
     assert (tmp_path / "fields.csv").read_bytes() == (
         b"t_index,cell_index,mu,rho,xi,u\r\n"
@@ -157,7 +159,7 @@ def test_fields_csv_held_control_matches_materialized(tmp_path):
     held = Trajectory.constant(tg, g, profile)
     full = Trajectory(tg, g, np.tile(profile, (301, 1, 1)))
     assert held.values.strides[0] == 0 and full.values.strides[0] != 0
-    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0)
+    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0.0, 0)
     cli.write_fields_csv(tmp_path / "held.csv", sol, held)
     cli.write_fields_csv(tmp_path / "full.csv", sol, full)
     assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
@@ -173,7 +175,7 @@ def test_fields_csv_2d_matches_per_row_format(tmp_path):
         vals = np.random.default_rng(8).standard_normal((4, nodes, nx, ny))
         vals.reshape(-1)[:3] = [-0.0, 1e-300, 5e-324]
         mu, rho, xi, u = vals
-        sol = StateSolution(tg, g, mu, rho, xi, 0.0, 0)
+        sol = StateSolution(tg, g, mu, rho, xi, 0.0, 0.0, 0)
         cli.write_fields_csv(tmp_path / "fields.csv", sol, Trajectory(tg, g, u))
         expected = "t_index,cell_index,cell_index_y,mu,rho,xi,u\r\n" + "".join(
             "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % ((n, i, j) + tuple(vals[:, n, i, j]))
@@ -676,18 +678,36 @@ def test_non_finite_json_value_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite", lambda seed: VerificationReport(checks, 0.25))
     cfg = write_cfg(tmp_path, f"out_dir = {tmp_path / 'v'}\n")
     assert main(["verify", "--config", cfg]) == 3
-    assert capsys.readouterr().err == (
+    captured = capsys.readouterr()
+    assert captured.err == (
         "solver failure: verify_report.json: key checks[0].value holds NaN or an infinity (nan)\n"
     )
+    assert captured.out == ""  # the table is printed only once the report is valid
     assert not (tmp_path / "v" / "verify_report.json").exists()
 
 
 def test_invariant_violation_exit_1(tmp_path, monkeypatch, capsys):
     # exit-code plumbing: a reported violation must turn into exit 1
     cfg = write_cfg(tmp_path, SMALL)
-    monkeypatch.setattr(cli, "_state_invariant_violations", lambda sol, diag: ["synthetic check"])
+    monkeypatch.setattr(cli, "state_violations", lambda sol, diag: ["synthetic check"])
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "synthetic check" in capsys.readouterr().err
+
+
+def test_optimize_applies_the_state_invariants_to_its_re_solve(tmp_path, monkeypatch, capsys):
+    # the obstacle re-solve is the one state optimize reports: a record with
+    # mu_nonneg_ok False fails the run, as it fails simulate and sweep-alpha
+    real = optimize_module.state_diagnostics
+
+    def negative_mu(*args):
+        return dataclasses.replace(real(*args), min_mu=-0.5, mu_nonneg_ok=False)
+
+    monkeypatch.setattr(optimize_module, "state_diagnostics", negative_mu)
+    cfg = write_cfg(tmp_path, OPT)
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "invariant violation: min mu = -5.000e-01 under nonnegative data\n" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("command, calls", [("simulate", 1), ("sweep-alpha", 6), ("optimize", 1)])

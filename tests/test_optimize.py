@@ -169,7 +169,7 @@ def test_projection_residual_of_hand_built_duals():
     tgrid = TimeGrid(1.0, 4)
     zeros = Trajectory.constant(tgrid, grid, 0.0)
     mu_dual = Trajectory.constant(tgrid, grid, np.array([-5.0, -1.0, -0.5, -2.5]))
-    adj = AdjointSolution(mu_dual.values, zeros.values, zeros.values, 1e-3, 0.0)
+    adj = AdjointSolution(mu_dual.values, zeros.values, zeros.values)
     box = AdmissibleSet(Trajectory.constant(tgrid, grid, 2.0))
     weights = CostWeights(0.0, 0.0, 2.0, zeros, zeros)
     formula = np.array([2.0, 0.5, 0.25, 1.25])  # -mu_dual/2, clipped to the ceiling 2

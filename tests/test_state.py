@@ -20,7 +20,7 @@ from quenchctrl.grid import (
     solve_step_system,
 )
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
-from quenchctrl.potentials import PotentialConfig
+from quenchctrl.potentials import PotentialConfig, quench_scale
 from quenchctrl.state import (
     COEFFICIENT_FLOOR,
     InitialData,
@@ -349,6 +349,42 @@ def test_grid_mismatch_rejected():
     u = Trajectory.constant(tgrid, grid, 0.0)
     with pytest.raises(ConfigError, match=r"\(A2\)"):
         solve_state(u, 0.5, init, model, op)
+
+
+@pytest.mark.parametrize(
+    "grid, other",
+    [
+        (Grid.line(7, 1.0), Grid.line(4, 1.0)),  # np.convolve would broadcast one value
+        (Grid.line(7, 1.0), Grid.line(7, 5.0)),  # same cells, other spacing
+        (Grid.box((6, 4)), Grid.box((6, 4), (2.0, 1.0))),
+    ],
+    ids=["fewer-cells", "other-length", "2d-other-length"],
+)
+def test_operator_on_another_grid_rejected(grid, other):
+    # both marches refuse an operator whose weights were laid out for
+    # another grid, as the forward march refuses a control off the initial data's
+    tgrid = TimeGrid(1.0, 5)
+    model = PotentialConfig(f_strength=0.25)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+    u = Trajectory.constant(tgrid, grid, 1.0)
+    wrong = NonlocalOperator(Kernel.gaussian(1.0, 0.1), other)
+    with pytest.raises(ConfigError, match=r"\(A3\) nonlocal operator grid"):
+        solve_state(u, 1e-2, init, model, wrong)
+    state = solve_state(u, 1e-2, init, model, NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid))
+    zeros = Trajectory.constant(tgrid, grid, 0.0)
+    weights = CostWeights(1.0, 1.0, 1.0, zeros, zeros)
+    with pytest.raises(ConfigError, match=r"\(A3\) nonlocal operator grid"):
+        solve_adjoint(state, weights, model, wrong)
+
+
+def test_state_records_the_scale_it_stepped_with():
+    grid, tgrid, model, op = make_setup(n=8, steps=5)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+    u = Trajectory.constant(tgrid, grid, 1.0)
+    for alpha, exponent in ((1e-2, 1.0), (1e-2, 0.5), (0.0, 1.0)):
+        m = dataclasses.replace(model, quench_exponent=exponent)
+        expect = quench_scale(alpha, exponent) if alpha > 0.0 else 0.0
+        assert solve_state(u, alpha, init, m, op).scale == expect
 
 
 def test_solve_state_checks_alpha_and_never_runs_an_underflowed_level(monkeypatch):
