@@ -12,6 +12,7 @@ stepping, so `tracking_gradient`, control_weight·u + mu_dual, is the
 exact gradient of the discrete cost (in 2D, exact to the step solve's
 1e-14 relative tolerance) and a consistent discretization of the
 continuous dual system.  The duals, the gradient and the probe are arrays.
+The march and the gradient read model, operator, scale and control off the state.
 
 The terminal dual values vanish identically, and the node-0 values are
 stored as zero as well: the initial data carry no dual degree of
@@ -29,10 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CostWeights, _check_target
-from .errors import ConfigError
-from .grid import Trajectory, inner_product_spacetime, solve_step_system
-from .nonlocal_op import NonlocalOperator
-from .potentials import PotentialConfig, log_potential_second
+from .grid import inner_product_spacetime, solve_step_system
+from .potentials import log_potential_second
 from .state import StateSolution, check_march, mu_zeroth_coefficient
 
 __all__ = [
@@ -55,17 +54,13 @@ class AdjointSolution:
     multiplier: np.ndarray
 
 
-def solve_adjoint(
-    state: StateSolution,
-    weights: CostWeights,
-    model: PotentialConfig,
-    op: NonlocalOperator,
-) -> AdjointSolution:
-    """Backward march over the stored state trajectories, at the scale
-    the forward march stepped with, `state.scale`.
+def solve_adjoint(state: StateSolution, weights: CostWeights) -> AdjointSolution:
+    """Backward march over the stored state trajectories, with the model,
+    operator and scale the forward march stepped with: `state.model`,
+    `state.op` and `state.scale`.
 
     An obstacle state (alpha = 0) raises ValueError; a target off the
-    state's mesh or an operator on another grid raises ConfigError.
+    state's mesh raises ConfigError.
     """
     if state.alpha <= 0.0:
         raise ValueError("the dual system is only defined on quench levels (alpha > 0)")
@@ -73,9 +68,7 @@ def solve_adjoint(
     tgrid, grid = state.tgrid, state.grid
     _check_target(tgrid, grid, rho, weights.rho_target)
     _check_target(tgrid, grid, mu, weights.mu_target)
-    if grid != op.grid:
-        raise ConfigError("(A3) nonlocal operator grid does not match the state")
-    tau, nt, scale = tgrid.tau, tgrid.steps, state.scale
+    tau, nt, scale, model, op = tgrid.tau, tgrid.steps, state.scale, state.model, state.op
 
     # each state-only coefficient once over the stacked nodes, in one node's
     # operation order; g' gets a row per node even where it is a float
@@ -111,11 +104,11 @@ def solve_adjoint(
     return AdjointSolution(p, q, lam)
 
 
-def tracking_gradient(u: Trajectory, adj: AdjointSolution, weights: CostWeights) -> np.ndarray:
+def tracking_gradient(state: StateSolution, adj: AdjointSolution, weights: CostWeights) -> np.ndarray:
     """control_weight·u + mu_dual, the reduced gradient of the tracking cost at
-    u from the adjoint of u's state, as an array on u's space-time mesh: what
-    PGD descends along and verify checks."""
-    return weights.control_weight * u.values + adj.mu_dual
+    the state's control u from adj, the adjoint of state, as an array on the
+    state's space-time mesh: what PGD descends along and verify checks."""
+    return weights.control_weight * state.u + adj.mu_dual
 
 
 class ConcentrationMetric(NamedTuple):

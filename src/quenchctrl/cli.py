@@ -30,7 +30,9 @@ import numpy as np
 from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
-from .state import StateSolution, solve_state, state_diagnostics, state_violations
+from .state import (
+    StateSolution, check_obstacle_signs, solve_state, state_diagnostics, state_violations
+)
 
 if TYPE_CHECKING:
     from .optimize import ContinuationRun
@@ -261,13 +263,13 @@ def _write_csv(path: Path, header: list[str], int_columns, float_columns) -> Non
     _write_columns(path, header, _csv_columns(path.name, header, int_columns, float_columns))
 
 
-def write_fields_csv(path: Path, sol: StateSolution, u: Trajectory) -> None:
-    shape = u.values.shape
+def write_fields_csv(path: Path, sol: StateSolution) -> None:
+    shape = sol.u.shape
     _write_csv(
         path,
         _INDEX_HEADER[: len(shape)] + ["mu", "rho", "xi", "u"],
         np.indices(shape, sparse=True),
-        [sol.mu, sol.rho, sol.xi, u.values],
+        [sol.mu, sol.rho, sol.xi, sol.u],
     )
 
 
@@ -319,11 +321,11 @@ def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     sol = solve_state(
         problem.control, problem.config.alpha, problem.init, problem.model, problem.op
     )
-    diag = state_diagnostics(sol, problem.control, problem.model)
+    diag = state_diagnostics(sol)
 
     diagnostics = _json_text("diagnostics.json", asdict(diag))
     out.mkdir(parents=True, exist_ok=True)
-    write_fields_csv(out / "fields.csv", sol, problem.control)
+    write_fields_csv(out / "fields.csv", sol)
     _write_json(out / "diagnostics.json", diagnostics)
     return (
         state_violations(sol, diag),
@@ -339,7 +341,7 @@ def _continuation_report(run: ContinuationRun, tol: float) -> dict:
     final = {
         "vi_min": run.levels[-1].vi_min,
         "projection_residual": run.levels[-1].projection_residual,
-        "sign_violations": run.final_sign_violations,
+        "sign_violations": check_obstacle_signs(run.final_state),
         "state_distance": run.final_state_distance,
         "all_converged": run.all_converged,
         "concentration_slope": run.concentration_slope,
@@ -413,7 +415,7 @@ def _cmd_sweep(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     solutions = []  # (state, its diagnostics), the obstacle base first
     for alpha in (0.0, *alphas):
         sol = solve_state(problem.control, alpha, problem.init, problem.model, problem.op)
-        solutions.append((sol, state_diagnostics(sol, problem.control, problem.model)))
+        solutions.append((sol, state_diagnostics(sol)))
     base, base_diag = solutions[0]
     rows = [
         (

@@ -215,7 +215,11 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"config file {p} does not exist")
-        cfg_map = parse_config_text(p.read_text())
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
+        cfg_map = parse_config_text(text)
     return config_from_map({**cfg_map, **(overrides or {})})
 
 
@@ -252,7 +256,12 @@ def profile_values(profile: str, grid: Grid) -> np.ndarray:
         path = Path(arg)
         if not path.is_file():
             raise ConfigError(f"profile file {path} does not exist")
-        vals = np.loadtxt(path, delimiter=",", ndmin=1).reshape(-1)
+        # a UnicodeDecodeError is a ValueError; an empty file warns, which a
+        # warning filter such as PYTHONWARNINGS=error turns into a raise
+        try:
+            vals = np.loadtxt(path, delimiter=",", ndmin=1).reshape(-1)
+        except (ValueError, UserWarning) as exc:
+            raise ConfigError(f"profile file {path} is not a table of numbers: {exc}") from None
         if vals.size != grid.n_cells:
             raise ConfigError(
                 f"profile file {path} has {vals.size} values, grid needs {grid.n_cells}"

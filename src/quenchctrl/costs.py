@@ -6,6 +6,7 @@ state-tracking terms use the left-endpoint rule.  That choice makes the
 discrete adjoint of the time stepper satisfy exactly zero terminal
 conditions while its output is still the exact gradient of the discrete
 cost, so the Taylor test of the gradient is clean down to rounding.
+The cost takes a state alone and charges its control, `StateSolution.u`.
 """
 
 from __future__ import annotations
@@ -81,25 +82,23 @@ def tracking_misfit_sq(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Traje
     return float(np.sum(diff * diff) * tgrid.tau * grid.cell_volume)
 
 
-def tracking_cost(sol: StateSolution, u: Trajectory, w: CostWeights) -> float:
-    """Quadratic tracking plus control energy; always ≥ 0."""
+def tracking_cost(sol: StateSolution, w: CostWeights) -> float:
+    """Quadratic tracking of sol plus the energy of its control; always ≥ 0."""
     cost = 0.0
     if w.rho_weight > 0.0:
         cost += 0.5 * w.rho_weight * tracking_misfit_sq(sol.tgrid, sol.grid, sol.rho, w.rho_target)
     if w.mu_weight > 0.0:
         cost += 0.5 * w.mu_weight * tracking_misfit_sq(sol.tgrid, sol.grid, sol.mu, w.mu_target)
     if w.control_weight > 0.0:
-        cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(u.tgrid, u.grid, u.values))
+        cost += 0.5 * w.control_weight * _square(norm_l2_spacetime(sol.tgrid, sol.grid, sol.u))
     return cost
 
 
-def anchored_tracking_cost(
-    sol: StateSolution, u: Trajectory, w: CostWeights, anchor: Trajectory
-) -> float:
-    """Tracking cost plus a proximity penalty ½‖u - anchor‖² that ties a
+def anchored_tracking_cost(sol: StateSolution, w: CostWeights, anchor: Trajectory) -> float:
+    """Tracking cost plus a proximity penalty ½‖sol.u - anchor‖² that ties a
     continuation level to the optimizer of the previous one."""
-    gap = u.values - anchor.values
-    return tracking_cost(sol, u, w) + 0.5 * inner_product_spacetime(u.tgrid, u.grid, gap, gap)
+    gap = sol.u - anchor.values
+    return tracking_cost(sol, w) + 0.5 * inner_product_spacetime(sol.tgrid, sol.grid, gap, gap)
 
 
 def project_admissible(u: Trajectory, box: AdmissibleSet) -> Trajectory:

@@ -9,13 +9,15 @@ the obstacle-limit optimality system.  After the last level the state is
 re-solved with the obstacle constraint.  The returned `ContinuationRun`
 holds every number of the limit report: the level records, the
 concentration slope and the obstacle re-solve with its diagnostics, the
-one `state_diagnostics` record of the run.  The level marches compute
-none: PGD reads only their arrays, through the cost and the adjoint.
+one `state_diagnostics` record of the run; the report reads the
+re-solve's sign table off its state.  The level marches compute none:
+PGD reads only their arrays, through the cost and the adjoint.
 
 Both work on raw arrays: the iterate, the gradient, the descent
 direction, every trial point and every level metric are numpy arrays,
 and the box projection is np.clip.  A Trajectory is built only for
-each control whose state is solved: `solve_state` and the cost take one.
+each control whose state is solved, since `solve_state` takes one; the
+cost, the adjoint and the gradient read that control off the state.
 """
 
 from __future__ import annotations
@@ -35,14 +37,7 @@ from .costs import (
 from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
 from .nonlocal_op import NonlocalOperator
 from .potentials import PotentialConfig
-from .state import (
-    InitialData,
-    StateDiagnostics,
-    StateSolution,
-    check_obstacle_signs,
-    solve_state,
-    state_diagnostics,
-)
+from .state import InitialData, StateDiagnostics, StateSolution, solve_state, state_diagnostics
 
 __all__ = [
     "HistoryRow",
@@ -121,17 +116,17 @@ def projected_gradient_descent(
     def evaluate(control: Trajectory) -> tuple[float, StateSolution]:
         state = solve_state(control, alpha, init, model, op)
         if anchor is None:
-            return tracking_cost(state, control, weights), state
-        return anchored_tracking_cost(state, control, weights, anchor), state
+            return tracking_cost(state, weights), state
+        return anchored_tracking_cost(state, weights, anchor), state
 
-    def direction(control: Trajectory, state: StateSolution) -> tuple[AdjointSolution, np.ndarray]:
-        adj = solve_adjoint(state, weights, model, op)
-        grad = tracking_gradient(control, adj, weights)
-        return adj, grad if anchor is None else grad + (control.values - anchor.values)
+    def direction(state: StateSolution) -> tuple[AdjointSolution, np.ndarray]:
+        adj = solve_adjoint(state, weights)
+        grad = tracking_gradient(state, adj, weights)
+        return adj, grad if anchor is None else grad + (state.u - anchor.values)
 
     u = project_admissible(u0, box)
     cost, state = evaluate(u)
-    adj, grad = direction(u, state)
+    adj, grad = direction(state)
 
     history: list[HistoryRow] = []
     converged = stalled = False
@@ -167,7 +162,7 @@ def projected_gradient_descent(
             break
 
         u, cost, state = trial_u, trial_cost, trial_state
-        adj, grad = direction(u, state)
+        adj, grad = direction(state)
         iterations = it + 1
 
     return PGDResult(
@@ -218,7 +213,6 @@ class ContinuationRun:
     levels: list[LevelRecord]
     final_state: StateSolution          # obstacle solve with the final control
     final_diagnostics: StateDiagnostics  # state_diagnostics of final_state
-    final_sign_violations: list[str]
     final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
     concentration_slope: float | None    # log-log slope of concentration over scale
 
@@ -274,7 +268,7 @@ def deep_quench_continuation(
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
         metric = concentration_metric(result.adjoint, result.state)
-        plain_grad = tracking_gradient(u_star, result.adjoint, weights)
+        plain_grad = tracking_gradient(result.state, result.adjoint, weights)
         control_h1 = time_h1_norm(tgrid, grid, u_star.values)
         gap = None if anchor is None else u_star.values - anchor.values
         levels.append(LevelRecord(
@@ -282,7 +276,7 @@ def deep_quench_continuation(
             scale=result.state.scale,
             control=u_star,
             cost=result.cost,
-            cost_plain=tracking_cost(result.state, u_star, weights),
+            cost_plain=tracking_cost(result.state, weights),
             stationarity=result.stationarity,
             converged=result.converged,
             stalled=result.stalled,
@@ -308,8 +302,7 @@ def deep_quench_continuation(
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,
-        final_diagnostics=state_diagnostics(obstacle_state, result.control, model),
-        final_sign_violations=check_obstacle_signs(obstacle_state),
+        final_diagnostics=state_diagnostics(obstacle_state),
         final_state_distance=norm_l2_spacetime(
             tgrid, grid, result.state.rho - obstacle_state.rho
         ),

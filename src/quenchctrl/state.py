@@ -8,9 +8,10 @@ solves one symmetric positive definite linear system: directly in 1D,
 by preconditioned conjugate gradients in 2D (`solve_step_system`).  The
 constraint term must be the implicit one, otherwise the iterates leave
 [0, 1].  Each march ends in `check_march`, its one finiteness check,
-and returns its arrays and clamp count only.  The bounds, the reaction
-norm and the energy-balance defect of a state are `state_diagnostics`,
-which a command calls once for each state it reports.
+and returns its arrays, its clamp count and the control, model and
+operator it stepped with; every consumer reads those off the state.
+The bounds, the reaction norm and the energy-balance defect of a state
+are `state_diagnostics`, which a command calls once per reported state.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class StateDiagnostics:
 
 @dataclass
 class StateSolution:
-    """Forward march: mu, rho and xi as arrays on one mesh, the scale it
-    stepped at, and the number of mu step coefficients clamped at COEFFICIENT_FLOOR.
+    """Forward march: mu, rho and xi as arrays on one mesh; the control
+    values u (the array itself), model and op it stepped with, its scale,
+    and the number of mu step coefficients clamped at COEFFICIENT_FLOOR.
 
     xi is the constraint reaction: the obstacle multiplier at alpha = 0
     and scale·log_potential_prime(rho) on a quench level.
@@ -106,9 +108,12 @@ class StateSolution:
     mu: np.ndarray
     rho: np.ndarray
     xi: np.ndarray
+    u: np.ndarray
     alpha: float
     scale: float
     clamp_events: int
+    model: PotentialConfig
+    op: NonlocalOperator
 
 
 def mu_zeroth_coefficient(
@@ -256,15 +261,15 @@ def solve_state(
             f"forward march, step to time node {n + 1} of {tgrid.steps}: {exc}"
         ) from exc
     check_march("forward march", tgrid, (mu, rho, xi))
-    return StateSolution(tgrid, grid, mu, rho, xi, alpha, scale, clamp_events)
+    return StateSolution(tgrid, grid, mu, rho, xi, u.values, alpha, scale, clamp_events, model, op)
 
 
-def state_diagnostics(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> StateDiagnostics:
-    """The reported record of the march sol driven by the control u: its
-    bounds, the L6 norm of xi, the energy-balance defect and the clamp
-    count.  mu_nonneg_ok is None unless u is nonnegative, the case in
-    which mu stays nonnegative (InitialData holds mu0 >= 0)."""
-    control_nonneg = bool(np.min(u.values) >= 0.0)
+def state_diagnostics(sol: StateSolution) -> StateDiagnostics:
+    """The reported record of the march sol: its bounds, the L6 norm of
+    xi, the energy-balance defect and the clamp count.  mu_nonneg_ok is
+    None unless the control sol.u is nonnegative, the case in which mu
+    stays nonnegative (InitialData holds mu0 >= 0)."""
+    control_nonneg = bool(np.min(sol.u) >= 0.0)
     min_mu = float(np.min(sol.mu))
     return StateDiagnostics(
         alpha=sol.alpha,
@@ -272,29 +277,29 @@ def state_diagnostics(sol: StateSolution, u: Trajectory, model: PotentialConfig)
         min_rho=float(np.min(sol.rho)),
         max_rho=float(np.max(sol.rho)),
         xi_l6=norm_lp_spacetime(sol.tgrid, sol.grid, sol.xi, 6.0),
-        energy_residual_max=energy_residual(sol, u, model),
+        energy_residual_max=energy_residual(sol),
         clamp_events=sol.clamp_events,
         mu_nonneg_ok=(min_mu >= -1e-10) if control_nonneg else None,
     )
 
 
-def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> np.ndarray:
+def energy_residual_profile(sol: StateSolution) -> np.ndarray:
     """Relative defect of the balance law
 
         ∫ (1/2 + g(rho(t))) mu(t)² + ∫₀ᵗ∫ |∇mu|² = same at t=0 + ∫₀ᵗ∫ u·mu
 
-    evaluated on the discrete solution with trapezoidal time quadrature.
+    evaluated on sol with its own control and g, by the trapezoidal rule in time.
     The scheme satisfies it to first order in the step size.  Every term
     is quadratic in (mu, u), so where the squares would overflow both are
     divided by their max first; the relative defect does not change.
     """
-    tau, grid, mu, source_u = sol.tgrid.tau, sol.grid, sol.mu, u.values
+    tau, grid, mu, source_u = sol.tgrid.tau, sol.grid, sol.mu, sol.u
     space = tuple(range(1, mu.ndim))
     top = max(abs(float(x)) for x in (mu.min(), mu.max(), source_u.min(), source_u.max()))
     if top > 2.0**300:
         mu, source_u = mu / top, source_u / top
 
-    stored = np.sum((0.5 + model.g(sol.rho)) * mu * mu, axis=space) * grid.cell_volume
+    stored = np.sum((0.5 + sol.model.g(sol.rho)) * mu * mu, axis=space) * grid.cell_volume
     dissip = np.zeros(len(mu))
     for axis, h in enumerate(grid.spacing):
         d = np.diff(mu, axis=axis + 1) / h
@@ -310,8 +315,8 @@ def energy_residual_profile(sol: StateSolution, u: Trajectory, model: PotentialC
     return gap / np.maximum(scale, 1e-300)
 
 
-def energy_residual(sol: StateSolution, u: Trajectory, model: PotentialConfig) -> float:
-    return float(np.max(energy_residual_profile(sol, u, model)))
+def energy_residual(sol: StateSolution) -> float:
+    return float(np.max(energy_residual_profile(sol)))
 
 
 def check_obstacle_signs(sol: StateSolution) -> list[str]:

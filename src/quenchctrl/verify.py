@@ -532,9 +532,9 @@ def _state_march(rng: Draws) -> list[CheckResult]:
     u = Trajectory.constant(TimeGrid(1.0, 50), g, 1.0)
     model = PotentialConfig()
     quenched = solve_state(u, 1e-3, init, model, op)
-    diags = [state_diagnostics(quenched, u, model)]
+    diags = [state_diagnostics(quenched)]
     obstacle = solve_state(u, 0.0, init, model, op)
-    diags.append(state_diagnostics(obstacle, u, model))
+    diags.append(state_diagnostics(obstacle))
     worst_bounds = max(max(-d.min_rho, d.max_rho - 1.0, -(d.min_mu) - 1e-10) for d in diags)
     sign_violations = len(check_obstacle_signs(obstacle))
     residual = max(d.energy_residual_max for d in diags)
@@ -600,24 +600,24 @@ def _adjoint(rng: Draws) -> list[CheckResult]:
     )
     u = Trajectory(ts, gs, 0.5 + 0.25 * np.sin(2.0 * np.pi * x)[None, :] * t[:, None])
     state = solve_state(u, 0.5, init, model, op)
-    adj = solve_adjoint(state, weights, model, op)
+    adj = solve_adjoint(state, weights)
     ends = [d[k] for d in (adj.mu_dual, adj.rho_dual, adj.multiplier) for k in (-1, 0)]
     only_u = CostWeights(0.0, 0.0, 1.0, zeros, zeros)
-    adj_zero = solve_adjoint(state, only_u, model, op)
+    adj_zero = solve_adjoint(state, only_u)
     duals_zero = (adj_zero.mu_dual, adj_zero.rho_dual, adj_zero.multiplier)
 
     # the reduced gradient at u, from the adjoint already solved there
-    grad = tracking_gradient(u, adj, weights)
+    grad = tracking_gradient(state, adj, weights)
     v = np.cos(np.pi * x)[None, :] * (0.5 + 0.5 * np.sin(np.pi * t))[:, None]
 
     def cost_fn(w):
-        return tracking_cost(solve_state(w, 0.5, init, model, op), w, weights)
+        return tracking_cost(solve_state(w, 0.5, init, model, op), weights)
 
     def cost_along(e):
         return cost_fn(Trajectory(ts, gs, u.values + e * v))
 
     epsilons = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
-    j0 = tracking_cost(state, u, weights)
+    j0 = tracking_cost(state, weights)
     _, slope = taylor_remainder_slope(cost_fn, u, grad, v, epsilons, j0)
     pair = inner_product_spacetime(ts, gs, grad, v)
     central = (cost_along(1e-2) - cost_along(-1e-2)) / 2e-2

@@ -46,6 +46,10 @@ DERIVED = (
     # twod.cfg run to time 1 reaches the upper obstacle on 6 972 cells; no
     # shipped 2D config reaches it
     ("twod_contact", "twod", {"horizon = 0.25": "horizon = 1.0", "steps = 40": "steps = 100"}),
+    # every shipped config with a kernel runs the Gaussian one; the adjoint
+    # steps with the operator its state records
+    ("newtonian", "default",
+     {"kernel = gaussian": "kernel = newtonian", "steps = 200": "steps = 40"}),
 )
 
 
@@ -71,7 +75,7 @@ def contract_runs(configs: Path) -> list[tuple[str, list[str]]]:
             (f"{name}/sweep", ["sweep-alpha", "--config", cfg]),
         ]
     default = str(CONFIGS / "default.cfg")
-    small, saturating, contact = (str(configs / f"{name}.cfg") for name, _, _ in DERIVED)
+    small, saturating, contact, newtonian = (str(configs / f"{name}.cfg") for name, _, _ in DERIVED)
     runs += [
         ("default/obstacle", ["simulate", "--config", default, "--alpha", "0"]),
         ("small_domain/simulate", ["simulate", "--config", small]),
@@ -79,6 +83,7 @@ def contract_runs(configs: Path) -> list[tuple[str, list[str]]]:
         ("saturating/optimize", ["optimize", "--config", saturating]),
         ("twod_contact/obstacle", ["simulate", "--config", contact, "--alpha", "0"]),
         ("twod_contact/optimize", ["optimize", "--config", contact]),
+        ("newtonian/optimize", ["optimize", "--config", newtonian]),
     ]
     runs += [
         (f"verify/seed_{seed}", ["verify", "--config", default, "--seed", str(seed)])

@@ -150,7 +150,7 @@ def test_criterion_02_bounds_everywhere(default_problem, sweep_solutions):
 
     failures = []
     for name, prob, sol in tested:
-        d = state_diagnostics(sol, prob.control, prob.model)
+        d = state_diagnostics(sol)
         if d.min_mu < -1e-10:
             failures.append(f"{name}: min mu {d.min_mu:.2e}")
         if sol.alpha > 0.0:
@@ -172,7 +172,7 @@ def test_criterion_03_energy_identity():
     for steps in (200, 400):
         cfg = ProblemConfig(steps=steps)
         prob, sol = solve_cfg(cfg, cfg.alpha)
-        residuals[steps] = energy_residual(sol, prob.control, prob.model)
+        residuals[steps] = energy_residual(sol)
     res200 = residuals[200]
     ratio = residuals[200] / residuals[400]
     ok = res200 <= 0.05 and 1.6 <= ratio <= 2.6
@@ -253,16 +253,15 @@ def test_criterion_06_gradient_taylor(default_problem):
 
     def cost_at(w: Trajectory) -> float:
         sol = solve_state(w, alpha, p.init, p.model, p.op)
-        return tracking_cost(sol, w, p.weights)
+        return tracking_cost(sol, p.weights)
 
     sol_0 = solve_state(u, alpha, p.init, p.model, p.op)
 
     def gradient(weights: CostWeights) -> np.ndarray:
         """The reduced gradient at u: control_weight·u + mu_dual."""
-        adj = solve_adjoint(sol_0, weights, p.model, p.op)
-        return tracking_gradient(u, adj, weights)
+        return tracking_gradient(sol_0, solve_adjoint(sol_0, weights), weights)
 
-    j0 = tracking_cost(sol_0, u, p.weights)
+    j0 = tracking_cost(sol_0, p.weights)
     grad = gradient(p.weights)
     eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     _, slope = taylor_remainder_slope(cost_at, u, grad, v.values, eps, j0)
@@ -282,8 +281,8 @@ def test_criterion_06_gradient_taylor(default_problem):
     sol_e = solve_state(
         Trajectory(u.tgrid, u.grid, u.values + e * v.values), alpha, p.init, p.model, p.op
     )
-    j_e = tracking_cost(sol_e, Trajectory(u.tgrid, u.grid, u.values + e * v.values), w0)
-    j_0 = tracking_cost(sol_0, u, w0)
+    j_e = tracking_cost(sol_e, w0)
+    j_0 = tracking_cost(sol_0, w0)
     remainder = abs(j_e - j_0 - e * inner_product_spacetime(u.tgrid, u.grid, g0, v.values))
     analytic = 0.5 * 2.0 * e * e * norm_l2_spacetime(u.tgrid, u.grid, v.values) ** 2
     decoupled_rel = abs(remainder - analytic) / analytic
@@ -349,7 +348,7 @@ def test_criterion_08_deep_quench_convergence(sweep_solutions, default_run):
 def test_criterion_09_uniform_reaction_norm(default_problem, sweep_solutions):
     _, quench = sweep_solutions
     p = default_problem
-    norms = [state_diagnostics(sol, p.control, p.model).xi_l6 for sol in quench.values()]
+    norms = [state_diagnostics(sol).xi_l6 for sol in quench.values()]
     spread = max(norms) / min(norms)
     report(9, spread < 10.0, f"xi L6 norms spread factor {spread:.3f} < 10 across the sweep")
 
@@ -513,7 +512,7 @@ def test_twod_large_config_bounds_and_energy():
     cfg = load_config(CONFIGS / "twod_large.cfg")
     assert (cfg.dim, cfg.cells_x, cfg.cells_y) == (2, 128, 128)
     prob, sol = solve_cfg(cfg, cfg.alpha)
-    d = state_diagnostics(sol, prob.control, prob.model)
+    d = state_diagnostics(sol)
     assert 0.0 < d.min_rho and d.max_rho < 1.0, (d.min_rho, d.max_rho)
     assert d.mu_nonneg_ok is True
     assert d.energy_residual_max <= 0.05, d.energy_residual_max
@@ -539,7 +538,7 @@ def test_level_states_pass_the_state_invariants(default_problem, default_run):
     p = default_problem
     for rec in default_run.levels:
         sol = solve_state(rec.control, rec.alpha, p.init, p.model, p.op)
-        violations = state_violations(sol, state_diagnostics(sol, rec.control, p.model))
+        violations = state_violations(sol, state_diagnostics(sol))
         assert violations == [], (rec.alpha, violations)
 
 
@@ -558,7 +557,7 @@ def obstacle_quotients(p, u_star: Trajectory, seed: int) -> dict:
     vertex, a random box point, the ceiling and zero."""
 
     def j0(u: Trajectory) -> float:
-        return tracking_cost(solve_state(u, 0.0, p.init, p.model, p.op), u, p.weights)
+        return tracking_cost(solve_state(u, 0.0, p.init, p.model, p.op), p.weights)
 
     rng = np.random.default_rng(seed)
     ceiling = p.box.ceiling.values

@@ -17,6 +17,8 @@ from quenchctrl import state as state_module
 from quenchctrl.cli import main
 from quenchctrl.errors import SolverError
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
+from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
+from quenchctrl.potentials import PotentialConfig
 from quenchctrl.state import StateSolution
 from quenchctrl.verify import CheckResult, VerificationReport
 
@@ -51,6 +53,14 @@ FINAL_KEYS = {
     "vi_min", "projection_residual", "sign_violations", "state_distance", "all_converged",
     "concentration_slope", "stationarity_tol", "obstacle_diagnostics",
 }
+
+
+def obstacle_state(tg, g, mu, rho, xi, u):
+    """A hand-built obstacle StateSolution over the given arrays, for the
+    field table writer, which reads its arrays and control u."""
+    return StateSolution(
+        tg, g, mu, rho, xi, u, 0.0, 0.0, 0, PotentialConfig(), NonlocalOperator(Kernel.zero(), g)
+    )
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -134,8 +144,8 @@ def test_csv_writers_golden_bytes(tmp_path):
     )
     g = Grid.line(2)
     mu, rho, xi, u = (Trajectory(tg, g, (k * vals).reshape(2, 2)) for k in (1.0, -2.0, 3e5, 1e-7))
-    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0.0, 0)
-    cli.write_fields_csv(tmp_path / "fields.csv", sol, u)
+    sol = obstacle_state(tg, g, mu.values, rho.values, xi.values, u.values)
+    cli.write_fields_csv(tmp_path / "fields.csv", sol)
     assert (tmp_path / "fields.csv").read_bytes() == (
         b"t_index,cell_index,mu,rho,xi,u\r\n"
         b"0,0,0.10000000000000001,-0.20000000000000001,30000,1e-08\r\n"
@@ -159,9 +169,9 @@ def test_fields_csv_held_control_matches_materialized(tmp_path):
     held = Trajectory.constant(tg, g, profile)
     full = Trajectory(tg, g, np.tile(profile, (301, 1, 1)))
     assert held.values.strides[0] == 0 and full.values.strides[0] != 0
-    sol = StateSolution(tg, g, mu.values, rho.values, xi.values, 0.0, 0.0, 0)
-    cli.write_fields_csv(tmp_path / "held.csv", sol, held)
-    cli.write_fields_csv(tmp_path / "full.csv", sol, full)
+    for name, u in (("held", held), ("full", full)):
+        sol = obstacle_state(tg, g, mu.values, rho.values, xi.values, u.values)
+        cli.write_fields_csv(tmp_path / f"{name}.csv", sol)
     assert (tmp_path / "held.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
@@ -175,8 +185,7 @@ def test_fields_csv_2d_matches_per_row_format(tmp_path):
         vals = np.random.default_rng(8).standard_normal((4, nodes, nx, ny))
         vals.reshape(-1)[:3] = [-0.0, 1e-300, 5e-324]
         mu, rho, xi, u = vals
-        sol = StateSolution(tg, g, mu, rho, xi, 0.0, 0.0, 0)
-        cli.write_fields_csv(tmp_path / "fields.csv", sol, Trajectory(tg, g, u))
+        cli.write_fields_csv(tmp_path / "fields.csv", obstacle_state(tg, g, mu, rho, xi, u))
         expected = "t_index,cell_index,cell_index_y,mu,rho,xi,u\r\n" + "".join(
             "%d,%d,%d,%.17g,%.17g,%.17g,%.17g\r\n" % ((n, i, j) + tuple(vals[:, n, i, j]))
             for n in range(nodes)
@@ -252,7 +261,7 @@ def test_two_dimensional_fields_header(tmp_path):
     assert fields["rho"].shape == (7, 5, 4)
 
 
-def test_config_error_exit_2(tmp_path):
+def test_config_error_exit_2(tmp_path, capsys):
     bad = write_cfg(tmp_path, "nosuch_key = 1\n")
     assert main(["simulate", "--config", bad]) == 2
     missing = str(tmp_path / "missing.cfg")
@@ -262,6 +271,20 @@ def test_config_error_exit_2(tmp_path):
     assert main(["simulate", "--config", a2]) == 2
     neg = write_cfg(tmp_path, SMALL, name="neg.cfg")
     assert main(["simulate", "--config", neg, "--alpha", "-1"]) == 2
+    capsys.readouterr()
+    # input the program cannot read: a config file that is not UTF-8, and
+    # csv profiles numpy cannot parse; each error names the file
+    latin = tmp_path / "latin.cfg"
+    latin.write_bytes(SMALL.encode() + b"# \xff\n")
+    assert main(["simulate", "--config", str(latin)]) == 2
+    assert f"config error: config file {latin} is not UTF-8 text" in capsys.readouterr().err
+    for name, data in (("header", "x,y\n1,2\n"), ("ragged", "1,2\n3\n")):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(data)
+        cfg = write_cfg(tmp_path, SMALL + f"control = csv:{table}\n", name=f"{name}.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: profile file {table} is not" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,17 @@ def test_profile_values_kinds(tmp_path):
     q.write_text("0.1,0.2")
     with pytest.raises(ConfigError, match="grid needs"):
         profile_values(f"csv:{q}", g)
+    # a header line, a ragged table, a byte that is not UTF-8 and, where
+    # warnings raise, an empty file are input numpy cannot parse; each is a
+    # ConfigError naming the file
+    unreadable = (b"x,y\n1,2\n", b"1,2\n3\n", b"\xff,1\n", b"")
+    for k, data in enumerate(unreadable):
+        bad = tmp_path / f"unreadable_{k}.csv"
+        bad.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"profile file {bad} is not a table of numbers"):
+                profile_values(f"csv:{bad}", g)
 
 
 def test_profile_values_reject_non_finite(tmp_path):

@@ -68,7 +68,7 @@ def test_misfit_rejects_mismatched_discretization():
     op = NonlocalOperator(Kernel.zero(), g)
     init = InitialData(g, np.full(g.shape, 0.5), np.zeros(g.shape))
     state = solve_state(Trajectory.constant(tg, g, 0.0), 0.1, init, model, op)
-    solve_adjoint(state, make_weights(tg, g), model, op)  # the state's own mesh
+    solve_adjoint(state, make_weights(tg, g))  # the state's own mesh
     # another shape, and the same shape on another mesh in time or space;
     # the adjoint refuses each target as the cost does
     for other_tg, other_g in (
@@ -79,7 +79,7 @@ def test_misfit_rejects_mismatched_discretization():
         with pytest.raises(ConfigError, match=r"\(A4\)"):
             tracking_misfit_sq(tg, g, values, Trajectory.constant(other_tg, other_g, 0.0))
         with pytest.raises(ConfigError, match=r"\(A4\)"):
-            solve_adjoint(state, make_weights(other_tg, other_g), model, op)
+            solve_adjoint(state, make_weights(other_tg, other_g))
 
 
 def test_tracking_cost_frozen_value():
@@ -96,7 +96,7 @@ def test_tracking_cost_frozen_value():
     # unit space-time measure with the left-endpoint rule exact for
     # constants; control term is zero
     expected = 0.5 * 2.0 * 0.0625 + 0.5 * 4.0 * 0.25
-    assert tracking_cost(sol, u, w) == pytest.approx(expected, rel=1e-12)
+    assert tracking_cost(sol, w) == pytest.approx(expected, rel=1e-12)
 
 
 def test_anchored_cost_reduces_to_plain_at_anchor():
@@ -108,11 +108,11 @@ def test_anchored_cost_reduces_to_plain_at_anchor():
     u = Trajectory.constant(tg, grid, 0.7)
     sol = solve_state(u, 1e-2, init, model, op)
     w = make_weights(tg, grid)
-    plain = tracking_cost(sol, u, w)
-    assert anchored_tracking_cost(sol, u, w, u) == plain
+    plain = tracking_cost(sol, w)
+    assert anchored_tracking_cost(sol, w, u) == plain
     shifted = Trajectory.constant(tg, grid, 0.2)
     # anchor a constant 0.5 away over unit space-time measure adds 1/2*0.25
-    assert anchored_tracking_cost(sol, u, w, shifted) == pytest.approx(plain + 0.125, rel=1e-12)
+    assert anchored_tracking_cost(sol, w, shifted) == pytest.approx(plain + 0.125, rel=1e-12)
 
 
 def test_admissible_set_box_and_budget():

@@ -19,7 +19,7 @@ from quenchctrl.optimize import (
     variational_inequality_min,
 )
 from quenchctrl.potentials import PotentialConfig
-from quenchctrl.state import InitialData
+from quenchctrl.state import InitialData, check_obstacle_signs
 
 
 def small_problem(n=12, steps=15, rw=1.0, mw=0.5, cw=2.0, rho_t=0.8, mu_t=1.0):
@@ -199,7 +199,7 @@ def test_continuation_small_run_structure():
     assert all(d >= 0 for d in gaps)
     # obstacle limit: the last quench state is already close
     assert run.final_state_distance < 1e-2
-    assert run.final_sign_violations == []
+    assert check_obstacle_signs(run.final_state) == []
     assert run.final_state.alpha == 0.0
     for rec in run.levels:
         assert rec.pairing >= 0.0

@@ -214,13 +214,13 @@ def test_state_bounds_and_nonnegativity():
     u = Trajectory.constant(tgrid, grid, 1.0)
     for alpha in (1e-1, 1e-3):
         sol = solve_state(u, alpha, init, model, op)
-        d = state_diagnostics(sol, u, model)
+        d = state_diagnostics(sol)
         assert d.min_mu >= -1e-10
         assert d.mu_nonneg_ok
         assert 0.0 < d.min_rho
         assert d.max_rho < 1.0
     sol0 = solve_state(u, 0.0, init, model, op)
-    d0 = state_diagnostics(sol0, u, model)
+    d0 = state_diagnostics(sol0)
     assert d0.min_mu >= -1e-10
     assert 0.0 <= d0.min_rho
     assert d0.max_rho <= 1.0
@@ -233,7 +233,7 @@ def test_obstacle_contact_produces_active_set():
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, 0.0, init, model, op)
-    d = state_diagnostics(sol, u, model)
+    d = state_diagnostics(sol)
     assert d.max_rho == 1.0
     assert d.xi_l6 > 0.1
     assert check_obstacle_signs(sol) == []
@@ -243,7 +243,7 @@ def test_obstacle_contact_produces_active_set():
     cfg = dataclasses.replace(load_config(CONFIGS / "twod.cfg"), horizon=1.0, steps=100)
     p = build_problem(cfg)
     sol = solve_state(p.control, 0.0, p.init, p.model, p.op)
-    assert state_diagnostics(sol, p.control, p.model).max_rho == 1.0
+    assert state_diagnostics(sol).max_rho == 1.0
     assert np.count_nonzero(sol.rho == 1.0) == 6972
     assert check_obstacle_signs(sol) == []
 
@@ -267,7 +267,7 @@ def test_energy_residual_first_order_in_tau():
         tgrid = TimeGrid(1.0, steps)
         u = Trajectory.constant(tgrid, grid, 1.0)
         sol = solve_state(u, 1e-3, init, model, op)
-        residuals.append(energy_residual(sol, u, model))
+        residuals.append(energy_residual(sol))
     assert residuals[1] <= 0.05
     ratio = residuals[0] / residuals[1]
     assert 1.6 <= ratio <= 2.6
@@ -325,7 +325,7 @@ def test_energy_residual_profile_matches_node_loop():
     sol2 = solve_state(u2, 1e-3, init2, model, op2)
     for s, v in ((sol, u), (sol2, u2)):
         ref = energy_residual_profile_loop(s, v, model)
-        fast = energy_residual_profile(s, v, model)
+        fast = energy_residual_profile(s)
         assert fast.shape == ref.shape
         assert np.max(np.abs(fast - ref)) <= 1e-12
         assert np.max(ref) > 0.0
@@ -361,8 +361,9 @@ def test_grid_mismatch_rejected():
     ids=["fewer-cells", "other-length", "2d-other-length"],
 )
 def test_operator_on_another_grid_rejected(grid, other):
-    # both marches refuse an operator whose weights were laid out for
-    # another grid, as the forward march refuses a control off the initial data's
+    # the forward march refuses an operator whose weights were laid out for
+    # another grid, as it refuses a control off the initial data's; the
+    # adjoint steps with the state's own operator, so it cannot be handed one
     tgrid = TimeGrid(1.0, 5)
     model = PotentialConfig(f_strength=0.25)
     init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
@@ -370,11 +371,20 @@ def test_operator_on_another_grid_rejected(grid, other):
     wrong = NonlocalOperator(Kernel.gaussian(1.0, 0.1), other)
     with pytest.raises(ConfigError, match=r"\(A3\) nonlocal operator grid"):
         solve_state(u, 1e-2, init, model, wrong)
-    state = solve_state(u, 1e-2, init, model, NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid))
-    zeros = Trajectory.constant(tgrid, grid, 0.0)
-    weights = CostWeights(1.0, 1.0, 1.0, zeros, zeros)
-    with pytest.raises(ConfigError, match=r"\(A3\) nonlocal operator grid"):
-        solve_adjoint(state, weights, model, wrong)
+
+
+def test_state_records_the_control_model_and_operator_it_stepped_with():
+    # the state holds the march's own objects: the control's values array
+    # itself (a held control stays a stride-0 view), the model and the operator
+    grid, tgrid, model, op = make_setup(n=8, steps=5)
+    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
+    held = Trajectory.constant(tgrid, grid, 1.0)
+    full = Trajectory(tgrid, grid, np.ones((tgrid.n_nodes,) + grid.shape))
+    for u in (held, full):
+        for alpha in (1e-2, 0.0):
+            sol = solve_state(u, alpha, init, model, op)
+            assert (sol.u is u.values, sol.model is model, sol.op is op) == (True, True, True)
+    assert held.values.strides[0] == 0
 
 
 def test_state_records_the_scale_it_stepped_with():
@@ -420,7 +430,7 @@ def test_two_dimensional_run_smoke():
     u = Trajectory.constant(tgrid, grid, 1.0)
     sol = solve_state(u, 1e-2, init, model, op)
     assert sol.rho.shape == (21, 8, 6)
-    d = state_diagnostics(sol, u, model)
+    d = state_diagnostics(sol)
     assert d.min_mu >= -1e-10
     assert 0.0 < d.min_rho <= d.max_rho < 1.0
 
@@ -455,9 +465,9 @@ def test_march_computes_no_diagnostics(monkeypatch):
     sol = solve_state(u, 1e-2, init, model, op)
     assert calls == []
     assert sol.clamp_events == 0
-    d = state_diagnostics(sol, u, model)
+    d = state_diagnostics(sol)
     assert calls == [1]
-    assert d.energy_residual_max == residual(sol, u, model)
+    assert d.energy_residual_max == residual(sol)
     assert (d.alpha, d.clamp_events, d.mu_nonneg_ok) == (1e-2, 0, True)
 
 
@@ -475,7 +485,7 @@ def test_marches_build_no_trajectory(monkeypatch):
         Trajectory, "__post_init__", lambda self: built.append(1) or post_init(self)
     )
     state = solve_state(u, 1e-2, init, model, op)
-    adj = solve_adjoint(state, weights, model, op)
+    adj = solve_adjoint(state, weights)
     assert built == []
     assert (state.tgrid, state.grid) == (tgrid, grid)
     assert all(type(a) is np.ndarray for a in (state.mu, state.rho, state.xi))
