@@ -355,17 +355,7 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     from .optimize import deep_quench_continuation
 
     tol = problem.config.tol
-    run = deep_quench_continuation(
-        problem.config.schedule_values(),
-        problem.weights,
-        problem.box,
-        tol=tol,
-        max_iters=problem.config.max_iters,
-        u0=problem.control,
-        init=problem.init,
-        model=problem.model,
-        op=problem.op,
-    )
+    run = deep_quench_continuation(problem)
 
     history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
     history_header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]

@@ -9,11 +9,13 @@ control, ceiling) are small strings of the form
     step:left,right,at                      (jump along the first axis)
     csv:path/to/values.csv                  (one value per cell, C order)
 
-`build_problem` turns a validated record into the concrete grid,
-operators, initial data and cost that the rest of the package
-consumes; the optimizer reads its options from the record's `tol` and
-`max_iters`.  The shipped setups live in `configs/*.cfg`; vary a loaded
-config with `dataclasses.replace`.
+`build_problem` turns a validated record into the `Problem` the rest
+of the package consumes: the concrete grid, operators, initial data,
+cost and box.  The optimizer takes that `Problem` whole and reads its
+options from the record's `tol`, `max_iters` and `schedule`, their one
+owner.  The shipped setups live in `configs/*.cfg`; vary a loaded
+config with `dataclasses.replace`, or build a problem from
+`ProblemConfig(...)` with the keys to replace.
 """
 
 from __future__ import annotations

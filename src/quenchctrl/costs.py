@@ -96,7 +96,9 @@ def tracking_cost(sol: StateSolution, w: CostWeights) -> float:
 
 def anchored_tracking_cost(sol: StateSolution, w: CostWeights, anchor: Trajectory) -> float:
     """Tracking cost plus a proximity penalty ½‖sol.u - anchor‖² that ties a
-    continuation level to the optimizer of the previous one."""
+    continuation level to the optimizer of the previous one; the anchor
+    must lie on the state's mesh."""
+    _check_target(sol.tgrid, sol.grid, sol.u, anchor)
     gap = sol.u - anchor.values
     return tracking_cost(sol, w) + 0.5 * inner_product_spacetime(sol.tgrid, sol.grid, gap, gap)
 

@@ -1,5 +1,10 @@
 """Projected gradient descent and the deep-quench continuation.
 
+Both entry points take the one `config.Problem` they solve and read
+from it the cost weights, the box, the options `tol` and `max_iters`,
+and the march's initial data, model and operator; the continuation also
+reads the schedule and its start control.
+
 Each continuation level solves a box-constrained control problem at a
 fixed quench parameter.  Level 0 minimizes the plain tracking cost; each
 later level minimizes the anchored cost whose proximity term is
@@ -23,6 +28,7 @@ cost, the adjoint and the gradient read that control off the state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +41,10 @@ from .costs import (
     tracking_cost,
 )
 from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
-from .nonlocal_op import NonlocalOperator
-from .potentials import PotentialConfig
-from .state import InitialData, StateDiagnostics, StateSolution, solve_state, state_diagnostics
+from .state import StateDiagnostics, StateSolution, solve_state, state_diagnostics
+
+if TYPE_CHECKING:
+    from .config import Problem
 
 __all__ = [
     "HistoryRow",
@@ -80,26 +87,17 @@ class PGDResult:
 
 
 def projected_gradient_descent(
-    u0: Trajectory,
-    alpha: float,
-    weights: CostWeights,
-    box: AdmissibleSet,
-    *,
-    tol: float,
-    max_iters: int,
-    init: InitialData,
-    model: PotentialConfig,
-    op: NonlocalOperator,
-    anchor: Trajectory | None = None,
+    problem: Problem, u0: Trajectory, alpha: float, anchor: Trajectory | None = None
 ) -> PGDResult:
-    """Armijo projected gradient on the reduced cost at one quench level
-    alpha > 0.
+    """Armijo projected gradient on the problem's reduced cost at one
+    quench level alpha > 0, from u0, plain or anchored at `anchor`.
 
-    The run stops converged once the stationarity residual
-    ‖u - P(u - s0·g)‖, with the fixed reference step s0 = 1/control_weight
-    (1 if that weight is 0), is at most `tol`, or unconverged after
-    `max_iters` accepted steps.  The
-    first trial step is the inverse curvature of the cost's quadratic
+    The weights, the box, `tol`, `max_iters` and the march's initial
+    data, model and operator all come from `problem`.  The run stops
+    converged once the stationarity residual ‖u - P(u - s0·g)‖, with the
+    fixed reference step s0 = 1/control_weight (1 if that weight is 0),
+    is at most `tol`, or unconverged after `max_iters` accepted steps.
+    The first trial step is the inverse curvature of the cost's quadratic
     part: s0 on the plain cost, 1/(control_weight + 1) on the anchored
     one, whose proximity term adds 1.  Where the adjoint does not depend
     on u, that step lands on the projection formula
@@ -109,12 +107,13 @@ def projected_gradient_descent(
     nonincreasing by construction; if no acceptable step exists the run
     stops flagged as stalled.
     """
+    weights, box, cfg = problem.weights, problem.box, problem.config
     step0 = 1.0 / weights.control_weight if weights.control_weight > 0.0 else 1.0
     first_trial = step0 if anchor is None else 1.0 / (weights.control_weight + 1.0)
     tgrid, grid, ceiling = u0.tgrid, u0.grid, box.ceiling.values
 
     def evaluate(control: Trajectory) -> tuple[float, StateSolution]:
-        state = solve_state(control, alpha, init, model, op)
+        state = solve_state(control, alpha, problem.init, problem.model, problem.op)
         if anchor is None:
             return tracking_cost(state, weights), state
         return anchored_tracking_cost(state, weights, anchor), state
@@ -134,14 +133,14 @@ def projected_gradient_descent(
     stationarity = float("inf")
     s, backtracks = 0.0, 0
 
-    for it in range(max_iters + 1):
+    for it in range(cfg.max_iters + 1):
         x = u.values
         stationarity = norm_l2_spacetime(tgrid, grid, x - np.clip(x - step0 * grad, 0.0, ceiling))
         history.append(HistoryRow(it, s, backtracks, cost, stationarity))
-        if stationarity <= tol:
+        if stationarity <= cfg.tol:
             converged = True
             break
-        if it == max_iters:
+        if it == cfg.max_iters:
             break
 
         s = first_trial
@@ -231,20 +230,9 @@ def _projection_residual(
     return norm_l2_spacetime(u_star.tgrid, u_star.grid, u_star.values - candidate)
 
 
-def deep_quench_continuation(
-    schedule: list[float],
-    weights: CostWeights,
-    box: AdmissibleSet,
-    *,
-    tol: float,
-    max_iters: int,
-    u0: Trajectory,
-    init: InitialData,
-    model: PotentialConfig,
-    op: NonlocalOperator,
-) -> ContinuationRun:
-    """Drive the quench parameter down the schedule, re-optimizing at
-    each level with `tol` and `max_iters`, then report the obstacle-limit
+def deep_quench_continuation(problem: Problem) -> ContinuationRun:
+    """Drive the quench parameter down the problem's schedule from its
+    control, re-optimizing at each level, then report the obstacle-limit
     diagnostics.
 
     The schedule comes validated from `ProblemConfig.schedule_values()`:
@@ -254,16 +242,15 @@ def deep_quench_continuation(
     over log scale on the levels whose concentration is positive, and
     None when fewer than two are.
     """
-    tgrid, grid = u0.tgrid, u0.grid
+    tgrid, grid, weights, box = problem.tgrid, problem.grid, problem.weights, problem.box
     levels: list[LevelRecord] = []
     anchor: Trajectory | None = None
     result: PGDResult | None = None
 
-    for alpha in schedule:
+    for alpha in problem.config.schedule_values():
         # each level starts at the previous level's optimizer
         result = projected_gradient_descent(
-            u0 if anchor is None else anchor, alpha, weights, box,
-            tol=tol, max_iters=max_iters, init=init, model=model, op=op, anchor=anchor,
+            problem, problem.control if anchor is None else anchor, alpha, anchor
         )
         # a non-converged level is recorded and the later levels still run
         u_star = result.control
@@ -298,7 +285,7 @@ def deep_quench_continuation(
     if len(usable) >= 2:
         xs, ys = np.log(np.array(usable)).T
         slope = float(np.polyfit(xs, ys, 1)[0])
-    obstacle_state = solve_state(result.control, 0.0, init, model, op)
+    obstacle_state = solve_state(result.control, 0.0, problem.init, problem.model, problem.op)
     return ContinuationRun(
         levels=levels,
         final_state=obstacle_state,

@@ -30,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 CONFIGS = ROOT / "configs"
-SHIPPED = ("default", "smooth", "trivial", "twod", "twod_large")
+SHIPPED = ("default", "smooth", "trivial", "twod", "twod_contact", "twod_large")
 VERIFY_SEEDS = (0, 1, 2, 3, 17, 101, 4096)
 WALL_TIME_LINE = re.compile(rb"^\d+/\d+ checks passed in \S+ s\r?\n", re.MULTILINE)
 
@@ -43,9 +43,6 @@ DERIVED = (
     # config runs it
     ("saturating", "default",
      {"g_family = linear": "g_family = saturating", "steps = 200": "steps = 40"}),
-    # twod.cfg run to time 1 reaches the upper obstacle on 6 972 cells; no
-    # shipped 2D config reaches it
-    ("twod_contact", "twod", {"horizon = 0.25": "horizon = 1.0", "steps = 40": "steps = 100"}),
     # every shipped config with a kernel runs the Gaussian one; the adjoint
     # steps with the operator its state records
     ("newtonian", "default",
@@ -74,15 +71,14 @@ def contract_runs(configs: Path) -> list[tuple[str, list[str]]]:
             (f"{name}/optimize", ["optimize", "--config", cfg]),
             (f"{name}/sweep", ["sweep-alpha", "--config", cfg]),
         ]
-    default = str(CONFIGS / "default.cfg")
-    small, saturating, contact, newtonian = (str(configs / f"{name}.cfg") for name, _, _ in DERIVED)
+    default, contact = (str(CONFIGS / f"{name}.cfg") for name in ("default", "twod_contact"))
+    small, saturating, newtonian = (str(configs / f"{name}.cfg") for name, _, _ in DERIVED)
     runs += [
         ("default/obstacle", ["simulate", "--config", default, "--alpha", "0"]),
+        ("twod_contact/obstacle", ["simulate", "--config", contact, "--alpha", "0"]),
         ("small_domain/simulate", ["simulate", "--config", small]),
         ("small_domain/sweep", ["sweep-alpha", "--config", small]),
         ("saturating/optimize", ["optimize", "--config", saturating]),
-        ("twod_contact/obstacle", ["simulate", "--config", contact, "--alpha", "0"]),
-        ("twod_contact/optimize", ["optimize", "--config", contact]),
         ("newtonian/optimize", ["optimize", "--config", newtonian]),
     ]
     runs += [

@@ -76,36 +76,14 @@ def sweep_solutions(default_problem):
 @pytest.fixture(scope="module")
 def default_run(default_problem):
     """Full continuation on the default tracking config (the costly fixture)."""
-    p = default_problem
-    return deep_quench_continuation(
-        p.config.schedule_values(),
-        p.weights,
-        p.box,
-        tol=p.config.tol,
-        max_iters=p.config.max_iters,
-        u0=p.control,
-        init=p.init,
-        model=p.model,
-        op=p.op,
-    )
+    return deep_quench_continuation(default_problem)
 
 
 @pytest.fixture(scope="module")
 def twod_run():
     """Full continuation on configs/twod.cfg, with the problem it ran on."""
     p = build_problem(load_config(CONFIGS / "twod.cfg"))
-    run = deep_quench_continuation(
-        p.config.schedule_values(),
-        p.weights,
-        p.box,
-        tol=p.config.tol,
-        max_iters=p.config.max_iters,
-        u0=p.control,
-        init=p.init,
-        model=p.model,
-        op=p.op,
-    )
-    return p, run
+    return p, deep_quench_continuation(p)
 
 
 # -- criteria ----------------------------------------------------------------
@@ -296,27 +274,14 @@ def test_criterion_06_gradient_taylor(default_problem):
     )
 
 
-def test_criterion_07_trivial_optimum(default_problem):
-    p = default_problem
-    weights = CostWeights(
-        rho_weight=0.0,
-        mu_weight=0.0,
-        control_weight=1.0,
-        rho_target=Trajectory.constant(p.tgrid, p.grid, 0.0),
-        mu_target=Trajectory.constant(p.tgrid, p.grid, 0.0),
-    )
-    u0 = Trajectory(p.tgrid, p.grid, 0.5 * p.box.ceiling.values)
-    run = deep_quench_continuation(
-        p.config.schedule_values(),
-        weights,
-        p.box,
-        tol=1e-9,
-        max_iters=50,
-        u0=u0,
-        init=p.init,
-        model=p.model,
-        op=p.op,
-    )
+def test_criterion_07_trivial_optimum():
+    # the default problem with the tracking weights zeroed, from the
+    # control 1 = half the ceiling
+    p = build_problem(ProblemConfig(
+        rho_weight=0.0, mu_weight=0.0, control_weight=1.0,
+        rho_target="constant:0", mu_target="constant:0", tol=1e-9, max_iters=50,
+    ))
+    run = deep_quench_continuation(p)
     norms = [norm_l2_spacetime(p.tgrid, p.grid, rec.control.values) for rec in run.levels]
     iters = [rec.iterations for rec in run.levels]
     ok = all(n <= 1e-8 for n in norms) and all(i <= 50 for i in iters) and run.all_converged
@@ -486,21 +451,23 @@ def test_space_refinement_second_order():
 
 def test_continuation_iterations_mesh_independent():
     # the optimizer's effort is a property of the continuous problem: each
-    # level takes as many PGD iterations at 32, 64 and 128 cells, and the
-    # final control converges at second order in space
-    cfg = load_config(CONFIGS / "smooth.cfg")
-    counts, controls = [], []
-    for cells in (32, 64, 128):
-        p = build_problem(dataclasses.replace(cfg, cells_x=cells))
-        run = deep_quench_continuation(
-            p.config.schedule_values(), p.weights, p.box, tol=p.config.tol,
-            max_iters=p.config.max_iters, u0=p.control, init=p.init, model=p.model, op=p.op,
-        )
-        counts.append([rec.iterations for rec in run.levels])
-        controls.append(run.levels[-1].control.values)
-    assert counts[0] == counts[1] == counts[2], counts
-    diffs = [nested_distance(a, b) for a, b in zip(controls, controls[1:])]
-    assert np.log2(diffs[0] / diffs[1]) >= 1.9, diffs
+    # level takes as many PGD iterations at 32, 64 and 128 cells of smooth,
+    # and at 12×10, 24×20 and 48×40 of twod, and the final control
+    # converges at second order in space
+    for name, sizes in (
+        ("smooth", [(32,), (64,), (128,)]),
+        ("twod", [(12, 10), (24, 20), (48, 40)]),
+    ):
+        cfg = load_config(CONFIGS / f"{name}.cfg")
+        counts, controls = [], []
+        for size in sizes:
+            cells = dict(zip(("cells_x", "cells_y"), size))
+            run = deep_quench_continuation(build_problem(dataclasses.replace(cfg, **cells)))
+            counts.append([rec.iterations for rec in run.levels])
+            controls.append(run.levels[-1].control.values)
+        assert counts[0] == counts[1] == counts[2], (name, counts)
+        diffs = [nested_distance(a, b) for a, b in zip(controls, controls[1:])]
+        assert np.log2(diffs[0] / diffs[1]) >= 1.9, (name, diffs)
 
 
 # -- scale -------------------------------------------------------------------

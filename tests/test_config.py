@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -101,7 +102,9 @@ def test_schedule_and_sweep_parsing():
 
 def test_shipped_configs_all_build():
     paths = sorted(CONFIGS.glob("*.cfg"))
-    assert [p.stem for p in paths] == ["default", "smooth", "trivial", "twod", "twod_large"]
+    assert [p.stem for p in paths] == [
+        "default", "smooth", "trivial", "twod", "twod_contact", "twod_large"
+    ]
     for path in paths:
         cfg = load_config(path)
         prob = build_problem(cfg)
@@ -111,6 +114,9 @@ def test_shipped_configs_all_build():
     td = load_config(CONFIGS / "twod.cfg")
     assert td.dim == 2
     assert build_problem(td).grid.shape == (12, 10)
+    # twod_contact.cfg is twod.cfg run to time 1
+    contact = dataclasses.replace(td, horizon=1.0, steps=100)
+    assert load_config(CONFIGS / "twod_contact.cfg") == contact
 
 
 def test_profile_values_kinds(tmp_path):

@@ -1,9 +1,12 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from quenchctrl.adjoint import AdjointSolution
+from quenchctrl.config import ProblemConfig, build_problem
 from quenchctrl.costs import AdmissibleSet, CostWeights
+from quenchctrl.errors import ConfigError
 from quenchctrl.grid import (
     Grid,
     TimeGrid,
@@ -11,71 +14,42 @@ from quenchctrl.grid import (
     inner_product_spacetime,
     norm_l2_spacetime,
 )
-from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
 from quenchctrl.optimize import (
     _projection_residual,
     deep_quench_continuation,
     projected_gradient_descent,
     variational_inequality_min,
 )
-from quenchctrl.potentials import PotentialConfig
-from quenchctrl.state import InitialData, check_obstacle_signs
+from quenchctrl.state import check_obstacle_signs
 
 
-def small_problem(n=12, steps=15, rw=1.0, mw=0.5, cw=2.0, rho_t=0.8, mu_t=1.0):
-    grid = Grid.line(n, 1.0)
-    tgrid = TimeGrid(1.0, steps)
-    model = PotentialConfig(f_strength=0.25, g_family="linear")
-    op = NonlocalOperator(Kernel.gaussian(1.0, 0.1), grid)
-    init = InitialData(grid, np.full(grid.shape, 0.5), np.ones(grid.shape))
-    weights = CostWeights(
-        rho_weight=rw,
-        mu_weight=mw,
-        control_weight=cw,
-        rho_target=Trajectory.constant(tgrid, grid, rho_t),
-        mu_target=Trajectory.constant(tgrid, grid, mu_t),
-    )
-    box = AdmissibleSet(Trajectory.constant(tgrid, grid, 2.0))
-    return grid, tgrid, model, op, init, weights, box
+def small_problem(**keys):
+    """The default config on 12 cells and 15 steps, with keys replaced."""
+    return build_problem(ProblemConfig(cells_x=12, steps=15, **keys))
+
+
+# zero tracking weights: the cost is the control energy alone
+NO_TRACKING = dict(rho_weight=0.0, mu_weight=0.0, rho_target="constant:0", mu_target="constant:0")
 
 
 def test_pure_control_cost_collapses_to_zero():
     # no tracking reward: the optimum is u = 0 and one projected step
     # from anywhere lands exactly on it
-    grid, tgrid, model, op, init, _, box = small_problem()
-    weights = CostWeights(
-        rho_weight=0.0,
-        mu_weight=0.0,
-        control_weight=1.0,
-        rho_target=Trajectory.constant(tgrid, grid, 0.0),
-        mu_target=Trajectory.constant(tgrid, grid, 0.0),
-    )
-    u0 = Trajectory.constant(tgrid, grid, 1.0)
-    res = projected_gradient_descent(
-        u0, 1e-2, weights, box,
-        tol=1e-10, max_iters=200, init=init, model=model, op=op,
-    )
+    p = small_problem(**NO_TRACKING, control_weight=1.0, tol=1e-10)
+    res = projected_gradient_descent(p, p.control, 1e-2)
     assert res.converged
     assert res.iterations <= 2
-    assert norm_l2_spacetime(tgrid, grid, res.control.values) <= 1e-12
+    assert norm_l2_spacetime(p.tgrid, p.grid, res.control.values) <= 1e-12
 
 
 def test_anchored_step_lands_on_projection_formula():
     # zero tracking weights decouple the adjoint, so the anchored gradient
     # is (cw + 1)u - anchor and one step of 1/(cw + 1) lands on the
     # projection formula P(anchor/(cw + 1)) = 0.2/4
-    grid, tgrid, model, op, init, _, box = small_problem()
-    weights = CostWeights(
-        rho_weight=0.0,
-        mu_weight=0.0,
-        control_weight=3.0,
-        rho_target=Trajectory.constant(tgrid, grid, 0.0),
-        mu_target=Trajectory.constant(tgrid, grid, 0.0),
-    )
+    p = small_problem(**NO_TRACKING, control_weight=3.0, tol=1e-10)
     res = projected_gradient_descent(
-        Trajectory.constant(tgrid, grid, 0.7), 1e-2, weights, box,
-        tol=1e-10, max_iters=200, init=init, model=model, op=op,
-        anchor=Trajectory.constant(tgrid, grid, 0.2),
+        p, Trajectory.constant(p.tgrid, p.grid, 0.7), 1e-2,
+        Trajectory.constant(p.tgrid, p.grid, 0.2),
     )
     assert res.converged
     assert res.iterations == 1
@@ -83,13 +57,19 @@ def test_anchored_step_lands_on_projection_formula():
     assert [(row.step, row.backtracks) for row in res.history] == [(0.0, 0), (0.25, 0)]
 
 
+def test_anchor_on_another_mesh_rejected():
+    # an anchor of the control's shape on another time grid is refused,
+    # as the cost's targets are
+    p = build_problem(ProblemConfig(cells_x=8, steps=5))
+    anchor = Trajectory.constant(TimeGrid(2.0, 5), p.grid, 0.5)
+    assert anchor.values.shape == p.control.values.shape
+    with pytest.raises(ConfigError, match=r"\(A4\)"):
+        projected_gradient_descent(p, p.control, 1e-2, anchor)
+
+
 def test_history_costs_nonincreasing():
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    u0 = Trajectory.constant(tgrid, grid, 1.0)
-    res = projected_gradient_descent(
-        u0, 1e-2, weights, box,
-        tol=1e-6, max_iters=60, init=init, model=model, op=op,
-    )
+    p = small_problem(tol=1e-6, max_iters=60)
+    res = projected_gradient_descent(p, p.control, 1e-2)
     costs = [row.cost for row in res.history]
     assert all(a >= b - 1e-15 for a, b in zip(costs, costs[1:]))
     assert res.history[0].iteration == 0
@@ -99,11 +79,8 @@ def test_history_costs_nonincreasing():
 def test_history_records_accepted_step_and_backtracks():
     # with a small control weight the first trial step 1/cw = 50 overshoots
     # the tracking curvature, so some iterations halve it before acceptance
-    grid, tgrid, model, op, init, weights, box = small_problem(rw=5.0, cw=0.02)
-    res = projected_gradient_descent(
-        Trajectory.constant(tgrid, grid, 1.0), 1e-2, weights, box,
-        tol=1e-6, max_iters=60, init=init, model=model, op=op,
-    )
+    p = small_problem(rho_weight=5.0, control_weight=0.02, tol=1e-6, max_iters=60)
+    res = projected_gradient_descent(p, p.control, 1e-2)
     assert res.converged
     assert (res.history[0].step, res.history[0].backtracks) == (0.0, 0)
     assert all(row.step == 50.0 * 0.5 ** row.backtracks for row in res.history[1:])
@@ -111,29 +88,19 @@ def test_history_records_accepted_step_and_backtracks():
 
 
 def test_stationary_start_returns_immediately():
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    u0 = Trajectory.constant(tgrid, grid, 1.0)
-    first = projected_gradient_descent(
-        u0, 1e-2, weights, box,
-        tol=1e-8, max_iters=100, init=init, model=model, op=op,
-    )
+    p = small_problem(tol=1e-8, max_iters=100)
+    first = projected_gradient_descent(p, p.control, 1e-2)
     assert first.converged
-    again = projected_gradient_descent(
-        first.control, 1e-2, weights, box,
-        tol=1e-8, max_iters=100, init=init, model=model, op=op,
-    )
+    again = projected_gradient_descent(p, first.control, 1e-2)
     assert again.converged
     assert again.iterations == 0
     assert np.array_equal(again.control.values, first.control.values)
 
 
 def test_initial_point_is_projected():
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    wild = Trajectory.constant(tgrid, grid, 50.0)
-    res = projected_gradient_descent(
-        wild, 1e-1, weights, box,
-        tol=1e-5, max_iters=5, init=init, model=model, op=op,
-    )
+    p = small_problem(tol=1e-5, max_iters=5)
+    wild = Trajectory.constant(p.tgrid, p.grid, 50.0)
+    res = projected_gradient_descent(p, wild, 1e-1)
     assert np.max(res.control.values) <= 2.0
     assert np.min(res.control.values) >= 0.0
 
@@ -183,15 +150,10 @@ def test_projection_residual_of_hand_built_duals():
 
 
 def test_continuation_small_run_structure():
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    u0 = Trajectory.constant(tgrid, grid, 1.0)
-    schedule = [1e-1, 1e-2, 1e-3, 1e-4]
     run = deep_quench_continuation(
-        schedule, weights, box,
-        tol=1e-6, max_iters=80,
-        u0=u0, init=init, model=model, op=op,
+        small_problem(schedule="1e-1,1e-2,1e-3,1e-4", tol=1e-6, max_iters=80)
     )
-    assert [r.alpha for r in run.levels] == schedule
+    assert [r.alpha for r in run.levels] == [1e-1, 1e-2, 1e-3, 1e-4]
     assert run.all_converged
     # level 0 runs unanchored, so exactly the later levels report a gap
     assert run.levels[0].anchor_distance is None
@@ -213,13 +175,8 @@ def test_continuation_small_run_structure():
 def test_continuation_warm_start_continuity():
     # consecutive level optimizers stay close: the anchored gap at the
     # last level is far below the first one and the control moves little
-    grid, tgrid, model, op, init, weights, box = small_problem()
-    u0 = Trajectory.constant(tgrid, grid, 1.0)
-    run = deep_quench_continuation(
-        [1e-1, 1e-2, 1e-3], weights, box,
-        tol=1e-6, max_iters=80,
-        u0=u0, init=init, model=model, op=op,
-    )
+    p = small_problem(schedule="1e-1,1e-2,1e-3", tol=1e-6, max_iters=80)
+    run = deep_quench_continuation(p)
     last_gap = run.levels[-1].anchor_distance
-    ctrl_norm = norm_l2_spacetime(tgrid, grid, run.levels[-1].control.values)
+    ctrl_norm = norm_l2_spacetime(p.tgrid, p.grid, run.levels[-1].control.values)
     assert last_gap <= 0.1 * max(ctrl_norm, 1e-12)

@@ -238,10 +238,9 @@ def test_obstacle_contact_produces_active_set():
     assert d.xi_l6 > 0.1
     assert check_obstacle_signs(sol) == []
 
-    # and in 2D: twod.cfg with horizon = 1.0 and steps = 100 reaches it
-    # on 6 972 of its 12 000 cells after time 0
-    cfg = dataclasses.replace(load_config(CONFIGS / "twod.cfg"), horizon=1.0, steps=100)
-    p = build_problem(cfg)
+    # and in 2D: twod_contact.cfg reaches it on 6 972 of its 12 000 cells
+    # after time 0
+    p = build_problem(load_config(CONFIGS / "twod_contact.cfg"))
     sol = solve_state(p.control, 0.0, p.init, p.model, p.op)
     assert state_diagnostics(sol).max_rho == 1.0
     assert np.count_nonzero(sol.rho == 1.0) == 6972
