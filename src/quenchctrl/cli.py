@@ -9,8 +9,8 @@ Four commands over one flat config format:
 
 Exit codes: 0 success, 1 post-run invariant violation (each named on
 stderr), 2 configuration error, 3 solver failure, a non-finite value in
-a march or an output included.  All floats are printed with 17
-significant digits so reading a file back reproduces the run bit for bit.
+a march or an output included.  One kernel prints every CSV number as
+%.17g, so reading a file back reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -177,31 +177,29 @@ def _float_text(v: np.ndarray) -> np.ndarray:
     return np.take(out, inverse, axis=0)
 
 
-def _int_text(v: np.ndarray) -> np.ndarray:
-    """Rows of "%d," % i for each i of v, as a PAD-filled matrix."""
-    q = np.abs(v)
-    width = len(str(q.max())) + 2  # sign, digits, comma
-    out = np.full((len(v), width), _PAD, dtype=np.uint8)
-    out[:, 0] = np.uint8(ord("-")) * (v < 0)
-    out[:, -1] = ord(",")
-    out[:, -2] = q % 10 + ord("0")
-    for col in range(width - 3, 0, -1):  # leading zeros stay PAD
-        q = q // 10
-        out[:, col] = np.where(q > 0, q % 10 + ord("0"), _PAD)
+def _column_text(values: list[np.ndarray]) -> np.ndarray:
+    """Text of equally long value columns side by side, one row per value;
+    %.17g prints a whole number below 2^53, as every index is, as %d does."""
+    return _float_text(np.stack(values, axis=1, dtype=float).ravel()).reshape(len(values[0]), -1)
+
+
+def _squeeze(text: np.ndarray) -> np.ndarray:
+    """A text matrix with each row's PADs moved to its start and the columns
+    then PAD in every row cut; each row still ends in its comma."""
+    kept = text != _PAD
+    count = kept.sum(axis=1)
+    width = int(count.max())
+    out = np.full((len(text), width), _PAD, dtype=np.uint8)
+    out[np.arange(width) >= width - count[:, None]] = text[kept]  # both in C order
     return out
-
-
-def _column_text(fmt, values: list[np.ndarray]) -> np.ndarray:
-    """Text of equally long value columns side by side: one row per value."""
-    return fmt(np.stack(values, axis=1).ravel()).reshape(len(values[0]), -1)
 
 
 def _csv_columns(name: str, header: list[str], int_columns, float_columns) -> list[np.ndarray]:
     """The columns of the CSV table `name`, broadcast to one shape:
     integers first as int64, then floats.  A NaN or an infinity in a float
     column is a SolverError naming the first bad row by its integer
-    columns, so that a command can check every table before it creates
-    its output directory."""
+    columns, printed as whole numbers, so that a command can check every
+    table before it creates its output directory."""
     ints = [np.asarray(c, dtype=np.int64) for c in int_columns]
     columns = np.broadcast_arrays(*ints, *(np.asarray(c, dtype=float) for c in float_columns))
     floats = columns[len(ints):]
@@ -220,36 +218,35 @@ def _csv_columns(name: str, header: list[str], int_columns, float_columns) -> li
 def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write columns from `_csv_columns` as one CSV table.
 
-    Integer columns print as %d, float columns as %.17g, rows end in CRLF;
-    the columns are read in C order.  _CHUNK_ROWS rows at a time, each run
-    of neighbouring columns of one kind is formatted in one vector pass,
-    and the rows' text is written without its PAD bytes.  A column that
-    repeats along the first axis (stride 0, as the cell-index columns and
-    a time-constant control do) is formatted once, for one slice, and its
-    rows are looked up by row mod slice size.  A column that repeats along
-    every other axis (as the time index does, and each column of a table of
-    one axis) is formatted once per first-axis index, and its rows are
-    looked up by row // slice size.
+    Every column prints as %.17g, so the integer ones as %d; rows end in
+    CRLF, and the columns are read in C order.  _CHUNK_ROWS rows at a time,
+    each run of neighbouring columns that repeat alike is formatted in one
+    vector pass, and the rows' text is written without its PAD bytes.  A
+    column that repeats along the first axis (stride 0, as the cell-index
+    columns and a time-constant control do) is formatted once, for one
+    slice, and its rows are looked up by row mod slice size.  A column that
+    repeats along every other axis (as the time index does, and each column
+    of a table of one axis) is formatted once per first-axis index, and its
+    rows by row // slice size.  Text formatted once is `_squeeze`d once.
     """
     total, cells = columns[0].size, columns[0][0].size
-    runs = []  # (formatter, columns, text of their repeated values or None, held)
-    for (is_int, held, per_node), run in itertools.groupby(
-        columns, key=lambda c: (c.dtype == np.int64, c.strides[0] == 0, not any(c.strides[1:]))
+    runs = []  # (columns, squeezed text of their repeated values or None, held)
+    for (held, per_node), run in itertools.groupby(
+        columns, key=lambda c: (c.strides[0] == 0, not any(c.strides[1:]))
     ):
         run = list(run)
-        fmt = _int_text if is_int else _float_text
         repeated = [c[0].reshape(-1) if held else c.flat[::cells] for c in run]
-        runs.append((fmt, run, _column_text(fmt, repeated) if held or per_node else None, held))
+        runs.append((run, _squeeze(_column_text(repeated)) if held or per_node else None, held))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, total, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, total)
             node, cell = np.divmod(np.arange(start, stop), cells)
             parts = [
-                _column_text(fmt, [c.flat[start:stop] for c in run])
+                _column_text([c.flat[start:stop] for c in run])
                 if text is None
                 else np.take(text, cell if held else node, axis=0)
-                for fmt, run, text, held in runs
+                for run, text, held in runs
             ]
             parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
             lines = np.concatenate(parts, axis=1)
@@ -359,7 +356,6 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
 
     history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
     history_header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]
-    # backtracks sits between float columns; %.17g prints a whole number as %d does
     history_columns = _csv_columns(
         "history.csv",
         history_header,

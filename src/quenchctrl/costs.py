@@ -67,11 +67,14 @@ class AdmissibleSet:
         return bool(np.all(u.values >= 0.0) and np.all(u.values <= self.ceiling.values))
 
 
-def _check_target(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> None:
+def _check_target(
+    tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory, subject: str = "target"
+) -> None:
     """Refuse (A4) a target for the array a on (tgrid, grid) that lies on
-    another mesh, even one of a's shape: the cost and the adjoint share it."""
+    another mesh, even one of a's shape: the cost and the adjoint share it.
+    The refusal names it `subject`, a cost target or PGD's anchor."""
     if target.tgrid != tgrid or target.grid != grid or np.shape(a) != target.values.shape:
-        raise ConfigError("(A4) target does not match the state discretization")
+        raise ConfigError(f"(A4) {subject} does not match the state discretization")
 
 
 def tracking_misfit_sq(tgrid: TimeGrid, grid: Grid, a: np.ndarray, target: Trajectory) -> float:
@@ -98,7 +101,7 @@ def anchored_tracking_cost(sol: StateSolution, w: CostWeights, anchor: Trajector
     """Tracking cost plus a proximity penalty ½‖sol.u - anchor‖² that ties a
     continuation level to the optimizer of the previous one; the anchor
     must lie on the state's mesh."""
-    _check_target(sol.tgrid, sol.grid, sol.u, anchor)
+    _check_target(sol.tgrid, sol.grid, sol.u, anchor, "anchor")
     gap = sol.u - anchor.values
     return tracking_cost(sol, w) + 0.5 * inner_product_spacetime(sol.tgrid, sol.grid, gap, gap)
 

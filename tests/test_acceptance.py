@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven release criteria, one test each, four
+"""Acceptance gate: the eleven release criteria, one test each, five
 convergence gates, and a first-order check of the obstacle limit.
 
 Every criterion prints a single PASS/FAIL line with the measured numbers
@@ -447,6 +447,36 @@ def test_space_refinement_second_order():
             diffs = [nested_distance(a[k], b[k], reduce) for a, b in zip(runs, runs[1:])]
             orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
             assert all(order >= bound for order in orders), (name, alpha, field, orders)
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [("smooth", [(32,), (64,), (128,), (256,)]), ("twod", [(12, 10), (24, 20), (48, 40)])],
+    ids=["smooth", "twod"],
+)
+def test_duals_converge_where_the_state_does(name, sizes):
+    # the backward march is a consistent discretization of the dual system:
+    # off the obstacle, at the config's alpha and control, the duals' max
+    # differences through nested cell means shrink by ~4 per halving of h,
+    # and at the nodes every refinement of tau shares by ~2 per halving.
+    # Bounds were fixed before the first run
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+
+    def duals(**keys):
+        prob, sol = solve_cfg(dataclasses.replace(cfg, **keys), cfg.alpha)
+        adj = solve_adjoint(sol, prob.weights)
+        return adj.mu_dual, adj.rho_dual
+
+    space = [duals(**dict(zip(("cells_x", "cells_y"), size))) for size in sizes]
+    steps = [duals(steps=cfg.steps // 4 * 2**k) for k in range(5)]
+    for k, field in enumerate(("mu_dual", "rho_dual")):
+        diffs = [nested_distance(a[k], b[k]) for a, b in zip(space, space[1:])]
+        orders = [float(np.log2(a / b)) for a, b in zip(diffs, diffs[1:])]
+        assert all(order >= 1.9 for order in orders), (name, field, orders)
+        nodes = [run[k][:: 2**i] for i, run in enumerate(steps)]
+        diffs = [float(np.max(np.abs(a - b))) for a, b in zip(nodes, nodes[1:])]
+        ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+        assert all(1.8 <= r <= 2.2 for r in ratios), (name, field, ratios)
 
 
 def test_continuation_iterations_mesh_independent():

@@ -227,9 +227,38 @@ def test_float_text_matches_percent_format(values):
     assert _float_text_rows(values) == [b"%.17g," % x for x in values]
 
 
+def test_whole_numbers_print_as_percent_d():
+    # integer columns go through the %.17g kernel, which prints a whole
+    # number below 2^53 as %d does
+    values = [0, 1, 9, 10, 99, 4095, 10**15, 2**53]
+    values += [-i for i in values[1:]]
+    text = cli._column_text([np.array(values, dtype=np.int64)])
+    assert [bytes(row[row != 0]) for row in text] == [b"%d," % i for i in values]
+
+
+def test_held_and_per_node_columns_match_per_row_format(tmp_path):
+    # a per-node integer column, then a held integer column and a held
+    # float column, which share one run and end every row; 7 nodes of 900
+    # cells span several chunks, with chunk ends inside a node
+    nodes, cells = 7, 900
+    assert nodes * cells > 3 * cli._CHUNK_ROWS
+    rng = np.random.default_rng(5)
+    per_node = np.array([0, 7, 99, 1000, 4095, 10**15, 2**53])
+    held = rng.choice([-1.0, 1.0], cells) * 10.0 ** rng.uniform(-9, 18, cells)
+    held[:3] = [0.0, 3.0, -0.0]
+    path = tmp_path / "table.csv"
+    header = ["node", "cell", "value"]
+    cli._write_csv(path, header, [per_node[:, None], np.arange(cells)], [held])
+    expected = ",".join(header) + "\r\n" + "".join(
+        "%d,%d,%.17g\r\n" % (per_node[n], i, held[i]) for n in range(nodes) for i in range(cells)
+    )
+    assert path.read_bytes() == expected.encode()
+
+
 def test_history_shaped_table_matches_per_row_format(tmp_path):
     # int columns whose width changes between row chunks, whole-number
-    # floats, and values below 1e-6 that are formatted one by one
+    # floats, and values below 1e-6 that are formatted one by one; every
+    # column of a one-axis table is formatted once and squeezed
     n = 2 * cli._CHUNK_ROWS + 100
     rng = np.random.default_rng(3)
     level, iteration = np.arange(n) // 1000, np.arange(n)

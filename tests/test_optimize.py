@@ -59,11 +59,12 @@ def test_anchored_step_lands_on_projection_formula():
 
 def test_anchor_on_another_mesh_rejected():
     # an anchor of the control's shape on another time grid is refused,
-    # as the cost's targets are
+    # as the cost's targets are, by a message that names it an anchor
     p = build_problem(ProblemConfig(cells_x=8, steps=5))
     anchor = Trajectory.constant(TimeGrid(2.0, 5), p.grid, 0.5)
     assert anchor.values.shape == p.control.values.shape
-    with pytest.raises(ConfigError, match=r"\(A4\)"):
+    refusal = r"^\(A4\) anchor does not match the state discretization$"
+    with pytest.raises(ConfigError, match=refusal):
         projected_gradient_descent(p, p.control, 1e-2, anchor)
 
 
