@@ -21,7 +21,7 @@ import itertools
 import json
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,9 +30,7 @@ import numpy as np
 from .config import Problem, build_problem, load_config
 from .errors import ConfigError, SolverError
 from .grid import Trajectory, norm_l2_spacetime
-from .state import (
-    StateSolution, check_obstacle_signs, solve_state, state_diagnostics, state_violations
-)
+from .state import StateSolution, solve_state, state_diagnostics, state_violations
 
 if TYPE_CHECKING:
     from .optimize import ContinuationRun
@@ -330,42 +328,27 @@ def _cmd_simulate(args, problem: Problem, out: Path) -> tuple[list[str], str]:
     )
 
 
-def _continuation_report(run: ContinuationRun, tol: float) -> dict:
+def _continuation_report(run: ContinuationRun) -> dict:
     levels = [
         {f.name: getattr(rec, f.name) for f in fields(rec) if f.name not in ("control", "history")}
         for rec in run.levels
     ]
-    final = {
-        "vi_min": run.levels[-1].vi_min,
-        "projection_residual": run.levels[-1].projection_residual,
-        "sign_violations": check_obstacle_signs(run.final_state),
-        "state_distance": run.final_state_distance,
-        "all_converged": run.all_converged,
-        "concentration_slope": run.concentration_slope,
-        "stationarity_tol": tol,
-        "obstacle_diagnostics": asdict(run.final_diagnostics),
-    }
-    return {"levels": levels, "final": final}
+    return {"levels": levels, "final": asdict(run.final)}
 
 
 def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
-    from .optimize import deep_quench_continuation
+    from .optimize import HistoryRow, deep_quench_continuation
 
     tol = problem.config.tol
     run = deep_quench_continuation(problem)
 
-    history = [(lvl, row) for lvl, rec in enumerate(run.levels) for row in rec.history]
-    history_header = ["level", "iteration", "step", "backtracks", "cost", "stationarity"]
-    history_columns = _csv_columns(
-        "history.csv",
-        history_header,
-        [[lvl for lvl, _ in history], [row.iteration for _, row in history]],
-        [
-            [getattr(row, name) for _, row in history]
-            for name in ("step", "backtracks", "cost", "stationarity")
-        ],
-    )
-    report = _json_text("limit_report.json", _continuation_report(run, tol))
+    # level, then HistoryRow's fields; level and iteration label the rows
+    history_header = ["level", *(f.name for f in fields(HistoryRow))]
+    history = list(zip(
+        *((lvl, *astuple(row)) for lvl, rec in enumerate(run.levels) for row in rec.history)
+    ))
+    history_columns = _csv_columns("history.csv", history_header, history[:2], history[2:])
+    report = _json_text("limit_report.json", _continuation_report(run))
 
     out.mkdir(parents=True, exist_ok=True)
     for lvl, rec in enumerate(run.levels):
@@ -389,7 +372,7 @@ def _cmd_optimize(args, problem: Problem, out: Path) -> tuple[list[str], str]:
             violations.append(f"level {lvl} cost history increased")
         if rec.pairing < 0.0:
             violations.append(f"level {lvl} pairing negative")
-    violations.extend(state_violations(run.final_state, run.final_diagnostics))
+    violations.extend(state_violations(run.final_state, run.final.obstacle_diagnostics))
     return (
         violations,
         f"wrote {len(run.levels)} control files, history.csv, limit_report.json in {out}",

@@ -150,12 +150,18 @@ class ProblemConfig:
 
     def _check_quench_steps(self, key: str, alphas: list[float]) -> None:
         # the march steps the quench resolvent at s = tau·quench_scale(alpha),
-        # which must not underflow; a nonpositive exponent is PotentialConfig's
+        # whose bracket divides by s: 1/s must be finite, so s neither 0 nor
+        # below about 5.6e-309; a nonpositive exponent is PotentialConfig's
+        if self.quench_exponent <= 0.0:
+            return
         tau = self.horizon / self.steps
         for a in alphas:
-            if self.quench_exponent > 0.0 and tau * quench_scale(a, self.quench_exponent) == 0.0:
-                raise ConfigError(f"(A1) {key}: quench parameter {a!r} gives the resolvent "
-                                  "step (horizon/steps)·alpha^quench_exponent = 0")
+            s = tau * quench_scale(a, self.quench_exponent)
+            if s == 0.0 or not math.isfinite(1.0 / s):
+                raise ConfigError(
+                    f"(A1) {key}: quench parameter {a!r} gives no finite reciprocal of the "
+                    f"resolvent step (horizon/steps)·alpha^quench_exponent = {s:g}"
+                )
 
 
 def _float_list(key: str, text: str) -> list[float]:

@@ -33,7 +33,7 @@ class Kernel:
 
     Variants:
       gaussian   amplitude · exp(-r² / (2 width²))
-      newtonian  strength / max(r, core_radius)
+      newtonian  amplitude / max(r, core_radius)
       tophat     amplitude on r ≤ radius, zero beyond
       zero       identically zero
     """
@@ -75,7 +75,9 @@ class Kernel:
         return cls("zero", amplitude=0.0)
 
     def evaluate(self, r):
-        """k(r), elementwise for r ≥ 0; always finite."""
+        """k(r), elementwise for r ≥ 0; not always finite: the newtonian
+        amplitude / core_radius can overflow to inf, and a gaussian reads
+        NaN where r² and 2·width² both overflow."""
         r = np.asarray(r, dtype=float)
         if self.variant == "gaussian":
             return self.amplitude * np.exp(-(r * r) / (2.0 * self.width**2))
@@ -92,7 +94,12 @@ class NonlocalOperator:
     A weight is evaluated at r = |d·h| for the index offset d, so every
     pair of cells at one offset gets the same weight, top-hat ties
     (r == radius) included; a difference of cell centres can round
-    either side of such a tie.
+    either side of such a tie.  Overflows in forming the weights pass
+    unwarned: a gaussian's far tail then reads exactly 0.  The sum of
+    |weights| bounds every row sum of B, so a table whose sum is not a
+    finite double (an infinite weight, a NaN one where r² and 2·width²
+    both overflow, or a sum beyond the double range) is an (A3)
+    ConfigError.
     """
 
     def __init__(self, kernel: Kernel, grid: Grid):
@@ -100,8 +107,15 @@ class NonlocalOperator:
         self.grid = grid
         offsets = [np.arange(1 - n, n) * h for n, h in zip(grid.cells, grid.spacing)]
         mesh = np.meshgrid(*offsets, indexing="ij")
-        dist = np.sqrt(sum(m * m for m in mesh))
-        self.weights = kernel.evaluate(dist) * grid.cell_volume
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist = np.sqrt(sum(m * m for m in mesh))
+            self.weights = kernel.evaluate(dist) * grid.cell_volume
+            bound = float(np.sum(np.abs(self.weights)))
+        if not math.isfinite(bound):
+            raise ConfigError(
+                f"(A3) {kernel.variant} kernel: the sum of |weights| on this grid "
+                f"is not a finite double ({bound})"
+            )
         if grid.dim == 2:
             # circulant embedding: offset d sits at index d mod 2n, and the
             # one offset no pair of cells reaches (±n) holds a zero

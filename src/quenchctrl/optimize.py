@@ -12,10 +12,10 @@ centered at the optimizer of the previous level and is warm-started
 there, so the controls form a Cauchy-like chain whose tail approximates
 the obstacle-limit optimality system.  After the last level the state is
 re-solved with the obstacle constraint.  The returned `ContinuationRun`
-holds every number of the limit report: the level records, the
-concentration slope and the obstacle re-solve with its diagnostics, the
-one `state_diagnostics` record of the run; the report reads the
-re-solve's sign table off its state.  The level marches compute none:
+holds every number of the limit report: a `LevelRecord` per level and
+the `FinalRecord` that is the report's `final` block field for field,
+with the re-solve's sign table and its diagnostics, the one
+`state_diagnostics` record of the run.  The level marches compute none:
 PGD reads only their arrays, through the cost and the adjoint.
 
 Both work on raw arrays: the iterate, the gradient, the descent
@@ -41,7 +41,9 @@ from .costs import (
     tracking_cost,
 )
 from .grid import Trajectory, _square, inner_product_spacetime, norm_l2_spacetime, time_h1_norm
-from .state import StateDiagnostics, StateSolution, solve_state, state_diagnostics
+from .state import (
+    StateDiagnostics, StateSolution, check_obstacle_signs, solve_state, state_diagnostics
+)
 
 if TYPE_CHECKING:
     from .config import Problem
@@ -51,6 +53,7 @@ __all__ = [
     "PGDResult",
     "projected_gradient_descent",
     "LevelRecord",
+    "FinalRecord",
     "ContinuationRun",
     "deep_quench_continuation",
     "variational_inequality_min",
@@ -208,16 +211,24 @@ class LevelRecord:
 
 
 @dataclass
+class FinalRecord:
+    """limit_report.json's `final` block, field for field."""
+
+    vi_min: float                        # the last level's
+    projection_residual: float | None    # the last level's
+    sign_violations: list[str]           # check_obstacle_signs of the obstacle re-solve
+    state_distance: float                # ‖rho(last level) - rho(obstacle)‖ over space-time
+    all_converged: bool
+    concentration_slope: float | None    # log-log slope of concentration over scale
+    stationarity_tol: float              # the config's tol
+    obstacle_diagnostics: StateDiagnostics  # state_diagnostics of the obstacle re-solve
+
+
+@dataclass
 class ContinuationRun:
     levels: list[LevelRecord]
-    final_state: StateSolution          # obstacle solve with the final control
-    final_diagnostics: StateDiagnostics  # state_diagnostics of final_state
-    final_state_distance: float          # ‖rho(last level) - rho(obstacle)‖ over space-time
-    concentration_slope: float | None    # log-log slope of concentration over scale
-
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.levels)
+    final_state: StateSolution  # obstacle solve with the final control
+    final: FinalRecord
 
 
 def _projection_residual(
@@ -232,12 +243,13 @@ def _projection_residual(
 
 def deep_quench_continuation(problem: Problem) -> ContinuationRun:
     """Drive the quench parameter down the problem's schedule from its
-    control, re-optimizing at each level, then report the obstacle-limit
-    diagnostics.
+    control, re-optimizing at each level, then re-solve the state with
+    the obstacle constraint and fill the `FinalRecord` from the last
+    level, the config's `tol` and that re-solve.
 
     The schedule comes validated from `ProblemConfig.schedule_values()`:
-    nonempty, strictly decreasing, in (0, 1], and with a nonzero
-    resolvent step tau·quench_scale(alpha) at every level.  The
+    nonempty, strictly decreasing, in (0, 1], and with a resolvent step
+    tau·quench_scale(alpha) of finite reciprocal at every level.  The
     concentration slope is the least-squares slope of log concentration
     over log scale on the levels whose concentration is positive, and
     None when fewer than two are.
@@ -286,12 +298,14 @@ def deep_quench_continuation(problem: Problem) -> ContinuationRun:
         xs, ys = np.log(np.array(usable)).T
         slope = float(np.polyfit(xs, ys, 1)[0])
     obstacle_state = solve_state(result.control, 0.0, problem.init, problem.model, problem.op)
-    return ContinuationRun(
-        levels=levels,
-        final_state=obstacle_state,
-        final_diagnostics=state_diagnostics(obstacle_state),
-        final_state_distance=norm_l2_spacetime(
-            tgrid, grid, result.state.rho - obstacle_state.rho
-        ),
+    final = FinalRecord(
+        vi_min=levels[-1].vi_min,
+        projection_residual=levels[-1].projection_residual,
+        sign_violations=check_obstacle_signs(obstacle_state),
+        state_distance=norm_l2_spacetime(tgrid, grid, result.state.rho - obstacle_state.rho),
+        all_converged=all(r.converged for r in levels),
         concentration_slope=slope,
+        stationarity_tol=problem.config.tol,
+        obstacle_diagnostics=state_diagnostics(obstacle_state),
     )
+    return ContinuationRun(levels, obstacle_state, final)

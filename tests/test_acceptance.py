@@ -284,7 +284,7 @@ def test_criterion_07_trivial_optimum():
     run = deep_quench_continuation(p)
     norms = [norm_l2_spacetime(p.tgrid, p.grid, rec.control.values) for rec in run.levels]
     iters = [rec.iterations for rec in run.levels]
-    ok = all(n <= 1e-8 for n in norms) and all(i <= 50 for i in iters) and run.all_converged
+    ok = all(n <= 1e-8 for n in norms) and all(i <= 50 for i in iters) and run.final.all_converged
     report(
         7,
         ok,
@@ -321,11 +321,10 @@ def test_criterion_09_uniform_reaction_norm(default_problem, sweep_solutions):
 def test_criterion_10_limit_optimality(default_problem, default_run):
     # the numbers limit_report.json reports, as the run computed them; a
     # number the run could not form (None) reads as NaN and fails its bound
-    final = default_run.levels[-1]
+    final = default_run.final
     vi_min = final.vi_min
     proj_res, slope = (
-        np.nan if x is None else x
-        for x in (final.projection_residual, default_run.concentration_slope)
+        np.nan if x is None else x for x in (final.projection_residual, final.concentration_slope)
     )
     pairings = [rec.pairing for rec in default_run.levels]
 

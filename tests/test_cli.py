@@ -15,6 +15,7 @@ from quenchctrl import cli, verify
 from quenchctrl import optimize as optimize_module
 from quenchctrl import state as state_module
 from quenchctrl.cli import main
+from quenchctrl.config import build_problem, load_config
 from quenchctrl.errors import SolverError
 from quenchctrl.grid import Grid, TimeGrid, Trajectory
 from quenchctrl.nonlocal_op import Kernel, NonlocalOperator
@@ -403,6 +404,29 @@ def test_quench_step_underflow_exit_2_writes_nothing(tmp_path, capsys, key, text
     assert not (tmp_path / "o").exists()
 
 
+# case: (config key, config text) of a quench parameter whose resolvent step
+# 0.2·1e-310 = 2e-311 is subnormal, so the resolvent's 1/s overflows
+SUBNORMAL_STEP = {
+    "alpha": ("alpha", "steps = 5\nalpha = 1e-310\n"),
+    "schedule": ("schedule", "steps = 5\nschedule = 1e-1,1e-310\n"),
+    "sweep": ("sweep_alphas", "steps = 5\nsweep_alphas = 1e-1,1e-310\n"),
+}
+
+
+@pytest.mark.parametrize("key, text", SUBNORMAL_STEP.values(), ids=SUBNORMAL_STEP.keys())
+@pytest.mark.parametrize("command", ["simulate", "optimize", "sweep-alpha"])
+def test_quench_step_without_reciprocal_exit_2_writes_nothing(tmp_path, capsys, key, text, command):
+    # every march would fail at its first step; the schedule's would do so
+    # only after its level 0 had run
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: (A1) {key}: quench parameter 1e-310 gives no finite reciprocal of the "
+        "resolvent step (horizon/steps)·alpha^quench_exponent = 2e-311\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 # finite values that the solvers cannot use: h^-2, a gaussian's width²
 # (of the kernel or of a bump profile) or the optimizer's reference step
 # 1/control_weight would overflow, or the width² underflow to 0
@@ -431,6 +455,51 @@ def test_unusable_finite_value_exit_2_writes_nothing(tmp_path, capsys, command, 
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+# case: (config lines, kernel variant, |weights| sum) of a kernel table with
+# a weight beyond the double range: amplitude/core_radius, amplitude times
+# the cell volume 1.6e8, or a gaussian exponent -r²/(2·width²) of inf/inf
+KERNEL_BEYOND_RANGE = {
+    "newtonian-core": ("kernel = newtonian\nkernel_core_radius = 1e-320", "newtonian", "inf"),
+    "gaussian-volume": ("kernel_amplitude = 1e308\nlength_x = 1e10", "gaussian", "inf"),
+    "tophat-volume": ("kernel = tophat\nkernel_amplitude = 1e308\nlength_x = 1e10", "tophat", "inf"),
+    "gaussian-exponent": ("length_x = 1e155\nkernel_width = 1.3e154", "gaussian", "nan"),
+}
+
+
+def _run_strict(tmp_path, text, out):
+    """simulate in a subprocess under the contract runs' warning filter."""
+    cfg = write_cfg(tmp_path, text)
+    return subprocess.run(
+        [sys.executable, "-m", "quenchctrl.cli", "simulate", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**SUBPROCESS_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+
+
+@pytest.mark.parametrize(
+    "lines, variant, total", KERNEL_BEYOND_RANGE.values(), ids=KERNEL_BEYOND_RANGE.keys()
+)
+def test_kernel_table_beyond_double_range_exit_2_writes_nothing(tmp_path, lines, variant, total):
+    out = tmp_path / "o"
+    proc = _run_strict(tmp_path, f"steps = 5\n{lines}\n", out)
+    assert (proc.returncode, proc.stderr) == (
+        2,
+        f"config error: (A3) {variant} kernel: the sum of |weights| on this grid "
+        f"is not a finite double ({total})\n",
+    )
+    assert not out.exists()
+
+
+def test_gaussian_far_tail_is_zero_without_a_warning(tmp_path):
+    # r²/(2·width²) overflows for every offset but 0: the table keeps its
+    # offset-0 weight alone, formed with no overflow warning
+    out = tmp_path / "o"
+    proc = _run_strict(tmp_path, "steps = 5\nkernel_width = 2.3e-162\n", out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (out / "diagnostics.json").is_file()
 
 
 def test_small_cells_solve_exit_0(tmp_path):
@@ -832,6 +901,24 @@ def test_optimize_outputs(tmp_path, capsys):
     assert main(["optimize", "--config", cfg7, "--out", str(reseeded)]) == 0
     for name in ("control_0.csv", "control_1.csv", "history.csv", "limit_report.json"):
         assert (reseeded / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_optimize_writes_the_run_records(tmp_path):
+    # limit_report.json's final block is the run's FinalRecord, and
+    # history.csv is the level and then HistoryRow's fields, row for row
+    cfg = write_cfg(tmp_path, OPT)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    run = optimize_module.deep_quench_continuation(build_problem(load_config(cfg)))
+    report = json.loads((out / "limit_report.json").read_text())
+    assert report["final"] == json.loads(json.dumps(dataclasses.asdict(run.final)))
+    header, *rows = (out / "history.csv").read_text().splitlines()
+    assert header.split(",") == [
+        "level", *(f.name for f in dataclasses.fields(optimize_module.HistoryRow))
+    ]
+    assert [tuple(float(x) for x in row.split(",")) for row in rows] == [
+        (lvl, *dataclasses.astuple(row)) for lvl, rec in enumerate(run.levels) for row in rec.history
+    ]
 
 
 def test_optimize_warns_on_unconverged_level(tmp_path, capsys):

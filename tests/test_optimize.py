@@ -155,13 +155,13 @@ def test_continuation_small_run_structure():
         small_problem(schedule="1e-1,1e-2,1e-3,1e-4", tol=1e-6, max_iters=80)
     )
     assert [r.alpha for r in run.levels] == [1e-1, 1e-2, 1e-3, 1e-4]
-    assert run.all_converged
+    assert run.final.all_converged
     # level 0 runs unanchored, so exactly the later levels report a gap
     assert run.levels[0].anchor_distance is None
     gaps = [r.anchor_distance for r in run.levels[1:]]
     assert all(d >= 0 for d in gaps)
     # obstacle limit: the last quench state is already close
-    assert run.final_state_distance < 1e-2
+    assert run.final.state_distance < 1e-2
     assert check_obstacle_signs(run.final_state) == []
     assert run.final_state.alpha == 0.0
     for rec in run.levels:
